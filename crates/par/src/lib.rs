@@ -218,6 +218,8 @@ where
 mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
+    use std::time::{Duration, Instant};
 
     use proptest::prelude::*;
 
@@ -281,11 +283,23 @@ mod tests {
     #[test]
     fn multiple_workers_actually_run() {
         with_jobs(4, || {
-            let barrierish: Vec<u64> = (0..64).collect();
+            let items: Vec<u64> = (0..64).collect();
             let ids = Mutex::new(HashSet::new());
-            par_map(&barrierish, |_| {
-                ids.lock().unwrap().insert(thread::current().id());
-                std::thread::yield_now();
+            let entered = Condvar::new();
+            // One deadline for the whole map, so a one-thread regression
+            // fails after it once instead of waiting it out per item.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            par_map(&items, |_| {
+                let mut seen = ids.lock().unwrap();
+                seen.insert(thread::current().id());
+                entered.notify_all();
+                // Rendezvous: hold every item until a second thread has
+                // entered, so one worker cannot drain the queue before the
+                // next one starts.
+                let left = deadline.saturating_duration_since(Instant::now());
+                let _ = entered
+                    .wait_timeout_while(seen, left, |s| s.len() < 2)
+                    .unwrap();
             });
             assert!(
                 ids.into_inner().unwrap().len() > 1,

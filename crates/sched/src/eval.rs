@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use npu_dnn::StageKind;
+use npu_dnn::{LayerId, StageKind};
 use npu_maestro::CostModel;
 use npu_mcm::{ChipletId, McmPackage};
 use npu_noc::TransferCost;
@@ -115,151 +115,230 @@ fn slice_bytes(b: Bytes, parts: u64) -> Bytes {
     Bytes::new(b.as_u64().div_ceil(parts))
 }
 
+/// A NoP transfer's producing layer, for Fig. 9 attribution: `(stage,
+/// model, layer)` indices into the evaluated schedule. Resolved to the
+/// layer's name only when [`fold_nop_by_layer`] runs, so a pass
+/// allocates no label strings.
+pub(crate) type LayerRef = (usize, usize, LayerId);
+
+/// One sink shard of a stage: where the next stage's inputs come from.
+pub(crate) type Exit = (ChipletId, Bytes, LayerRef);
+
+/// One stage's pass of an [`evaluate`]: everything the stage contributes
+/// to the schedule-wide report, with each term that the fold
+/// ([`fold_scores`], [`fold_nop_by_layer`]) sums across stages kept
+/// separately, in evaluation order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StageEval {
+    kind: StageKind,
+    /// Stage E2E: critical model path, bounded below by the stage's own
+    /// per-chiplet serialization.
+    e2e: Seconds,
+    compute_energy: Joules,
+    nop_energy: Joules,
+    /// Chiplets hosting the stage's shards, ascending.
+    chiplets: Vec<ChipletId>,
+    /// Per shard: its chiplet, busy time (compute + input transfer) and
+    /// active PE-seconds.
+    shards: Vec<(ChipletId, Seconds, f64)>,
+    /// Per-transfer NoP latency and energy, by producing layer.
+    nop: Vec<(LayerRef, Seconds, Joules)>,
+    /// Sink shards feeding the next stage.
+    pub(crate) exits: Vec<Exit>,
+}
+
 /// Evaluates a schedule on a package under a cost model.
 ///
 /// `dtype` sets the NoP accounting width for feature maps (paper: 2 B per
 /// element).
+///
+/// The evaluation is split in two. A per-stage pass
+/// (`evaluate_stage`) scores one stage from its plan and the upstream
+/// stage's exits alone. A fold (`fold_scores`, plus `fold_nop_by_layer`
+/// for the Fig. 9 attribution) then combines the passes of every stage
+/// into the report. The throughput matcher keeps the passes
+/// of its current schedule and, after a sharding step, re-runs only the
+/// stage it touched (plus the next stage, when the touched stage's exits
+/// moved) before folding again. It folds the Fig. 9 `nop_by_layer`
+/// attribution, which none of its decisions read, only for the final
+/// schedule.
+///
+/// The split keeps the float accumulation order of one serial walk over
+/// the schedule, so a fold of cached passes equals a from-scratch
+/// `evaluate` bit for bit:
+///
+/// * per-stage sums (compute and NoP energy, each chiplet's stage-local
+///   busy time) accumulate inside the pass, from zero, in
+///   model → layer → shard → input-transfer order;
+/// * schedule-wide sums (each chiplet's busy time, active PE-seconds and
+///   per-layer NoP cost) are never pre-summed per stage: the pass records
+///   each term, and the fold adds them stage by stage in that same order.
 pub fn evaluate(
     schedule: &Schedule,
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
 ) -> EvalReport {
+    let stages = evaluate_stages(schedule, pkg, model, dtype);
+    let mut report = fold_scores(pkg, &stages);
+    report.nop_by_layer = fold_nop_by_layer(schedule, &stages);
+    report
+}
+
+/// The per-stage passes of a whole schedule, in pipeline order.
+pub(crate) fn evaluate_stages(
+    schedule: &Schedule,
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) -> Vec<StageEval> {
+    let mut stages: Vec<StageEval> = Vec::with_capacity(schedule.stages.len());
+    for si in 0..schedule.stages.len() {
+        let upstream = stages.last().map_or(&[][..], |s| &s.exits[..]);
+        let stage = evaluate_stage(schedule, si, upstream, pkg, model, dtype);
+        stages.push(stage);
+    }
+    stages
+}
+
+/// The per-stage pass: scores stage `si` of `schedule` given the exits
+/// of the stage before it (empty for the first stage = DRAM ingress).
+pub(crate) fn evaluate_stage(
+    schedule: &Schedule,
+    si: usize,
+    upstream: &[Exit],
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) -> StageEval {
     let link = pkg.link();
-    let mut busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
-    let mut stage_busy: Vec<BTreeMap<ChipletId, Seconds>> = Vec::new();
-    let mut nop_by_layer: BTreeMap<String, (Seconds, Joules)> = BTreeMap::new();
-    let mut active_weighted = 0.0_f64; // PE-seconds
-    let mut per_stage_partial: Vec<(StageKind, Seconds, Joules, Joules)> = Vec::new();
+    let stage = &schedule.stages[si];
+    let mut local_busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+    let mut compute_energy = Joules::ZERO;
+    let mut nop_energy = Joules::ZERO;
+    let mut shards: Vec<(ChipletId, Seconds, f64)> = Vec::new();
+    let mut nop: Vec<(LayerRef, Seconds, Joules)> = Vec::new();
+    let mut exits: Vec<Exit> = Vec::new();
+    let mut stage_path = Seconds::ZERO;
 
-    // Chiplets emitting the previous stage's outputs (with the producing
-    // layer's name for NoP attribution); empty = DRAM ingress.
-    let mut prev_exits: Vec<(ChipletId, Bytes, String)> = Vec::new();
+    for (mi, mp) in stage.models.iter().enumerate() {
+        let mut path: Vec<Seconds> = vec![Seconds::ZERO; mp.graph.len()];
+        for (id, _) in mp.graph.iter() {
+            let lp = mp.layer_plan(id);
+            let parts = lp.parts();
+            let preds = mp.graph.preds(id);
+            let mut layer_time = Seconds::ZERO;
 
-    for stage in &schedule.stages {
-        let mut local_busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
-        let mut compute_energy = Joules::ZERO;
-        let mut nop_energy = Joules::ZERO;
-        let mut exits: Vec<(ChipletId, Bytes, String)> = Vec::new();
-        let mut stage_path = Seconds::ZERO;
+            for shard in &lp.shards {
+                let acc = pkg.chiplet(shard.chiplet).accelerator();
+                let cost = model.layer_cost(&shard.layer, acc);
 
-        for mp in &stage.models {
-            let mut path: Vec<Seconds> = vec![Seconds::ZERO; mp.graph.len()];
-            for (id, _) in mp.graph.iter() {
-                let lp = mp.layer_plan(id);
-                let parts = lp.parts();
-                let preds = mp.graph.preds(id);
-                let mut layer_time = Seconds::ZERO;
-
-                for shard in &lp.shards {
-                    let acc = pkg.chiplet(shard.chiplet).accelerator();
-                    let cost = model.layer_cost(&shard.layer, acc);
-
-                    // Input transfers for this shard: one store-and-forward
-                    // move per producing shard, attributed to the producer
-                    // (the paper's Fig. 9 charges a layer for shipping its
-                    // output feature map).
-                    let mut srcs: Vec<(String, Bytes, u64)> = Vec::new();
-                    if preds.is_empty() {
-                        if prev_exits.is_empty() {
-                            let bytes = slice_bytes(input_bytes_estimate(&lp.source, dtype), parts);
-                            srcs.push((
-                                lp.source.name().to_string(),
-                                bytes,
-                                pkg.dram_hops(shard.chiplet),
-                            ));
-                        } else {
-                            for (c, b, label) in &prev_exits {
-                                srcs.push((
-                                    label.clone(),
-                                    slice_bytes(*b, parts),
-                                    pkg.hops(*c, shard.chiplet),
-                                ));
-                            }
-                        }
+                // Input transfers for this shard: one store-and-forward
+                // move per producing shard, attributed to the producer
+                // (the paper's Fig. 9 charges a layer for shipping its
+                // output feature map).
+                let mut transfer = TransferCost::ZERO;
+                let mut charge = |src: LayerRef, bytes: Bytes, hops: u64| {
+                    let t = TransferCost::unicast(bytes, hops, link);
+                    nop.push((src, t.latency, t.energy));
+                    transfer = transfer + t;
+                };
+                if preds.is_empty() {
+                    if upstream.is_empty() {
+                        let bytes = slice_bytes(input_bytes_estimate(&lp.source, dtype), parts);
+                        charge((si, mi, id), bytes, pkg.dram_hops(shard.chiplet));
                     } else {
-                        for &p in preds {
-                            let pred_name = mp.layer_plan(p).source.name().to_string();
-                            for ps in &mp.layer_plan(p).shards {
-                                srcs.push((
-                                    pred_name.clone(),
-                                    slice_bytes(ps.layer.output_bytes(dtype), parts),
-                                    pkg.hops(ps.chiplet, shard.chiplet),
-                                ));
-                            }
+                        for &(c, b, src) in upstream {
+                            charge(src, slice_bytes(b, parts), pkg.hops(c, shard.chiplet));
                         }
                     }
-                    let mut transfer = TransferCost::ZERO;
-                    for (label, bytes, hops) in srcs {
-                        let t = TransferCost::unicast(bytes, hops, link);
-                        let entry = nop_by_layer
-                            .entry(label)
-                            .or_insert((Seconds::ZERO, Joules::ZERO));
-                        entry.0 += t.latency;
-                        entry.1 += t.energy;
-                        transfer = transfer + t;
+                } else {
+                    for &p in preds {
+                        for ps in &mp.layer_plan(p).shards {
+                            charge(
+                                (si, mi, p),
+                                slice_bytes(ps.layer.output_bytes(dtype), parts),
+                                pkg.hops(ps.chiplet, shard.chiplet),
+                            );
+                        }
                     }
-
-                    let shard_time = cost.latency + transfer.latency;
-                    *busy.entry(shard.chiplet).or_insert(Seconds::ZERO) += shard_time;
-                    *local_busy.entry(shard.chiplet).or_insert(Seconds::ZERO) += shard_time;
-                    compute_energy += cost.energy;
-                    nop_energy += transfer.energy;
-                    active_weighted += cost.active_pes * cost.latency.as_secs();
-                    layer_time = layer_time.max(shard_time);
                 }
 
-                let pred_path = preds
-                    .iter()
-                    .map(|&p| path[p.index()])
-                    .fold(Seconds::ZERO, Seconds::max);
-                path[id.index()] = pred_path + layer_time;
+                let shard_time = cost.latency + transfer.latency;
+                *local_busy.entry(shard.chiplet).or_insert(Seconds::ZERO) += shard_time;
+                compute_energy += cost.energy;
+                nop_energy += transfer.energy;
+                let active = cost.active_pes * cost.latency.as_secs();
+                shards.push((shard.chiplet, shard_time, active));
+                layer_time = layer_time.max(shard_time);
             }
 
-            let model_path = path.iter().copied().fold(Seconds::ZERO, Seconds::max);
-            stage_path = stage_path.max(model_path);
-
-            for sink in mp.graph.sinks() {
-                for shard in &mp.layer_plan(sink).shards {
-                    exits.push((
-                        shard.chiplet,
-                        shard.layer.output_bytes(dtype),
-                        mp.layer_plan(sink).source.name().to_string(),
-                    ));
-                }
-            }
+            let pred_path = preds
+                .iter()
+                .map(|&p| path[p.index()])
+                .fold(Seconds::ZERO, Seconds::max);
+            path[id.index()] = pred_path + layer_time;
         }
 
-        // Stage E2E: parallel-model path, bounded by serialization on any
-        // chiplet the stage shares (e.g. 8 FE models on one monolithic
-        // accelerator execute back to back).
-        let local_max = local_busy
-            .values()
-            .copied()
-            .fold(Seconds::ZERO, Seconds::max);
-        let stage_e2e = stage_path.max(local_max);
-        per_stage_partial.push((stage.kind, stage_e2e, compute_energy, nop_energy));
-        stage_busy.push(local_busy);
-        prev_exits = exits;
+        let model_path = path.iter().copied().fold(Seconds::ZERO, Seconds::max);
+        stage_path = stage_path.max(model_path);
+
+        for sink in mp.graph.sinks() {
+            for shard in &mp.layer_plan(sink).shards {
+                exits.push((
+                    shard.chiplet,
+                    shard.layer.output_bytes(dtype),
+                    (si, mi, sink),
+                ));
+            }
+        }
+    }
+
+    // Stage E2E: parallel-model path, bounded by serialization on any
+    // chiplet the stage shares (e.g. 8 FE models on one monolithic
+    // accelerator execute back to back).
+    let local_max = local_busy
+        .values()
+        .copied()
+        .fold(Seconds::ZERO, Seconds::max);
+    StageEval {
+        kind: stage.kind,
+        e2e: stage_path.max(local_max),
+        compute_energy,
+        nop_energy,
+        chiplets: local_busy.into_keys().collect(),
+        shards,
+        nop,
+        exits,
+    }
+}
+
+/// The fold: combines the per-stage passes of a schedule (in pipeline
+/// order) into its report, adding every schedule-wide term in the order
+/// one serial walk over the schedule would. The Fig. 9 attribution is
+/// left to [`fold_nop_by_layer`]: `nop_by_layer` is empty.
+pub(crate) fn fold_scores(pkg: &McmPackage, stages: &[StageEval]) -> EvalReport {
+    let mut busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+    let mut active_weighted = 0.0_f64; // PE-seconds
+    for &(c, t, active) in stages.iter().flat_map(|s| &s.shards) {
+        *busy.entry(c).or_insert(Seconds::ZERO) += t;
+        active_weighted += active;
     }
 
     // Stage pipe latencies come from *global* chiplet busy times: a chiplet
     // shared between stages must fit all its work in one frame interval.
-    let per_stage: Vec<StageReport> = per_stage_partial
+    let per_stage: Vec<StageReport> = stages
         .iter()
-        .zip(&stage_busy)
-        .map(|(&(kind, e2e, ce, ne), local)| {
-            let pipe = local
-                .keys()
+        .map(|s| StageReport {
+            kind: s.kind,
+            pipe: s
+                .chiplets
+                .iter()
                 .map(|c| busy[c])
-                .fold(Seconds::ZERO, Seconds::max);
-            StageReport {
-                kind,
-                pipe,
-                e2e,
-                compute_energy: ce,
-                nop_energy: ne,
-            }
+                .fold(Seconds::ZERO, Seconds::max),
+            e2e: s.e2e,
+            compute_energy: s.compute_energy,
+            nop_energy: s.nop_energy,
         })
         .collect();
 
@@ -291,11 +370,27 @@ pub fn evaluate(
         utilization_used,
         per_stage,
         busy: busy.into_iter().collect(),
-        nop_by_layer: nop_by_layer
-            .into_iter()
-            .map(|(k, (l, e))| (k, l, e))
-            .collect(),
+        nop_by_layer: Vec::new(),
     }
+}
+
+/// The fold's Fig. 9 NoP attribution: each transfer's cost summed per
+/// producing layer name, stage by stage in evaluation order.
+pub(crate) fn fold_nop_by_layer(
+    schedule: &Schedule,
+    stages: &[StageEval],
+) -> Vec<(String, Seconds, Joules)> {
+    let mut by_name: BTreeMap<&str, (Seconds, Joules)> = BTreeMap::new();
+    for &((si, mi, id), latency, energy) in stages.iter().flat_map(|s| &s.nop) {
+        let name = schedule.stages[si].models[mi].layer_plan(id).source.name();
+        let entry = by_name.entry(name).or_insert((Seconds::ZERO, Joules::ZERO));
+        entry.0 += latency;
+        entry.1 += energy;
+    }
+    by_name
+        .into_iter()
+        .map(|(name, (l, e))| (name.to_string(), l, e))
+        .collect()
 }
 
 /// One schedulable work unit for discrete-event simulation: a layer shard
@@ -406,12 +501,216 @@ pub fn flatten_items(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::plan::{ModelPlan, StagePlan};
     use npu_dnn::models::attention::{fusion_block, FusionConfig};
     use npu_dnn::StageKind;
     use npu_maestro::FittedMaestro;
+
+    /// The bit pattern of every number in a report, labelled, so a
+    /// mismatch names the field that differs.
+    pub(crate) fn report_bits(r: &EvalReport) -> Vec<String> {
+        let bits = |x: f64| format!("{:016x}", x.to_bits());
+        let mut out = vec![
+            format!("e2e {}", bits(r.e2e.as_secs())),
+            format!("pipe {}", bits(r.pipe.as_secs())),
+            format!("compute {}", bits(r.compute_energy.as_joules())),
+            format!("nop {}", bits(r.nop_energy.as_joules())),
+            format!("utilization {}", bits(r.utilization)),
+            format!("utilization_used {}", bits(r.utilization_used)),
+        ];
+        out.extend(r.per_stage.iter().map(|s| {
+            format!(
+                "stage {} pipe {} e2e {} compute {} nop {}",
+                s.kind,
+                bits(s.pipe.as_secs()),
+                bits(s.e2e.as_secs()),
+                bits(s.compute_energy.as_joules()),
+                bits(s.nop_energy.as_joules())
+            )
+        }));
+        out.extend(
+            r.busy
+                .iter()
+                .map(|(c, t)| format!("busy {} {}", c.0, bits(t.as_secs()))),
+        );
+        out.extend(
+            r.nop_by_layer
+                .iter()
+                .map(|(l, t, e)| format!("nop {l} {} {}", bits(t.as_secs()), bits(e.as_joules()))),
+        );
+        out
+    }
+
+    /// Reference oracle: the evaluator as one serial walk over the
+    /// schedule, accumulating every schedule-wide sum in place. The
+    /// per-stage pass and fold must reproduce it bit for bit.
+    fn serial_walk(
+        schedule: &Schedule,
+        pkg: &McmPackage,
+        model: &dyn CostModel,
+        dtype: Dtype,
+    ) -> EvalReport {
+        let link = pkg.link();
+        let mut busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+        let mut nop_by_layer: BTreeMap<String, (Seconds, Joules)> = BTreeMap::new();
+        let mut active_weighted = 0.0_f64;
+        let mut partial: Vec<(StageKind, Seconds, Joules, Joules, Vec<ChipletId>)> = Vec::new();
+        let mut prev_exits: Vec<(ChipletId, Bytes, String)> = Vec::new();
+        for stage in &schedule.stages {
+            let mut local: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+            let (mut ce, mut ne) = (Joules::ZERO, Joules::ZERO);
+            let mut exits = Vec::new();
+            let mut stage_path = Seconds::ZERO;
+            for mp in &stage.models {
+                let mut path = vec![Seconds::ZERO; mp.graph.len()];
+                for (id, _) in mp.graph.iter() {
+                    let lp = mp.layer_plan(id);
+                    let parts = lp.parts();
+                    let preds = mp.graph.preds(id);
+                    let mut layer_time = Seconds::ZERO;
+                    for shard in &lp.shards {
+                        let cost = model
+                            .layer_cost(&shard.layer, pkg.chiplet(shard.chiplet).accelerator());
+                        let mut srcs: Vec<(String, Bytes, u64)> = Vec::new();
+                        if preds.is_empty() && prev_exits.is_empty() {
+                            let b = slice_bytes(input_bytes_estimate(&lp.source, dtype), parts);
+                            let hops = pkg.dram_hops(shard.chiplet);
+                            srcs.push((lp.source.name().to_string(), b, hops));
+                        } else if preds.is_empty() {
+                            for (c, b, label) in &prev_exits {
+                                let hops = pkg.hops(*c, shard.chiplet);
+                                srcs.push((label.clone(), slice_bytes(*b, parts), hops));
+                            }
+                        }
+                        for &p in preds {
+                            for ps in &mp.layer_plan(p).shards {
+                                srcs.push((
+                                    mp.layer_plan(p).source.name().to_string(),
+                                    slice_bytes(ps.layer.output_bytes(dtype), parts),
+                                    pkg.hops(ps.chiplet, shard.chiplet),
+                                ));
+                            }
+                        }
+                        let mut transfer = TransferCost::ZERO;
+                        for (label, bytes, hops) in srcs {
+                            let t = TransferCost::unicast(bytes, hops, link);
+                            let e = nop_by_layer.entry(label).or_default();
+                            e.0 += t.latency;
+                            e.1 += t.energy;
+                            transfer = transfer + t;
+                        }
+                        let shard_time = cost.latency + transfer.latency;
+                        *busy.entry(shard.chiplet).or_default() += shard_time;
+                        *local.entry(shard.chiplet).or_default() += shard_time;
+                        ce += cost.energy;
+                        ne += transfer.energy;
+                        active_weighted += cost.active_pes * cost.latency.as_secs();
+                        layer_time = layer_time.max(shard_time);
+                    }
+                    let pred_path = preds.iter().map(|&p| path[p.index()]);
+                    path[id.index()] = pred_path.fold(Seconds::ZERO, Seconds::max) + layer_time;
+                }
+                stage_path = stage_path.max(path.into_iter().fold(Seconds::ZERO, Seconds::max));
+                for sink in mp.graph.sinks() {
+                    let name = mp.layer_plan(sink).source.name();
+                    for shard in &mp.layer_plan(sink).shards {
+                        let b = shard.layer.output_bytes(dtype);
+                        exits.push((shard.chiplet, b, name.to_string()));
+                    }
+                }
+            }
+            let local_max = local.values().copied().fold(Seconds::ZERO, Seconds::max);
+            let keys = local.into_keys().collect();
+            partial.push((stage.kind, stage_path.max(local_max), ce, ne, keys));
+            prev_exits = exits;
+        }
+        let per_stage: Vec<StageReport> = partial
+            .into_iter()
+            .map(
+                |(kind, e2e, compute_energy, nop_energy, keys)| StageReport {
+                    kind,
+                    pipe: keys
+                        .iter()
+                        .map(|c| busy[c])
+                        .fold(Seconds::ZERO, Seconds::max),
+                    e2e,
+                    compute_energy,
+                    nop_energy,
+                },
+            )
+            .collect();
+        let pipe = busy.values().copied().fold(Seconds::ZERO, Seconds::max);
+        let used_pes: u64 = busy
+            .keys()
+            .map(|&c| pkg.chiplet(c).accelerator().array().pes())
+            .sum();
+        let share = |pes: u64| match pipe.is_zero() || pes == 0 {
+            true => 0.0,
+            false => active_weighted / (pes as f64 * pipe.as_secs()),
+        };
+        EvalReport {
+            e2e: per_stage.iter().map(|s| s.e2e).sum(),
+            pipe,
+            compute_energy: per_stage.iter().map(|s| s.compute_energy).sum(),
+            nop_energy: per_stage.iter().map(|s| s.nop_energy).sum(),
+            utilization: share(pkg.total_pes()),
+            utilization_used: share(used_pes),
+            per_stage,
+            busy: busy.into_iter().collect(),
+            nop_by_layer: nop_by_layer
+                .into_iter()
+                .map(|(k, (l, e))| (k, l, e))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn split_evaluate_matches_the_serial_walk() {
+        use crate::{baseline_schedule, MatcherConfig, Pipelining, ThroughputMatcher};
+        use npu_dnn::PerceptionConfig;
+
+        let model = FittedMaestro::new();
+        let full = PerceptionConfig::default().build();
+        let mut cases: Vec<(Schedule, McmPackage)> = Vec::new();
+        // Baselines share chiplets across stages, so per-chiplet busy
+        // sums mix terms from several stages.
+        for pkg in [
+            McmPackage::monolithic_9216(),
+            McmPackage::dual_4608(),
+            McmPackage::quad_2304(),
+        ] {
+            for pipelining in [Pipelining::Stagewise, Pipelining::Layerwise] {
+                for pipeline in [full.clone(), full.bottleneck_stages()] {
+                    cases.push((
+                        baseline_schedule(&pipeline, &pkg, pipelining, &model),
+                        pkg.clone(),
+                    ));
+                }
+            }
+        }
+        let simba = McmPackage::simba_6x6();
+        let matched = ThroughputMatcher::new(&model, MatcherConfig::default())
+            .match_throughput(&full, &simba);
+        cases.push((matched.schedule, simba));
+        let dual = McmPackage::dual_npu_12x6();
+        let cfg = MatcherConfig {
+            allow_fe_split: true,
+            ..MatcherConfig::default()
+        };
+        let minimized = ThroughputMatcher::new(&model, cfg).minimize(&full, &dual);
+        cases.push((minimized.schedule, dual));
+
+        for (schedule, pkg) in &cases {
+            assert_eq!(
+                report_bits(&evaluate(schedule, pkg, &model, Dtype::Fp16)),
+                report_bits(&serial_walk(schedule, pkg, &model, Dtype::Fp16)),
+                "{}",
+                pkg.name()
+            );
+        }
+    }
 
     fn single_stage_schedule(chiplet: u32) -> Schedule {
         let g = fusion_block(&FusionConfig::spatial_default());

@@ -24,7 +24,9 @@ use npu_maestro::{CostModel, MemoCostModel};
 use npu_mcm::{stage_regions, ChipletId, McmPackage};
 use npu_tensor::{float, Dtype, Seconds};
 
-use crate::eval::{evaluate, EvalReport};
+use crate::eval::{
+    evaluate_stage, evaluate_stages, fold_nop_by_layer, fold_scores, EvalReport, StageEval,
+};
 use crate::plan::{LayerPlan, ModelPlan, Schedule, ShardAssignment, StagePlan};
 use crate::shard::{shard_cap, shard_layer};
 
@@ -101,10 +103,11 @@ pub struct MatchOutcome {
 
 /// Algorithm 1 implementation.
 pub struct ThroughputMatcher<'m> {
-    /// The caller's model behind a memoization cache: the matcher
-    /// re-evaluates the full schedule after every sharding step, so the
-    /// same `(accelerator, layer)` costs repeat hundreds of times per
-    /// match. The cache is bit-transparent (see [`MemoCostModel`]).
+    /// The caller's model behind a memoization cache: after every
+    /// sharding step the matcher re-evaluates the stage it touched (and
+    /// the next one when the touched stage's exits moved), so the same
+    /// `(accelerator, layer)` costs repeat many times per match. The
+    /// cache is bit-transparent (see [`MemoCostModel`]).
     model: MemoCostModel<'m>,
     cfg: MatcherConfig,
 }
@@ -193,7 +196,8 @@ impl<'m> ThroughputMatcher<'m> {
         pipeline: &PerceptionPipeline,
         pkg: &McmPackage,
     ) -> MatchOutcome {
-        self.match_throughput_core(pipeline, pkg, true)
+        let (scored, trace) = self.match_throughput_core(pipeline, pkg, true);
+        scored.into_outcome(trace)
     }
 
     /// Base matching with surplus absorption optional (the minimizing mode
@@ -203,25 +207,25 @@ impl<'m> ThroughputMatcher<'m> {
         pipeline: &PerceptionPipeline,
         pkg: &McmPackage,
         absorb: bool,
-    ) -> MatchOutcome {
-        let mut schedule = self.initial_schedule(pipeline, pkg);
-        let mut trace = Vec::new();
-        let mut report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-        trace.push(MatchStep {
-            description: "initial quadrant allocation".to_string(),
-            pipe: report.pipe,
-            chiplets_remaining: self.free_chiplets(&schedule, pkg).len(),
-        });
+    ) -> (Scored, Vec<MatchStep>) {
+        let mut scored = self.score(self.initial_schedule(pipeline, pkg), pkg);
+        let mut trace = vec![step(
+            "initial quadrant allocation".to_string(),
+            &scored.report,
+            pkg,
+        )];
 
         let mut exhausted: BTreeSet<(usize, usize, LayerId)> = BTreeSet::new();
         for _ in 0..self.cfg.max_steps {
-            let base = self.base_latency(&report);
+            let report = &scored.report;
+            let base = self.base_latency(report);
             let limit = base * (1.0 + self.cfg.tolerance);
 
             // Outer loop: worst bottleneck stage above the base latency.
             let Some(si) = float::total_max_by_key(
                 report.per_stage.iter().enumerate().filter(|(i, s)| {
-                    schedule.stages[*i].kind != StageKind::FeatureExtraction && s.pipe > limit
+                    scored.schedule.stages[*i].kind != StageKind::FeatureExtraction
+                        && s.pipe > limit
                 }),
                 |(_, s)| s.pipe.as_secs(),
             )
@@ -230,52 +234,53 @@ impl<'m> ThroughputMatcher<'m> {
             };
 
             // Inner loop: shard the longest shardable layer of the stage.
-            match self.shard_step(&mut schedule, pkg, si, false, &mut exhausted) {
-                Some(desc) => {
-                    report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-                    trace.push(MatchStep {
-                        description: desc,
-                        pipe: report.pipe,
-                        chiplets_remaining: self.free_chiplets(&schedule, pkg).len(),
-                    });
-                }
-                None => break, // sharding exhausted everywhere
-            }
+            let Some(desc) = self.shard_step(
+                &mut scored.schedule,
+                &scored.report,
+                pkg,
+                si,
+                false,
+                &mut exhausted,
+            ) else {
+                break; // sharding exhausted everywhere
+            };
+            self.rescore(&mut scored, pkg, si);
+            trace.push(step(desc, &scored.report, pkg));
         }
 
         // Surplus absorption: spend remaining free chiplets on deeper
         // shards of each stage's already-sharded layers, in pipeline order
         // (the paper's extra S_FUSE FFN sharding steps: 4-fold, then
         // 8-fold using the FE quadrant's spare chiplet).
-        let absorb_stages = if absorb { schedule.stages.len() } else { 0 };
+        let absorb_stages = if absorb {
+            scored.schedule.stages.len()
+        } else {
+            0
+        };
         for si in 0..absorb_stages {
-            if schedule.stages[si].kind == StageKind::FeatureExtraction {
+            if scored.schedule.stages[si].kind == StageKind::FeatureExtraction {
                 continue;
             }
             for _ in 0..self.cfg.max_steps {
-                if self.free_chiplets(&schedule, pkg).is_empty() {
+                if free_chiplets(&scored.report, pkg).is_empty() {
                     break;
                 }
-                let Some(desc) =
-                    self.shard_step(&mut schedule, pkg, si, true, &mut BTreeSet::new())
-                else {
+                let Some(desc) = self.shard_step(
+                    &mut scored.schedule,
+                    &scored.report,
+                    pkg,
+                    si,
+                    true,
+                    &mut BTreeSet::new(),
+                ) else {
                     break;
                 };
-                report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-                trace.push(MatchStep {
-                    description: format!("surplus: {desc}"),
-                    pipe: report.pipe,
-                    chiplets_remaining: self.free_chiplets(&schedule, pkg).len(),
-                });
+                self.rescore(&mut scored, pkg, si);
+                trace.push(step(format!("surplus: {desc}"), &scored.report, pkg));
             }
         }
 
-        report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-        MatchOutcome {
-            schedule,
-            report,
-            trace,
-        }
+        (scored, trace)
     }
 
     /// Runs the minimizing mode (two-NPU study): first match to base, then
@@ -283,40 +288,39 @@ impl<'m> ThroughputMatcher<'m> {
     /// layer or splitting FE+BFPN into two pipeline sub-stages — while the
     /// pipelining latency improves.
     pub fn minimize(&self, pipeline: &PerceptionPipeline, pkg: &McmPackage) -> MatchOutcome {
-        let MatchOutcome {
-            mut schedule,
-            mut report,
-            mut trace,
-        } = self.match_throughput_core(pipeline, pkg, false);
+        let (mut scored, mut trace) = self.match_throughput_core(pipeline, pkg, false);
 
         for _ in 0..self.cfg.max_steps {
-            let old_pipe = report.pipe;
+            let old_pipe = scored.report.pipe;
+            let improves = |s: &Scored| s.report.pipe.as_secs() < old_pipe.as_secs() * 0.999;
             let mut improved = false;
 
             // Try every stage in descending bottleneck order; within a
             // stage, shard_step's exhaustion set walks its layers. Accept
-            // the first step that strictly improves the global pipe.
-            let mut order: Vec<usize> = (0..schedule.stages.len()).collect();
-            float::total_sort_desc_by_key(&mut order, |&si| report.per_stage[si].pipe.as_secs());
+            // the first step that strictly improves the global pipe. A
+            // rejected step restores the schedule together with its
+            // cached evaluation.
+            let mut order: Vec<usize> = (0..scored.schedule.stages.len()).collect();
+            float::total_sort_desc_by_key(&mut order, |&si| {
+                scored.report.per_stage[si].pipe.as_secs()
+            });
 
             'stages: for si in order {
-                if schedule.stages[si].kind == StageKind::FeatureExtraction {
+                if scored.schedule.stages[si].kind == StageKind::FeatureExtraction {
                     if self.cfg.allow_fe_split {
-                        let backup = schedule.clone();
-                        if self.split_fe(&mut schedule, pkg) {
-                            let new_report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-                            if new_report.pipe.as_secs() < old_pipe.as_secs() * 0.999 {
-                                report = new_report;
-                                trace.push(MatchStep {
-                                    description: "split FE+BFPN into two pipeline sub-stages"
-                                        .to_string(),
-                                    pipe: report.pipe,
-                                    chiplets_remaining: self.free_chiplets(&schedule, pkg).len(),
-                                });
+                        let backup = scored.checkpoint(si);
+                        if self.split_fe(&mut scored.schedule, &scored.report, pkg, si) {
+                            self.rescore(&mut scored, pkg, si);
+                            if improves(&scored) {
+                                trace.push(step(
+                                    "split FE+BFPN into two pipeline sub-stages".to_string(),
+                                    &scored.report,
+                                    pkg,
+                                ));
                                 improved = true;
                                 break 'stages;
                             }
-                            schedule = backup;
+                            scored.restore(backup);
                         }
                     }
                     continue;
@@ -325,30 +329,30 @@ impl<'m> ThroughputMatcher<'m> {
                 // one improves the pipe.
                 let mut skip: BTreeSet<(usize, usize, LayerId)> = BTreeSet::new();
                 loop {
-                    let backup = schedule.clone();
-                    let Some(desc) = self.shard_step(&mut schedule, pkg, si, false, &mut skip)
-                    else {
+                    let backup = scored.checkpoint(si);
+                    let Some(desc) = self.shard_step(
+                        &mut scored.schedule,
+                        &scored.report,
+                        pkg,
+                        si,
+                        false,
+                        &mut skip,
+                    ) else {
                         break;
                     };
-                    let new_report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-                    if new_report.pipe.as_secs() < old_pipe.as_secs() * 0.999 {
-                        report = new_report;
-                        trace.push(MatchStep {
-                            description: desc,
-                            pipe: report.pipe,
-                            chiplets_remaining: self.free_chiplets(&schedule, pkg).len(),
-                        });
+                    self.rescore(&mut scored, pkg, si);
+                    if improves(&scored) {
+                        trace.push(step(desc, &scored.report, pkg));
                         improved = true;
                         break 'stages;
                     }
                     // Revert and mark this target as tried.
-                    if let Some((mi, target)) = last_target(&backup, &schedule, si) {
-                        skip.insert((si, mi, target));
-                    } else {
-                        schedule = backup;
+                    let target = last_target(&backup.plan, &scored.schedule.stages[si]);
+                    scored.restore(backup);
+                    let Some((mi, target)) = target else {
                         break;
-                    }
-                    schedule = backup;
+                    };
+                    skip.insert((si, mi, target));
                 }
             }
             if !improved {
@@ -356,12 +360,38 @@ impl<'m> ThroughputMatcher<'m> {
             }
         }
 
-        report = evaluate(&schedule, pkg, &self.model, self.cfg.dtype);
-        MatchOutcome {
+        scored.into_outcome(trace)
+    }
+
+    /// Scores a schedule from scratch: every stage's pass, then the fold.
+    fn score(&self, schedule: Schedule, pkg: &McmPackage) -> Scored {
+        let stages = evaluate_stages(&schedule, pkg, &self.model, self.cfg.dtype);
+        let report = fold_scores(pkg, &stages);
+        Scored {
             schedule,
+            stages,
             report,
-            trace,
         }
+    }
+
+    /// Re-scores after a change confined to stage `si`: re-runs that
+    /// stage's pass, and the next stage's only if `si`'s exits (the next
+    /// stage's only input from it) moved, then folds again.
+    fn rescore(&self, scored: &mut Scored, pkg: &McmPackage, si: usize) {
+        let (model, dtype) = (&self.model, self.cfg.dtype);
+        let upstream = match si {
+            0 => &[][..],
+            _ => &scored.stages[si - 1].exits[..],
+        };
+        let fresh = evaluate_stage(&scored.schedule, si, upstream, pkg, model, dtype);
+        let exits_moved = fresh.exits != scored.stages[si].exits;
+        scored.stages[si] = fresh;
+        if exits_moved && si + 1 < scored.stages.len() {
+            let upstream = &scored.stages[si].exits;
+            scored.stages[si + 1] =
+                evaluate_stage(&scored.schedule, si + 1, upstream, pkg, model, dtype);
+        }
+        scored.report = fold_scores(pkg, &scored.stages);
     }
 
     /// The base pipelining latency: the FE stage's pipe latency, or the
@@ -381,12 +411,6 @@ impl<'m> ThroughputMatcher<'m> {
             })
     }
 
-    /// Free chiplets: present in the package but hosting no work.
-    fn free_chiplets(&self, schedule: &Schedule, pkg: &McmPackage) -> Vec<ChipletId> {
-        let used = schedule.chiplets_used();
-        pkg.ids().filter(|c| !used.contains(c)).collect()
-    }
-
     /// Semantic shard cap for a layer of a stage.
     fn cap_for(&self, kind: StageKind, layer: &npu_dnn::Layer) -> u64 {
         let semantic = match kind {
@@ -400,13 +424,16 @@ impl<'m> ThroughputMatcher<'m> {
 
     /// One inner-loop step: shard the longest shardable layer of stage
     /// `si` one level deeper and re-place its shards on the least busy
-    /// available chiplets. With `only_sharded`, restricts targets to
-    /// layers that are already sharded (the surplus-absorption rule).
-    /// Returns a step description, or `None` if the stage has nothing
-    /// left to shard.
+    /// available chiplets. `report` is the caller's current evaluation of
+    /// `schedule`; the step reads its busy map instead of re-scoring a
+    /// schedule that has not changed. With `only_sharded`, restricts
+    /// targets to layers that are already sharded (the surplus-absorption
+    /// rule). Only stage `si` changes. Returns a step description, or
+    /// `None` if the stage has nothing left to shard.
     fn shard_step(
         &self,
         schedule: &mut Schedule,
+        report: &EvalReport,
         pkg: &McmPackage,
         si: usize,
         only_sharded: bool,
@@ -478,7 +505,6 @@ impl<'m> ThroughputMatcher<'m> {
         let (mi, id, _, parts) = best?;
 
         // Busy map excluding the target layer's current shards.
-        let report = evaluate(schedule, pkg, &self.model, self.cfg.dtype);
         let mut busy: std::collections::BTreeMap<ChipletId, Seconds> =
             report.busy.iter().copied().collect();
         {
@@ -502,10 +528,9 @@ impl<'m> ThroughputMatcher<'m> {
             let ref_acc = pkg.chiplet(schedule.stages[si].region[0]).accelerator();
             self.model.layer_cost(&lp.source, ref_acc).latency / parts as f64
         };
-        let used = schedule.chiplets_used();
         let region = schedule.stages[si].region.clone();
         let mut available: Vec<ChipletId> = region.clone();
-        available.extend(pkg.ids().filter(|c| !used.contains(c)));
+        available.extend(free_chiplets(report, pkg));
         available.sort();
         available.dedup();
         available.sort_by_key(|c| {
@@ -518,7 +543,7 @@ impl<'m> ThroughputMatcher<'m> {
         let source = mp.layer_plan(id).source.clone();
         let Ok(shards) = shard_layer(&source, parts) else {
             exhausted.insert((si, mi, id));
-            return self.shard_step(schedule, pkg, si, only_sharded, exhausted);
+            return self.shard_step(schedule, report, pkg, si, only_sharded, exhausted);
         };
         let assignments: Vec<ShardAssignment> = shards
             .into_iter()
@@ -536,29 +561,33 @@ impl<'m> ThroughputMatcher<'m> {
         Some(format!("shard {kind} {name} -> {parts}"))
     }
 
-    /// Splits every FE model into two pipeline sub-stages at the cut
-    /// balancing the halves, placing the suffix on a free chiplet.
-    /// Returns false if there are not enough free chiplets.
-    fn split_fe(&self, schedule: &mut Schedule, pkg: &McmPackage) -> bool {
-        let Some(si) = schedule
-            .stages
-            .iter()
-            .position(|s| s.kind == StageKind::FeatureExtraction)
-        else {
-            return false;
-        };
-        let free = self.free_chiplets(schedule, pkg);
+    /// Splits every model of the FE stage `si` into two pipeline
+    /// sub-stages at the cut balancing the halves, placing the suffix on
+    /// a free chiplet. Returns false, leaving the schedule untouched, if
+    /// there are not enough free chiplets or a model is already split.
+    /// `report` is the caller's current evaluation of `schedule`.
+    fn split_fe(
+        &self,
+        schedule: &mut Schedule,
+        report: &EvalReport,
+        pkg: &McmPackage,
+        si: usize,
+    ) -> bool {
+        let free = free_chiplets(report, pkg);
         let n_models = schedule.stages[si].models.len();
         if free.len() < n_models {
+            return false;
+        }
+        if schedule.stages[si]
+            .models
+            .iter()
+            .any(|mp| mp.chiplets().len() > 1)
+        {
             return false;
         }
 
         for (mi, fresh) in (0..n_models).zip(free) {
             let mp = &mut schedule.stages[si].models[mi];
-            // Already split?
-            if mp.chiplets().len() > 1 {
-                return false;
-            }
             let times: Vec<f64> = mp
                 .layers
                 .iter()
@@ -599,10 +628,77 @@ impl<'m> ThroughputMatcher<'m> {
     }
 }
 
+/// A schedule kept in step with its per-stage evaluation passes and
+/// their fold (see [`evaluate`](crate::eval::evaluate)). `report` equals
+/// a from-scratch `evaluate` of `schedule` bit for bit, except that its
+/// Fig. 9 `nop_by_layer` stays empty until [`Scored::into_outcome`]: no
+/// matcher decision reads it, so only the final schedule's is folded.
+struct Scored {
+    schedule: Schedule,
+    stages: Vec<StageEval>,
+    report: EvalReport,
+}
+
+impl Scored {
+    /// Saves what a step confined to stage `si` can change.
+    fn checkpoint(&self, si: usize) -> Checkpoint {
+        let passes = (si + 2).min(self.stages.len());
+        Checkpoint {
+            si,
+            plan: self.schedule.stages[si].clone(),
+            passes: self.stages[si..passes].to_vec(),
+            report: self.report.clone(),
+        }
+    }
+
+    /// Rolls a step back: the stage plan together with its cached passes.
+    fn restore(&mut self, cp: Checkpoint) {
+        let end = cp.si + cp.passes.len();
+        self.schedule.stages[cp.si] = cp.plan;
+        self.stages.splice(cp.si..end, cp.passes);
+        self.report = cp.report;
+    }
+
+    fn into_outcome(mut self, trace: Vec<MatchStep>) -> MatchOutcome {
+        self.report.nop_by_layer = fold_nop_by_layer(&self.schedule, &self.stages);
+        MatchOutcome {
+            schedule: self.schedule,
+            report: self.report,
+            trace,
+        }
+    }
+}
+
+/// A [`Scored`] before a step on stage `si`: that stage's plan, its pass
+/// and the next stage's (the passes a step on `si` may re-run), and the
+/// report.
+struct Checkpoint {
+    si: usize,
+    plan: StagePlan,
+    passes: Vec<StageEval>,
+    report: EvalReport,
+}
+
+/// A trace entry for the schedule `report` evaluates.
+fn step(description: String, report: &EvalReport, pkg: &McmPackage) -> MatchStep {
+    MatchStep {
+        description,
+        pipe: report.pipe,
+        chiplets_remaining: free_chiplets(report, pkg).len(),
+    }
+}
+
+/// Free chiplets: present in the package but hosting no work. A report's
+/// busy map lists exactly the chiplets that host shards, in id order.
+fn free_chiplets(report: &EvalReport, pkg: &McmPackage) -> Vec<ChipletId> {
+    pkg.ids()
+        .filter(|c| report.busy.binary_search_by_key(c, |&(b, _)| b).is_err())
+        .collect()
+}
+
 /// Finds the (model, layer) whose shard count differs between two versions
 /// of a stage plan — used by the minimizing loop to mark tried targets.
-fn last_target(before: &Schedule, after: &Schedule, si: usize) -> Option<(usize, LayerId)> {
-    let (b, a) = (&before.stages[si], &after.stages[si]);
+fn last_target(b: &StagePlan, a: &StagePlan) -> Option<(usize, LayerId)> {
     for (mi, (mb, ma)) in b.models.iter().zip(&a.models).enumerate() {
         for (id, _) in mb.graph.iter() {
             if mb.layer_plan(id).parts() != ma.layer_plan(id).parts() {
@@ -616,8 +712,12 @@ fn last_target(before: &Schedule, after: &Schedule, si: usize) -> Option<(usize,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::evaluate;
+    use crate::eval::tests::report_bits;
     use npu_dnn::PerceptionConfig;
-    use npu_maestro::FittedMaestro;
+    use npu_maestro::{Accelerator, FittedMaestro};
+    use npu_noc::Mesh2d;
+    use proptest::prelude::*;
 
     fn matched() -> MatchOutcome {
         let pipeline = PerceptionConfig::default().build();
@@ -675,5 +775,155 @@ mod tests {
         let first = out.trace.first().unwrap().pipe;
         let last = out.trace.last().unwrap().pipe;
         assert!(last <= first);
+    }
+
+    /// The cached passes and their fold equal a from-scratch `evaluate`
+    /// of the cached schedule, bit for bit.
+    fn assert_cache_exact(m: &ThroughputMatcher, scored: &Scored, pkg: &McmPackage) {
+        let fresh = evaluate(&scored.schedule, pkg, &m.model, m.cfg.dtype);
+        let cached = EvalReport {
+            nop_by_layer: fold_nop_by_layer(&scored.schedule, &scored.stages),
+            ..scored.report.clone()
+        };
+        assert_eq!(report_bits(&cached), report_bits(&fresh));
+        assert_eq!(
+            scored.stages,
+            evaluate_stages(&scored.schedule, pkg, &m.model, m.cfg.dtype)
+        );
+    }
+
+    /// A uniform mesh of OS-dataflow 256-PE chiplets (the scenario DSE's
+    /// workhorse package).
+    fn os256(w: u32, h: u32) -> McmPackage {
+        McmPackage::from_fn(format!("os256-{w}x{h}"), Mesh2d::new(w, h), |_| {
+            Accelerator::shidiannao_like(256)
+        })
+    }
+
+    /// The workloads of the seven builtin scenario families (which live
+    /// downstream, in `npu-scenario`): active cameras, camera resolution
+    /// and the urban detector head.
+    fn family(i: usize) -> PerceptionConfig {
+        let (cameras, input_hw, detectors) = [
+            (8, (360, 640), None),    // highway-cruise
+            (8, (360, 640), Some(4)), // urban-dense
+            (6, (360, 640), None),    // hexa-highway
+            (5, (360, 640), None),    // degraded-dropout
+            (8, (360, 640), None),    // burst-relocalization
+            (8, (360, 640), None),    // night-low-rate
+            (4, (288, 512), None),    // trace-replay
+        ][i];
+        let base = PerceptionConfig::default();
+        let mut cfg = PerceptionConfig {
+            cameras,
+            detectors: detectors.unwrap_or(base.detectors),
+            ..base
+        };
+        cfg.fe.input_hw = input_hw;
+        cfg.s_fuse.proj_tokens = cameras * cfg.bifpn.out_grid.0 * cfg.bifpn.out_grid.1;
+        cfg
+    }
+
+    #[test]
+    fn outcome_reports_equal_a_full_evaluate() {
+        let model = FittedMaestro::new();
+        let pipeline = PerceptionConfig::default().build();
+        let simba = McmPackage::simba_6x6();
+        let m = ThroughputMatcher::new(&model, MatcherConfig::default());
+        let out = m.match_throughput(&pipeline, &simba);
+        let fresh = evaluate(&out.schedule, &simba, &model, Dtype::Fp16);
+        assert_eq!(report_bits(&out.report), report_bits(&fresh));
+
+        // Fig. 10's minimizing mode: rejected steps restore the cache.
+        let dual = McmPackage::dual_npu_12x6();
+        let cfg = MatcherConfig {
+            allow_fe_split: true,
+            ..MatcherConfig::default()
+        };
+        let out = ThroughputMatcher::new(&model, cfg).minimize(&pipeline, &dual);
+        let fresh = evaluate(&out.schedule, &dual, &model, Dtype::Fp16);
+        assert_eq!(report_bits(&out.report), report_bits(&fresh));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// After any sequence of shard steps on any stage, the matcher's
+        /// incrementally maintained fold is a from-scratch `evaluate`.
+        #[test]
+        fn cached_fold_tracks_random_shard_steps(
+            mesh in (4u32..13, 4u32..9),
+            fam in 0usize..7,
+            steps in prop::collection::vec((0usize..4, 0usize..2), 1..24),
+        ) {
+            let model = FittedMaestro::new();
+            let pkg = os256(mesh.0, mesh.1);
+            let pipeline = family(fam).build();
+            let m = ThroughputMatcher::new(&model, MatcherConfig::default());
+            let mut scored = m.score(m.initial_schedule(&pipeline, &pkg), &pkg);
+            assert_cache_exact(&m, &scored, &pkg);
+            let mut exhausted = BTreeSet::new();
+            for (pick, surplus) in steps {
+                let si = pick % scored.schedule.stages.len();
+                let only_sharded = surplus == 1;
+                let mut fresh_set = BTreeSet::new();
+                let tried = if only_sharded { &mut fresh_set } else { &mut exhausted };
+                let stepped = m
+                    .shard_step(&mut scored.schedule, &scored.report, &pkg, si, only_sharded, tried)
+                    .is_some();
+                if stepped {
+                    m.rescore(&mut scored, &pkg, si);
+                }
+                assert_cache_exact(&m, &scored, &pkg);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// `minimize`'s revert path on the two-NPU package: a step (a
+        /// shard or the FE split) is kept or rolled back together with
+        /// its cache, and the cache stays exact either way.
+        #[test]
+        fn reverted_steps_restore_an_exact_cache(
+            ops in prop::collection::vec((0usize..4, 0usize..2), 1..12),
+        ) {
+            let model = FittedMaestro::new();
+            let pkg = McmPackage::dual_npu_12x6();
+            let pipeline = PerceptionConfig::default().build();
+            let cfg = MatcherConfig {
+                allow_fe_split: true,
+                ..MatcherConfig::default()
+            };
+            let m = ThroughputMatcher::new(&model, cfg);
+            let (mut scored, _) = m.match_throughput_core(&pipeline, &pkg, false);
+            assert_cache_exact(&m, &scored, &pkg);
+            for (pick, keep) in ops {
+                let si = pick % scored.schedule.stages.len();
+                let backup = scored.checkpoint(si);
+                let stepped = if scored.schedule.stages[si].kind == StageKind::FeatureExtraction {
+                    m.split_fe(&mut scored.schedule, &scored.report, &pkg, si)
+                } else {
+                    m.shard_step(
+                        &mut scored.schedule,
+                        &scored.report,
+                        &pkg,
+                        si,
+                        false,
+                        &mut BTreeSet::new(),
+                    )
+                    .is_some()
+                };
+                if stepped {
+                    m.rescore(&mut scored, &pkg, si);
+                    assert_cache_exact(&m, &scored, &pkg);
+                }
+                if keep == 0 {
+                    scored.restore(backup);
+                    assert_cache_exact(&m, &scored, &pkg);
+                }
+            }
+        }
     }
 }
