@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use npu_maestro::CostModel;
 use npu_mcm::{ChipletId, McmPackage};
 use npu_noc::Mesh2d;
-use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimConfig, TenantStream};
+use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimConfig, SimPhase};
 use npu_sched::{MatcherConfig, Schedule, ThroughputMatcher};
 use npu_tensor::{Dtype, Seconds};
 
@@ -264,11 +264,11 @@ impl<'m> CoScheduler<'m> {
             .iter()
             .map(|p| p.tenant.scenario.arrivals().times(self.verify_frames))
             .collect();
-        let streams: Vec<TenantStream<'_>> = colo
+        let streams: Vec<SimPhase<'_>> = colo
             .placements
             .iter()
             .zip(times)
-            .map(|(p, times)| TenantStream {
+            .map(|(p, times)| SimPhase {
                 schedule: &p.schedule,
                 times,
                 readiness: Readiness::Barrier(0.0),

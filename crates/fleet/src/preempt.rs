@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use npu_maestro::ReconfigModel;
-use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, TenantStream};
+use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimPhase};
 use npu_sched::{occupied_chiplets, rematch_cost_against, RematchOutcome, Schedule};
 use npu_tensor::{Dtype, Seconds};
 
@@ -266,11 +266,11 @@ pub fn preemption_event(
     // quiesces its whole region (full-barrier diff) flushes its
     // in-flight frames at the event; anyone else drains them across the
     // handover.
-    let epoch1_streams: Vec<TenantStream<'_>> = colo1
+    let epoch1_streams: Vec<SimPhase<'_>> = colo1
         .placements
         .iter()
         .zip(all_times.iter().zip(&splits))
-        .map(|(p, (times, &split))| TenantStream {
+        .map(|(p, (times, &split))| SimPhase {
             schedule: &p.schedule,
             times: times[..split].to_vec(),
             readiness: Readiness::Barrier(0.0),
@@ -301,11 +301,11 @@ pub fn preemption_event(
             }
         })
         .collect();
-    let epoch2_streams: Vec<TenantStream<'_>> = colo2
+    let epoch2_streams: Vec<SimPhase<'_>> = colo2
         .placements
         .iter()
         .zip(epoch2_times.iter().zip(&transitions))
-        .map(|(p, (times, diff))| TenantStream {
+        .map(|(p, (times, diff))| SimPhase {
             schedule: &p.schedule,
             times: times.clone(),
             readiness: Readiness::make_before_break(diff, at),

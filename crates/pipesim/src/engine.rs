@@ -1,4 +1,20 @@
 //! The discrete-event engine.
+//!
+//! One core serves every entry point. It runs K arrival streams — each a
+//! [`SimPhase`] with its own compiled schedule, arrival timeline,
+//! readiness model and warmup trim — through **one shared event
+//! calendar**, so streams that share chiplets genuinely contend for them
+//! while streams on disjoint regions behave exactly as if they ran alone:
+//!
+//! - [`simulate`] and [`simulate_with_stats`] run one stream;
+//! - [`simulate_phases`] runs one core pass per phase, so each phase
+//!   starts on an empty package;
+//! - [`simulate_tenants`] runs all its streams in one pass.
+//!
+//! Arrivals from all streams merge into one global sequence ordered by
+//! `(time, stream index)`; a frame's rank in it is its global frame
+//! index, so job priority `(global frame, item)` is total and tie-free.
+//! For one stream the global index is the stream's own frame index.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -83,71 +99,6 @@ impl SimConfig {
     }
 }
 
-/// Priority: earlier frame first, then item (topological) order. The
-/// pool slot rides along as payload — two jobs of one frame always share
-/// a slot, so ordering (and equality) ignore it.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    frame: usize,
-    item: u32,
-    /// Index of the frame's recycled pool slot (payload, not priority).
-    slot: u32,
-}
-
-impl PartialEq for Job {
-    fn eq(&self, other: &Self) -> bool {
-        (self.frame, self.item) == (other.frame, other.item)
-    }
-}
-
-impl Eq for Job {}
-
-impl Ord for Job {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.frame, other.item).cmp(&(self.frame, self.item))
-    }
-}
-
-impl PartialOrd for Job {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One item-completion event on the calendar. Frame arrivals are no
-/// longer heaped — the engine walks the (non-decreasing) arrival
-/// timestamps with a cursor and interleaves them with the calendar in
-/// time order, so the heap holds at most one event per chiplet.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    /// Dense chiplet index the job ran on.
-    chiplet: u32,
-    job: Job,
-}
-
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by time (then insertion order for determinism).
-        // total_cmp keeps the heap order total even if a cost model
-        // ever produced a NaN timestamp.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Runs the discrete-event simulation of a schedule.
 ///
 /// Every layer shard becomes a job on its chiplet; chiplets serve their
@@ -186,9 +137,23 @@ pub fn simulate_with_stats(
     model: &dyn CostModel,
     cfg: &SimConfig,
 ) -> (SimReport, EngineStats) {
-    let items = flatten_items(schedule, pkg, model, cfg.dtype);
     let times = cfg.arrivals.times(cfg.frames);
-    run_items(&items, &times, cfg.warmup, None)
+    // Ready at the first arrival: every frame is served.
+    let ready = Readiness::Barrier(times.first().copied().unwrap_or(0.0));
+    let phase = SimPhase {
+        warmup: Some(cfg.warmup),
+        ..SimPhase::new(schedule, times, ready)
+    };
+    let flat = flatten_distinct(std::slice::from_ref(&phase), pkg, model, cfg.dtype);
+    let (rep, peak_in_flight) = run_streams(std::slice::from_ref(&phase), &flat)
+        .pop()
+        .expect("one report per stream");
+    let stats = EngineStats {
+        frames: rep.offered,
+        peak_in_flight,
+        flushed: rep.flushed,
+    };
+    (rep.report, stats)
 }
 
 /// When an incoming mapping can accept frames: either a package-wide
@@ -254,15 +219,14 @@ impl Readiness {
         }
     }
 
-    fn assert_finite(&self) {
+    /// Whether every instant is finite, including the ready times of
+    /// chiplets the schedule does not use.
+    fn is_finite(&self) -> bool {
         match self {
-            Readiness::Barrier(t) => {
-                assert!(t.is_finite(), "phase readiness must be finite")
+            Readiness::Barrier(t) => t.is_finite(),
+            Readiness::PerChiplet { at, ready } => {
+                at.is_finite() && ready.iter().all(|(_, r)| r.is_finite())
             }
-            Readiness::PerChiplet { at, ready } => assert!(
-                at.is_finite() && ready.iter().all(|(_, r)| r.is_finite()),
-                "phase readiness must be finite"
-            ),
         }
     }
 }
@@ -281,8 +245,10 @@ impl Readiness {
 /// arriving at `t` no earlier than `t + offset[c]`. Gating admission at
 /// `max(ready[c] - offset[c])` is therefore *exact*: every admitted
 /// frame provably never reaches a still-reloading chiplet, and every
-/// dropped frame's critical path would have landed on one.
-pub(crate) fn admission_gate(items: &[SimItem], readiness: &Readiness) -> f64 {
+/// dropped frame's critical path would have landed on one. The bound
+/// holds a fortiori under cross-stream contention, which only delays
+/// starts further.
+fn admission_gate(items: &[SimItem], readiness: &Readiness) -> f64 {
     let (at, ready) = match readiness {
         Readiness::Barrier(t) => return *t,
         Readiness::PerChiplet { at, ready } => (*at, ready),
@@ -311,26 +277,28 @@ pub(crate) fn admission_gate(items: &[SimItem], readiness: &Readiness) -> f64 {
     gate
 }
 
-/// One phase of a time-varying simulation: a compiled schedule serving
-/// absolute-time frame arrivals under a [`Readiness`] model. Frames
-/// arriving while the gating resources are still spinning up are
-/// **dropped** — the re-match window of an online mode switch — and
-/// counted in the phase's [`PhaseReport`] instead of entering the
-/// pipeline.
+/// One arrival stream: a compiled schedule serving absolute-time frame
+/// arrivals under a [`Readiness`] model. Frames arriving while the
+/// gating resources are still spinning up are **dropped** — the re-match
+/// window of an online mode switch, or a tenant's region being
+/// re-programmed — and counted in the stream's [`PhaseReport`] instead
+/// of entering the pipeline.
 #[derive(Debug, Clone)]
 pub struct SimPhase<'a> {
-    /// The schedule active during this phase.
+    /// The schedule serving this stream (its chiplet region is implied
+    /// by the schedule's shard assignments).
     pub schedule: &'a Schedule,
-    /// Absolute arrival timestamps of the phase's frames (non-decreasing).
+    /// Absolute arrival timestamps of the stream's frames
+    /// (non-decreasing).
     pub times: Vec<f64>,
-    /// When the phase's mapping accepts frames: a package-wide barrier
+    /// When the stream's mapping accepts frames: a package-wide barrier
     /// or a make-before-break per-chiplet schedule.
     pub readiness: Readiness,
-    /// Symmetric steady-state trim for the phase's report (see
+    /// Symmetric steady-state trim for the stream's report (see
     /// [`SimConfig::warmup`]); `None` derives the default trim from the
     /// **served** frame count once admission drops are known.
     pub warmup: Option<usize>,
-    /// Boundary instant at which the phase's in-flight frames are
+    /// Boundary instant at which the stream's in-flight frames are
     /// flushed: set when the *next* transition is a full barrier (the
     /// package quiesces, killing in-flight work). `None` lets frames
     /// drain past the boundary — a make-before-break handover keeps the
@@ -339,7 +307,7 @@ pub struct SimPhase<'a> {
 }
 
 impl<'a> SimPhase<'a> {
-    /// A phase that drains freely at its end (no boundary flush) with
+    /// A stream that drains freely at its end (no boundary flush) with
     /// the default steady-state trim.
     pub fn new(schedule: &'a Schedule, times: Vec<f64>, readiness: Readiness) -> SimPhase<'a> {
         SimPhase {
@@ -411,128 +379,293 @@ impl PhaseReport {
 /// `offered == served + dropped + flushed` always balances. Per-phase
 /// busy fractions are relative to each phase's own span.
 ///
+/// Each phase runs in its own engine pass, starting on an empty package:
+/// an outgoing phase's draining backlog never contends with the incoming
+/// phase's frames, so segment latencies right after a switch are
+/// optimistic.
+///
 /// A single phase with readiness at or before its first arrival is
 /// exactly [`simulate`] — same event order, bit-identical statistics —
 /// which the cross-validation suite pins.
 ///
 /// # Panics
 ///
-/// Panics if a phase's schedule is empty or its times are not finite and
-/// non-decreasing.
+/// Panics if a phase's schedule is empty, its times are not finite and
+/// non-decreasing, or its readiness holds a non-finite instant.
 pub fn simulate_phases(
     phases: &[SimPhase<'_>],
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
 ) -> Vec<PhaseReport> {
-    // Flattening a schedule walks every layer shard through the cost
-    // model; drives re-enter the same compiled schedule for many phases,
-    // so cache flattened items per schedule. Keying on the reference's
-    // address is sound here: every phase borrows its schedule for the
-    // whole call, so two equal pointers are the same live `Schedule`.
-    let mut flat_cache: BTreeMap<*const Schedule, Vec<SimItem>> = BTreeMap::new();
+    let flat = flatten_distinct(phases, pkg, model, dtype);
     phases
         .iter()
-        .map(|phase| {
-            assert!(
-                phase.times.windows(2).all(|w| w[0] <= w[1])
-                    && phase.times.iter().all(|t| t.is_finite()),
-                "phase arrivals must be finite and non-decreasing"
-            );
-            phase.readiness.assert_finite();
-            let items = flat_cache
-                .entry(phase.schedule as *const Schedule)
-                .or_insert_with(|| flatten_items(phase.schedule, pkg, model, dtype));
-            let gate = admission_gate(items, &phase.readiness);
-            // Times are non-decreasing, so the served frames are exactly
-            // the suffix from the first arrival at or after the gate.
-            let first_served = phase.times.partition_point(|&t| t < gate);
-            let served = &phase.times[first_served..];
-            // Post-drop trim (the offered count would misalign the
-            // steady-state window after a heavy-drop transition).
-            let warmup = phase
-                .warmup
-                .unwrap_or_else(|| SimConfig::default_warmup(served.len()));
-            let (report, stats) = run_items(items, served, warmup, phase.cutoff);
-            PhaseReport {
-                report,
-                offered: phase.times.len(),
-                dropped: first_served,
-                flushed: stats.flushed,
+        .flat_map(|phase| run_streams(std::slice::from_ref(phase), &flat))
+        .map(|(rep, _)| rep)
+        .collect()
+}
+
+/// Co-simulates K streams on one package through a shared event
+/// calendar, returning one tenant-tagged [`PhaseReport`] per stream (in
+/// input order): per-stream steady-state statistics over the frames that
+/// were actually served, plus offered/dropped/flushed counts.
+///
+/// Streams whose schedules touch the same chiplet contend for it in
+/// global `(frame, item)` priority order, with same-instant arrivals
+/// resolved by input order; streams on disjoint regions are
+/// bit-identical to standalone [`simulate_phases`] runs. Each stream's
+/// report exposes busy fractions for the chiplets its own schedule uses
+/// — on a shared chiplet that is the chiplet's *total* utilization over
+/// the stream's observed span, since the silicon does not idle between
+/// tenants.
+///
+/// # Panics
+///
+/// Panics if a stream's schedule is empty, its times are not finite and
+/// non-decreasing, or its readiness holds a non-finite instant.
+pub fn simulate_tenants(
+    streams: &[SimPhase<'_>],
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) -> Vec<PhaseReport> {
+    let flat = flatten_distinct(streams, pkg, model, dtype);
+    run_streams(streams, &flat)
+        .into_iter()
+        .map(|(rep, _)| rep)
+        .collect()
+}
+
+/// Flattened items of each distinct schedule, keyed by the schedule's
+/// address.
+type FlatItems = BTreeMap<*const Schedule, Vec<SimItem>>;
+
+/// Flattens each distinct schedule once: flattening walks every layer
+/// shard through the cost model, and drives re-enter the same compiled
+/// schedule for many phases. Keying on the reference's address is sound
+/// because every stream borrows its schedule for the whole call, so two
+/// equal pointers are the same live `Schedule`.
+fn flatten_distinct(
+    streams: &[SimPhase<'_>],
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) -> FlatItems {
+    let mut flat = FlatItems::new();
+    for s in streams {
+        flat.entry(s.schedule as *const Schedule)
+            .or_insert_with(|| flatten_items(s.schedule, pkg, model, dtype));
+    }
+    flat
+}
+
+/// Validates the streams, drops each one's frames arriving before its
+/// admission gate, and runs the survivors through one engine pass.
+/// Returns each stream's report and in-flight pool high-water mark.
+fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, usize)> {
+    let mut admitted = Vec::with_capacity(streams.len());
+    let mut gates = Vec::with_capacity(streams.len());
+    for s in streams {
+        let items = &flat[&(s.schedule as *const Schedule)];
+        assert!(!items.is_empty(), "cannot simulate an empty schedule");
+        assert!(
+            s.times.windows(2).all(|w| w[0] <= w[1]) && s.times.iter().all(|t| t.is_finite()),
+            "phase arrivals must be finite and non-decreasing"
+        );
+        assert!(s.readiness.is_finite(), "phase readiness must be finite");
+        let gate = admission_gate(items, &s.readiness);
+        // Times are non-decreasing, so the served frames are exactly the
+        // suffix from the first arrival at or after the gate.
+        let times = &s.times[s.times.partition_point(|&t| t < gate)..];
+        // Post-drop trim (the offered count would misalign the
+        // steady-state window after a heavy-drop transition).
+        let warmup = s
+            .warmup
+            .unwrap_or_else(|| SimConfig::default_warmup(times.len()));
+        admitted.push(Admitted {
+            items,
+            times,
+            warmup,
+            cutoff: s.cutoff,
+        });
+        gates.push(gate);
+    }
+    Engine::new(&admitted)
+        .run()
+        .into_iter()
+        .zip(streams.iter().zip(&admitted).zip(gates))
+        .map(|(out, ((s, a), gate))| {
+            let rep = PhaseReport {
+                report: out.report,
+                offered: s.times.len(),
+                dropped: s.times.len() - a.times.len(),
+                flushed: out.flushed,
                 admitted_from: gate,
-            }
+            };
+            (rep, out.peak_in_flight)
         })
         .collect()
 }
 
+/// One validated stream as the engine sees it: its flattened items and
+/// the arrivals that passed its admission gate.
+struct Admitted<'a> {
+    items: &'a [SimItem],
+    times: &'a [f64],
+    warmup: usize,
+    cutoff: Option<f64>,
+}
+
+/// What one engine pass measured for one stream.
+struct StreamOutcome {
+    report: SimReport,
+    flushed: usize,
+    peak_in_flight: usize,
+}
+
+/// Priority: earlier global frame first, then item (topological) order.
+/// The pool slot rides along as payload — two jobs of one frame always
+/// share a slot, so ordering (and equality) ignore it.
+#[derive(Debug, Clone, Copy)]
+struct Job {
+    /// Global frame index: the frame's rank in the merged arrivals.
+    frame: u32,
+    /// Global item index (stream offset + stream-local index).
+    item: u32,
+    /// Index of the frame's recycled pool slot (payload, not priority).
+    slot: u32,
+}
+
+impl Job {
+    /// `(frame, item)` packed into one integer of the same order.
+    fn key(&self) -> u64 {
+        (self.frame as u64) << 32 | self.item as u64
+    }
+}
+
+impl PartialEq for Job {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Job {}
+
+impl Ord for Job {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert for earliest-first.
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Job {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One item-completion event on the calendar. Frame arrivals are never
+/// heaped — the engine walks the (non-decreasing) arrival timestamps
+/// with a cursor and interleaves them with the calendar in time order,
+/// so the heap holds at most one event per chiplet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Scheduled {
+    time: f64,
+    seq: u64,
+    /// Dense chiplet index the job ran on.
+    chiplet: u32,
+    job: Job,
+}
+
+impl Eq for Scheduled {}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Min-heap by time (then insertion order for determinism).
+        // total_cmp keeps the heap order total even if a cost model
+        // ever produced a NaN timestamp.
+        other
+            .time
+            .total_cmp(&self.time)
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// One pooled in-flight frame: per-item remaining-dependency counters
-/// (reset from the template on reuse) plus the count of items left.
+/// (stream-local, reset from the stream's template on reuse) plus the
+/// count of items left.
 struct FrameSlot {
     deps_left: Vec<u32>,
     remaining: u32,
+    /// The stream the frame belongs to.
+    stream: usize,
+    /// The frame's index within its stream.
+    frame: usize,
 }
 
-/// The rebuilt DES core. Peak memory is O(items × in-flight frames), not
-/// O(items × frames):
-///
-/// - frame dependency state lives in a recycled pool slot, allocated when
-///   the frame's **first job starts** (not when it arrives — a saturated
-///   run offers every frame at t = 0) and freed when its last completes;
-/// - arrivals are walked with a cursor (`arrived`) and interleaved with
-///   the completion calendar in time order instead of being heaped
-///   upfront, with arrivals winning time ties exactly like the old
-///   engine's low-seq arrival events did;
-/// - root jobs (no dependencies) of arrived frames are represented by a
-///   per-chiplet **virtual cursor** over `roots` instead of queue
-///   entries, so a backlog of arrived-but-unstarted frames costs nothing;
-/// - chiplet state is dense `Vec`s indexed by the schedule's sorted
-///   distinct chiplet list, built once per run;
-/// - statistics stream through [`ReportBuilder`] via a small reorder ring
-///   that commits completions back into frame order.
-struct Engine<'a> {
-    items: &'a [SimItem],
-    times: &'a [f64],
+/// A virtual root cursor: the not-yet-started root jobs of one stream on
+/// one chiplet. Its head is `(stream frame, roots[next])`.
+struct RootCursor {
+    stream: usize,
+    /// The stream's root items on the chiplet: `roots[start..end]`.
+    start: usize,
+    end: usize,
+    next: usize,
+    frame: usize,
+    /// Global frame index of `frame`.
+    global: u32,
+}
 
-    // Per-schedule prep (immutable during the run).
-    /// Sorted distinct chiplets hosting work; dense index = position.
-    chiplet_ids: Vec<ChipletId>,
-    /// Dense chiplet index of each item.
-    chiplet_of: Vec<u32>,
-    /// Service time of each item in seconds.
-    durations: Vec<f64>,
-    /// Reverse dependency lists, ascending item order.
-    dependents: Vec<Vec<u32>>,
+/// Global frame index of stream `k`'s frame `f`: its rank in the merged
+/// arrivals, where same-instant arrivals resolve by stream order. With
+/// one stream it is the frame itself.
+fn global_frame(streams: &[Stream<'_>], k: usize, f: usize) -> u32 {
+    let Some(&t) = streams[k].times.get(f) else {
+        return u32::MAX;
+    };
+    let earlier = |(j, s): (usize, &Stream<'_>)| match j.cmp(&k) {
+        Ordering::Less => s.times.partition_point(|&x| x <= t),
+        Ordering::Equal => f,
+        Ordering::Greater => s.times.partition_point(|&x| x < t),
+    };
+    // `Engine::new` bounds the total frame count.
+    streams.iter().enumerate().map(earlier).sum::<usize>() as u32
+}
+
+/// Marks a completed frame's entry in [`Stream::slots`].
+const RETIRED: u32 = u32::MAX;
+
+/// One stream's arrivals, pool bookkeeping and streaming report.
+struct Stream<'a> {
+    /// Served arrival times (stream-frame indexed).
+    times: &'a [f64],
+    /// Global index of the stream's first item.
+    offset: usize,
     /// Dependency counts, copied into a pool slot on (re)allocation.
     deps_template: Vec<u32>,
-    /// Per-chiplet root items (empty deps), ascending item order.
-    roots: Vec<Vec<u32>>,
-    /// Dense chiplet index of each root item in item order: the dispatch
-    /// fan-out of one frame arrival.
+    /// Dense chiplet index of each root item in item order: the
+    /// dispatch fan-out of one frame arrival.
     root_dispatch: Vec<u32>,
-
-    // Event calendar: item completions only.
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    /// Next-arrival cursor: frames `0..arrived` have arrived.
+    /// Dense indices of the chiplets the stream's schedule uses.
+    chiplets: Vec<usize>,
+    /// Frames `0..arrived` have arrived.
     arrived: usize,
-
-    // Per-chiplet executors (dense).
-    /// Ready non-root jobs per chiplet (roots stay virtual).
-    queues: Vec<BinaryHeap<Job>>,
-    busy_until: Vec<f64>,
-    busy_time: Vec<f64>,
-    /// Virtual root cursor: the earliest not-yet-started root job on
-    /// chiplet `c` is `(v_frame[c], roots[c][v_idx[c]])`.
-    v_frame: Vec<usize>,
-    v_idx: Vec<usize>,
-
-    // Bounded in-flight frame pool.
-    pool: Vec<FrameSlot>,
+    /// Pool slot of each frame from `slots_base` on. Frames take their
+    /// first slot in frame order (every cursor of a stream walks its
+    /// frames in order), so the ring only grows at the back; completed
+    /// frames are marked [`RETIRED`] and trimmed off the front.
+    slots: VecDeque<u32>,
+    slots_base: usize,
     free_slots: Vec<u32>,
-    slot_of_frame: BTreeMap<usize, u32>,
+    in_flight: usize,
     peak_in_flight: usize,
-
-    // Streaming report.
     /// Completion reorder ring: `commit[i]` holds the completion time of
     /// frame `commit_next + i` (NaN = still in flight). Completions
     /// commit out of frame order; the ring drains them back in order.
@@ -541,15 +674,81 @@ struct Engine<'a> {
     report: ReportBuilder,
 }
 
+/// The DES core. Peak memory is O(items × in-flight frames), not
+/// O(items × frames):
+///
+/// - frame dependency state lives in a recycled pool slot, allocated when
+///   the frame's **first job starts** (not when it arrives — a saturated
+///   run offers every frame at t = 0) and freed when its last completes;
+/// - arrivals are walked with per-stream cursors, merged in
+///   `(time, stream)` order and interleaved with the completion calendar
+///   in time order instead of being heaped upfront, with arrivals
+///   winning time ties;
+/// - root jobs (no dependencies) of arrived frames are represented by a
+///   per-(chiplet, stream) **virtual cursor** over their root items
+///   instead of queue entries, so a backlog of arrived-but-unstarted
+///   frames costs nothing;
+/// - item ids are stream-offset into one global table (durations,
+///   dependents, chiplets), keeping the hot path dense, and chiplet state
+///   is dense `Vec`s indexed by the sorted distinct chiplet list;
+/// - chiplet busy time is global (a shared chiplet is busy no matter
+///   whose frame it serves); each stream's report carries the busy
+///   fractions of the chiplets **its** schedule uses, normalized by that
+///   stream's own observed span;
+/// - statistics stream through a per-stream [`ReportBuilder`] via a small
+///   reorder ring that commits completions back into frame order.
+struct Engine<'a> {
+    // Global item tables (immutable during the run).
+    /// Sorted distinct chiplets hosting work; dense index = position.
+    chiplet_ids: Vec<ChipletId>,
+    /// Dense chiplet index of each item.
+    chiplet_of: Vec<u32>,
+    /// Service time of each item in seconds.
+    durations: Vec<f64>,
+    /// Dependents of item `i`: `dependents[dependents_at[i]..dependents_at[i + 1]]`,
+    /// ascending item order (edges never leave a stream).
+    dependents_at: Vec<u32>,
+    dependents: Vec<u32>,
+    /// Root items of every cursor, grouped by chiplet then stream.
+    roots: Vec<u32>,
+    /// The cursors of chiplet `c`: `cursors[cursors_at[c]..cursors_at[c + 1]]`.
+    cursors_at: Vec<usize>,
+    cursors: Vec<RootCursor>,
+
+    streams: Vec<Stream<'a>>,
+
+    // Event calendar: item completions only.
+    heap: BinaryHeap<Scheduled>,
+    seq: u64,
+    /// Whether the calendar's top is a completion already being
+    /// processed: the next job started takes its place, one sift instead
+    /// of a pop and a push. Every event started meanwhile sorts after
+    /// it, so the top cannot change first.
+    top_done: bool,
+    /// The next arrival in merged order: `(time, stream)`.
+    next_arrival: Option<(f64, usize)>,
+
+    // Per-chiplet executors (dense).
+    /// Ready non-root jobs per chiplet (roots stay virtual).
+    queues: Vec<BinaryHeap<Job>>,
+    busy_until: Vec<f64>,
+    busy_time: Vec<f64>,
+
+    /// Bounded in-flight frame pool, shared by all streams.
+    pool: Vec<FrameSlot>,
+}
+
 impl<'a> Engine<'a> {
-    fn new(
-        items: &'a [SimItem],
-        times: &'a [f64],
-        warmup: usize,
-        cutoff: Option<f64>,
-    ) -> Engine<'a> {
-        let n_items = items.len();
-        let mut chiplet_ids: Vec<ChipletId> = items.iter().map(|it| it.chiplet).collect();
+    fn new(streams: &[Admitted<'a>]) -> Engine<'a> {
+        // Global frame indices are `u32`, which keeps `Job` small.
+        assert!(
+            streams.iter().map(|s| s.times.len()).sum::<usize>() < u32::MAX as usize,
+            "too many frames for one engine pass"
+        );
+        let mut chiplet_ids: Vec<ChipletId> = streams
+            .iter()
+            .flat_map(|s| s.items.iter().map(|it| it.chiplet))
+            .collect();
         chiplet_ids.sort_unstable();
         chiplet_ids.dedup();
         let dense = |c: ChipletId| {
@@ -558,60 +757,118 @@ impl<'a> Engine<'a> {
                 .expect("chiplet registered by prep") as u32
         };
 
-        let chiplet_of: Vec<u32> = items.iter().map(|it| dense(it.chiplet)).collect();
-        let durations: Vec<f64> = items.iter().map(|it| it.duration.as_secs()).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n_items];
-        for (i, item) in items.iter().enumerate() {
-            for &d in &item.deps {
-                dependents[d].push(i as u32);
+        let n_items: usize = streams.iter().map(|s| s.items.len()).sum();
+        let mut chiplet_of = Vec::with_capacity(n_items);
+        let mut durations = Vec::with_capacity(n_items);
+        // (dependency, dependent) of every edge, ascending dependent.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        // (dense chiplet, stream, global item) of every root item.
+        let mut root_items: Vec<(u32, usize, u32)> = Vec::new();
+        let mut states = Vec::with_capacity(streams.len());
+        let mut offset = 0;
+        for (k, s) in streams.iter().enumerate() {
+            let mut root_dispatch = Vec::new();
+            for (i, item) in s.items.iter().enumerate() {
+                let c = dense(item.chiplet);
+                chiplet_of.push(c);
+                durations.push(item.duration.as_secs());
+                for &d in &item.deps {
+                    edges.push(((offset + d) as u32, (offset + i) as u32));
+                }
+                if item.deps.is_empty() {
+                    root_items.push((c, k, (offset + i) as u32));
+                    root_dispatch.push(c);
+                }
             }
+            let mut chiplets: Vec<usize> =
+                chiplet_of[offset..].iter().map(|&c| c as usize).collect();
+            chiplets.sort_unstable();
+            chiplets.dedup();
+            states.push(Stream {
+                times: s.times,
+                offset,
+                deps_template: s.items.iter().map(|it| it.deps.len() as u32).collect(),
+                root_dispatch,
+                chiplets,
+                arrived: 0,
+                slots: VecDeque::new(),
+                slots_base: 0,
+                free_slots: Vec::new(),
+                in_flight: 0,
+                peak_in_flight: 0,
+                commit: VecDeque::new(),
+                commit_next: 0,
+                report: ReportBuilder::new(s.times.len(), s.warmup, s.cutoff),
+            });
+            offset += s.items.len();
         }
-        let deps_template: Vec<u32> = items.iter().map(|it| it.deps.len() as u32).collect();
-        let mut roots: Vec<Vec<u32>> = vec![Vec::new(); chiplet_ids.len()];
-        let mut root_dispatch: Vec<u32> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if item.deps.is_empty() {
-                roots[chiplet_of[i] as usize].push(i as u32);
-                root_dispatch.push(chiplet_of[i]);
-            }
+        // A stable sort by dependency keeps each item's dependents in
+        // ascending order.
+        edges.sort_by_key(|&(d, _)| d);
+        let dependents: Vec<u32> = edges.iter().map(|&(_, i)| i).collect();
+        let mut dependents_at = vec![0u32; n_items + 1];
+        for &(d, _) in &edges {
+            dependents_at[d as usize + 1] += 1;
+        }
+        for i in 0..n_items {
+            dependents_at[i + 1] += dependents_at[i];
         }
 
+        // Group roots by chiplet; the stable sort keeps stream then item
+        // order within a chiplet.
+        root_items.sort_by_key(|&(c, _, _)| c);
         let n_chiplets = chiplet_ids.len();
-        Engine {
-            items,
-            times,
+        let roots: Vec<u32> = root_items.iter().map(|&(_, _, i)| i).collect();
+        let mut cursors: Vec<RootCursor> = Vec::new();
+        let mut cursors_at = vec![0; n_chiplets + 1];
+        for (at, &(c, k, _)) in root_items.iter().enumerate() {
+            if at > 0 && root_items[at - 1].0 == c && root_items[at - 1].1 == k {
+                cursors.last_mut().expect("cursor open").end += 1;
+            } else {
+                cursors.push(RootCursor {
+                    stream: k,
+                    start: at,
+                    end: at + 1,
+                    next: at,
+                    frame: 0,
+                    global: global_frame(&states, k, 0),
+                });
+            }
+            cursors_at[c as usize + 1] = cursors.len();
+        }
+        for c in 0..n_chiplets {
+            cursors_at[c + 1] = cursors_at[c + 1].max(cursors_at[c]);
+        }
+
+        let mut engine = Engine {
             chiplet_of,
             durations,
+            dependents_at,
             dependents,
-            deps_template,
             roots,
-            root_dispatch,
+            cursors_at,
+            cursors,
+            streams: states,
             heap: BinaryHeap::new(),
             seq: 0,
-            arrived: 0,
+            top_done: false,
+            next_arrival: None,
             queues: (0..n_chiplets).map(|_| BinaryHeap::new()).collect(),
             busy_until: vec![0.0; n_chiplets],
             busy_time: vec![0.0; n_chiplets],
-            v_frame: vec![0; n_chiplets],
-            v_idx: vec![0; n_chiplets],
             pool: Vec::new(),
-            free_slots: Vec::new(),
-            slot_of_frame: BTreeMap::new(),
-            peak_in_flight: 0,
-            commit: VecDeque::new(),
-            commit_next: 0,
-            report: ReportBuilder::new(times.len(), warmup, cutoff),
             chiplet_ids,
-        }
+        };
+        engine.next_arrival = engine.peek_arrival();
+        engine
     }
 
-    fn run(mut self) -> (SimReport, EngineStats) {
+    fn run(mut self) -> Vec<StreamOutcome> {
         loop {
-            // Interleave the arrival cursor with the completion calendar
-            // in time order; `<=` lets arrivals win ties, matching the
-            // event order of the heaped-arrivals engine bit for bit.
-            let arrival_due = match (self.times.get(self.arrived), self.heap.peek()) {
-                (Some(&t), Some(top)) => t <= top.time,
+            // Interleave the arrival cursors with the completion calendar
+            // in time order; `<=` lets arrivals win ties.
+            let arrival_due = match (self.next_arrival, self.heap.peek()) {
+                (Some((t, _)), Some(top)) => t <= top.time,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
@@ -622,95 +879,141 @@ impl<'a> Engine<'a> {
                 self.process_completion();
             }
         }
-        debug_assert_eq!(self.commit_next, self.times.len(), "all frames committed");
-        debug_assert_eq!(self.slot_of_frame.len(), 0, "all slots recycled");
+        debug_assert!(
+            self.streams.iter().all(|s| s.commit_next == s.times.len()),
+            "all frames committed"
+        );
+        debug_assert!(
+            self.streams.iter().all(|s| s.in_flight == 0),
+            "all slots recycled"
+        );
 
-        let busy: BTreeMap<ChipletId, f64> = self
-            .chiplet_ids
-            .iter()
-            .zip(&self.busy_time)
-            .map(|(&c, &b)| (c, b))
-            .collect();
-        let stats = EngineStats {
-            frames: self.times.len(),
-            peak_in_flight: self.peak_in_flight,
-            flushed: self.report.flushed(),
-        };
-        (self.report.finish(&busy), stats)
+        let (chiplet_ids, busy_time) = (&self.chiplet_ids, &self.busy_time);
+        self.streams
+            .into_iter()
+            .map(|s| {
+                // The stream's view of the silicon: total busy seconds of
+                // each chiplet its schedule uses; the builder normalizes
+                // by the stream's own observed span.
+                let busy: BTreeMap<ChipletId, f64> = s
+                    .chiplets
+                    .iter()
+                    .map(|&c| (chiplet_ids[c], busy_time[c]))
+                    .collect();
+                StreamOutcome {
+                    flushed: s.report.flushed(),
+                    peak_in_flight: s.peak_in_flight,
+                    report: s.report.finish(&busy),
+                }
+            })
+            .collect()
     }
 
-    /// Admits the next frame: advances the cursor and offers each root
-    /// job's chiplet a dispatch, in item order — the same per-root
-    /// enqueue-then-dispatch cadence as the old arrival event.
-    fn process_arrival(&mut self) {
-        let now = self.times[self.arrived];
-        self.arrived += 1;
-        for i in 0..self.root_dispatch.len() {
-            self.dispatch(self.root_dispatch[i] as usize, now);
+    /// The earliest pending arrival over all streams, by `(time, stream)`.
+    fn peek_arrival(&self) -> Option<(f64, usize)> {
+        let mut next: Option<(f64, usize)> = None;
+        for (k, s) in self.streams.iter().enumerate() {
+            if let Some(&t) = s.times.get(s.arrived) {
+                if next.is_none_or(|(nt, _)| t < nt) {
+                    next = Some((t, k));
+                }
+            }
         }
+        next
+    }
+
+    /// Admits the next merged frame: advances the cursors and offers each
+    /// of its stream's root chiplets a dispatch, in item order.
+    fn process_arrival(&mut self) {
+        let (now, k) = self.next_arrival.expect("arrival due");
+        self.streams[k].arrived += 1;
+        for i in 0..self.streams[k].root_dispatch.len() {
+            self.dispatch(self.streams[k].root_dispatch[i] as usize, now);
+        }
+        self.next_arrival = self.peek_arrival();
     }
 
     /// Starts the next ready job on chiplet `c` if it is free: the
-    /// earliest of the explicit queue head and the virtual root cursor
-    /// by (frame, item) — roots never sit in the explicit queue, so the
-    /// two heads cannot tie.
+    /// earliest of the explicit queue head and every virtual root cursor
+    /// by (global frame, item). Roots never sit in the explicit queue and
+    /// global frame indices are unique, so no two candidates tie.
     fn dispatch(&mut self, c: usize, now: f64) {
         if self.busy_until[c] > now {
             return;
         }
-        let v = if !self.roots[c].is_empty() && self.v_frame[c] < self.arrived {
-            Some((self.v_frame[c], self.roots[c][self.v_idx[c]]))
-        } else {
-            None
-        };
+        let mut v: Option<(u32, u32, usize)> = None;
+        for ci in self.cursors_at[c]..self.cursors_at[c + 1] {
+            let cur = &self.cursors[ci];
+            if cur.frame < self.streams[cur.stream].arrived {
+                let head = (cur.global, self.roots[cur.next]);
+                if v.is_none_or(|(g, item, _)| head < (g, item)) {
+                    v = Some((head.0, head.1, ci));
+                }
+            }
+        }
         let e = self.queues[c].peek().map(|j| (j.frame, j.item));
         let job = match (e, v) {
-            (Some(e), Some(v)) if e <= v => self.queues[c].pop().expect("peeked"),
+            (Some(e), Some((g, item, _))) if e <= (g, item) => {
+                self.queues[c].pop().expect("peeked")
+            }
             (Some(_), None) => self.queues[c].pop().expect("peeked"),
-            (None, Some(_)) | (Some(_), Some(_)) => self.take_virtual(c),
+            (None, Some((_, _, ci))) | (Some(_), Some((_, _, ci))) => self.take_virtual(ci),
             (None, None) => return,
         };
         self.start(c, job, now);
     }
 
-    /// Materializes the virtual root cursor's head into a real job,
+    /// Materializes a virtual root cursor's head into a real job,
     /// allocating (or reusing) the frame's pool slot — the first moment
     /// the frame costs any per-frame memory.
-    fn take_virtual(&mut self, c: usize) -> Job {
-        let frame = self.v_frame[c];
-        let item = self.roots[c][self.v_idx[c]];
-        self.v_idx[c] += 1;
-        if self.v_idx[c] == self.roots[c].len() {
-            self.v_idx[c] = 0;
-            self.v_frame[c] += 1;
+    fn take_virtual(&mut self, ci: usize) -> Job {
+        let cur = &mut self.cursors[ci];
+        let (k, frame, global) = (cur.stream, cur.frame, cur.global);
+        let item = self.roots[cur.next];
+        cur.next += 1;
+        if cur.next == cur.end {
+            cur.next = cur.start;
+            cur.frame += 1;
+            cur.global = global_frame(&self.streams, k, cur.frame);
         }
-        let slot = self.slot_for(frame);
-        Job { frame, item, slot }
+        Job {
+            frame: global,
+            item,
+            slot: self.slot_for(k, frame),
+        }
     }
 
-    /// The frame's pool slot: existing, recycled off the free list, or —
-    /// only when every slot is genuinely in flight — freshly grown.
-    fn slot_for(&mut self, frame: usize) -> u32 {
-        if let Some(&s) = self.slot_of_frame.get(&frame) {
+    /// The frame's pool slot: existing, recycled off its stream's free
+    /// list, or — only when every such slot is genuinely in flight —
+    /// freshly grown.
+    fn slot_for(&mut self, k: usize, frame: usize) -> u32 {
+        let stream = &mut self.streams[k];
+        if let Some(&s) = stream.slots.get(frame - stream.slots_base) {
             return s;
         }
-        let s = match self.free_slots.pop() {
+        debug_assert_eq!(frame, stream.slots_base + stream.slots.len());
+        let remaining = stream.deps_template.len() as u32;
+        let s = match stream.free_slots.pop() {
             Some(s) => {
                 let slot = &mut self.pool[s as usize];
-                slot.deps_left.copy_from_slice(&self.deps_template);
-                slot.remaining = self.items.len() as u32;
+                slot.deps_left.copy_from_slice(&stream.deps_template);
+                slot.remaining = remaining;
+                slot.frame = frame;
                 s
             }
             None => {
                 self.pool.push(FrameSlot {
-                    deps_left: self.deps_template.clone(),
-                    remaining: self.items.len() as u32,
+                    deps_left: stream.deps_template.clone(),
+                    remaining,
+                    stream: k,
+                    frame,
                 });
                 (self.pool.len() - 1) as u32
             }
         };
-        self.slot_of_frame.insert(frame, s);
-        self.peak_in_flight = self.peak_in_flight.max(self.slot_of_frame.len());
+        stream.in_flight += 1;
+        stream.peak_in_flight = stream.peak_in_flight.max(stream.in_flight);
+        stream.slots.push_back(s);
         s
     }
 
@@ -719,34 +1022,54 @@ impl<'a> Engine<'a> {
         self.busy_until[c] = now + dur;
         self.busy_time[c] += dur;
         self.seq += 1;
-        self.heap.push(Scheduled {
+        let event = Scheduled {
             time: now + dur,
             seq: self.seq,
             chiplet: c as u32,
             job,
-        });
+        };
+        if std::mem::take(&mut self.top_done) {
+            *self
+                .heap
+                .peek_mut()
+                .expect("completed event on the calendar") = event;
+        } else {
+            self.heap.push(event);
+        }
     }
 
     fn process_completion(&mut self) {
         let Scheduled {
             time, chiplet, job, ..
-        } = self.heap.pop().expect("completion event due");
+        } = *self.heap.peek().expect("completion event due");
+        self.top_done = true;
         let s = job.slot as usize;
         let item = job.item as usize;
-        self.pool[s].remaining -= 1;
-        if self.pool[s].remaining == 0 {
+        let deps = self.dependents_at[item] as usize..self.dependents_at[item + 1] as usize;
+        let slot = &mut self.pool[s];
+        slot.remaining -= 1;
+        if slot.remaining == 0 {
             // The frame's last item has no incomplete dependents (a
             // dependent cannot finish before its dependency), so the
             // slot retires immediately.
-            debug_assert!(self.dependents[item].is_empty(), "last item has dependents");
-            self.slot_of_frame.remove(&job.frame);
-            self.free_slots.push(job.slot);
-            self.commit_completion(job.frame, time);
+            debug_assert!(deps.is_empty(), "last item has dependents");
+            let (k, frame) = (slot.stream, slot.frame);
+            let stream = &mut self.streams[k];
+            stream.slots[frame - stream.slots_base] = RETIRED;
+            while stream.slots.front() == Some(&RETIRED) {
+                stream.slots.pop_front();
+                stream.slots_base += 1;
+            }
+            stream.free_slots.push(job.slot);
+            stream.in_flight -= 1;
+            self.commit_completion(k, frame, time);
         } else {
-            for di in 0..self.dependents[item].len() {
-                let succ = self.dependents[item][di] as usize;
-                self.pool[s].deps_left[succ] -= 1;
-                if self.pool[s].deps_left[succ] == 0 {
+            let off = self.streams[slot.stream].offset;
+            for di in deps {
+                let succ = self.dependents[di] as usize;
+                let left = &mut self.pool[s].deps_left[succ - off];
+                *left -= 1;
+                if *left == 0 {
                     let c2 = self.chiplet_of[succ] as usize;
                     self.queues[c2].push(Job {
                         frame: job.frame,
@@ -758,41 +1081,30 @@ impl<'a> Engine<'a> {
             }
         }
         self.dispatch(chiplet as usize, time);
+        if std::mem::take(&mut self.top_done) {
+            self.heap.pop();
+        }
     }
 
-    /// Parks an out-of-order completion in the reorder ring and drains
-    /// every now-contiguous frame into the streaming report.
-    fn commit_completion(&mut self, frame: usize, time: f64) {
-        let pos = frame - self.commit_next;
-        if pos >= self.commit.len() {
-            self.commit.resize(pos + 1, f64::NAN);
+    /// Parks an out-of-order completion in the stream's reorder ring and
+    /// drains every now-contiguous frame into its streaming report.
+    fn commit_completion(&mut self, k: usize, frame: usize, time: f64) {
+        let s = &mut self.streams[k];
+        let pos = frame - s.commit_next;
+        if pos >= s.commit.len() {
+            s.commit.resize(pos + 1, f64::NAN);
         }
-        self.commit[pos] = time;
-        while let Some(&front) = self.commit.front() {
+        s.commit[pos] = time;
+        while let Some(&front) = s.commit.front() {
             if front.is_nan() {
                 break;
             }
-            self.commit.pop_front();
-            self.report
-                .record(self.commit_next, self.times[self.commit_next], front);
-            self.commit_next += 1;
+            s.commit.pop_front();
+            s.report
+                .record(s.commit_next, s.times[s.commit_next], front);
+            s.commit_next += 1;
         }
     }
-}
-
-/// The discrete-event core: drives one frame per entry of `times`
-/// (absolute arrival timestamps) through the flattened items, streaming
-/// statistics as frames commit. Frames completing past `cutoff` are
-/// counted flushed instead of measured. See [`Engine`] for the memory
-/// bound.
-fn run_items(
-    items: &[SimItem],
-    times: &[f64],
-    warmup: usize,
-    cutoff: Option<f64>,
-) -> (SimReport, EngineStats) {
-    assert!(!items.is_empty(), "cannot simulate an empty schedule");
-    Engine::new(items, times, warmup, cutoff).run()
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! `validate`), and `npu-scenario` compiles whole driving scenarios down
 //! to these arrival processes.
 //!
-//! Three simulation surfaces are exposed:
+//! Three simulation surfaces are exposed, all thin calls into one
+//! shared-calendar engine core:
 //!
 //! * [`simulate`] — one schedule serving one arrival process (the
 //!   steady-state workbench);
@@ -19,11 +20,13 @@
 //!   [`SimPhase`] swaps in its own compiled schedule at a phase
 //!   boundary, charging a mapping spin-up window during which arriving
 //!   frames are dropped (`npu-scenario`'s `Drive` timelines compile to
-//!   this);
-//! * [`simulate_tenants`] — K tenant streams ([`TenantStream`]) sharing
-//!   one event calendar, each with its own schedule, arrivals and
-//!   spin-up window, yielding one tenant-tagged report per stream
-//!   (`npu-fleet`'s co-scheduler compiles to this).
+//!   this). Each phase still runs in its own engine pass on an empty
+//!   package, so an outgoing backlog never delays the incoming phase and
+//!   segment latencies right after a switch are optimistic;
+//! * [`simulate_tenants`] — K [`SimPhase`] streams sharing one event
+//!   calendar, each with its own schedule, arrivals and spin-up window,
+//!   yielding one tenant-tagged report per stream (`npu-fleet`'s
+//!   co-scheduler compiles to this).
 //!
 //! Recorded camera logs load through [`Arrivals::from_csv_str`] /
 //! [`Arrivals::from_jsonl_str`] (string input only — callers do the
@@ -52,17 +55,17 @@
 
 pub mod arrivals;
 pub mod engine;
-pub mod multi;
+#[cfg(test)]
+mod multi;
 pub mod quantiles;
 pub mod report;
 pub mod trace;
 
 pub use arrivals::{ArrivalSegment, Arrivals};
 pub use engine::{
-    simulate, simulate_phases, simulate_with_stats, EngineStats, PhaseReport, Readiness, SimConfig,
-    SimPhase,
+    simulate, simulate_phases, simulate_tenants, simulate_with_stats, EngineStats, PhaseReport,
+    Readiness, SimConfig, SimPhase,
 };
-pub use multi::{simulate_tenants, TenantStream};
 pub use quantiles::Quantiles;
 pub use report::{LatencyQuantiles, SimReport};
 pub use trace::TraceError;

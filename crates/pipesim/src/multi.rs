@@ -1,645 +1,19 @@
-//! Multi-tenant discrete-event co-simulation.
+//! Shared-calendar tests of the engine core: several [`SimPhase`]
+//! streams contending for (or sharing none of) one package in a single
+//! [`simulate_tenants`] pass.
 //!
-//! [`simulate_tenants`] runs K tenant streams — each with its own
-//! compiled schedule, arrival timeline, spin-up window and warmup trim —
-//! through **one shared event calendar**, so tenants that share chiplets
-//! genuinely contend for them while tenants on disjoint regions behave
-//! exactly as if they ran alone. One DES pass yields one tenant-tagged
-//! [`PhaseReport`] per stream: per-tenant steady-state statistics
-//! (mean + tails, split by tenant in the streamed `ReportBuilder`) plus
-//! the offered/dropped frame accounting `npu-fleet`'s admission control
-//! and preemption pricing are built on.
-//!
-//! The engine generalizes the single-class core in [`crate::engine`]:
-//!
-//! - arrivals from all tenants merge into one global sequence ordered by
-//!   `(time, tenant index)` — every frame gets a unique global index, so
-//!   job priority `(global frame, item)` is total and tie-free;
-//! - item ids are tenant-offset into one global table (durations,
-//!   dependents, dependency templates), keeping the hot path dense;
-//! - each (chiplet, tenant) pair keeps a virtual root cursor, and each
-//!   tenant its own bounded in-flight frame pool, commit ring and
-//!   streaming report — per-tenant memory stays O(in-flight frames);
-//! - chiplet busy time is global (a shared chiplet is busy no matter
-//!   whose frame it serves); each tenant's report carries the busy
-//!   fractions of the chiplets **its** schedule uses, normalized by that
-//!   tenant's own observed span.
-//!
-//! A single stream is exactly [`crate::engine::simulate_phases`] with
-//! one phase — same event order, bit-identical statistics — and K
-//! streams on pairwise-disjoint chiplet regions are bit-identical to K
-//! standalone runs, which the tests pin.
+//! [`SimPhase`]: crate::SimPhase
+//! [`simulate_tenants`]: crate::simulate_tenants
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-
-use npu_maestro::CostModel;
-use npu_mcm::{ChipletId, McmPackage};
-use npu_sched::{flatten_items, Schedule, SimItem};
-use npu_tensor::Dtype;
-
-use crate::engine::{admission_gate, PhaseReport, Readiness, SimConfig};
-use crate::report::ReportBuilder;
-
-/// One tenant's share of a co-simulation: a compiled schedule serving
-/// absolute-time frame arrivals under the tenant's [`Readiness`] model.
-/// Frames arriving while the tenant's gating chiplets are still spinning
-/// up are dropped and counted, exactly like a [`crate::SimPhase`]
-/// boundary.
-#[derive(Debug, Clone)]
-pub struct TenantStream<'a> {
-    /// The tenant's compiled schedule (its chiplet region is implied by
-    /// the schedule's shard assignments).
-    pub schedule: &'a Schedule,
-    /// Absolute arrival timestamps of the tenant's frames
-    /// (non-decreasing).
-    pub times: Vec<f64>,
-    /// When the tenant's region accepts frames: a barrier, or a
-    /// make-before-break per-chiplet readiness schedule (a tenant whose
-    /// region is re-programmed in place keeps serving on its unchanged
-    /// chiplets).
-    pub readiness: Readiness,
-    /// Symmetric steady-state trim for the tenant's report (see
-    /// [`crate::SimConfig::warmup`]); `None` derives the default trim
-    /// from the served frame count once admission drops are known.
-    pub warmup: Option<usize>,
-    /// Boundary instant at which the tenant's in-flight frames are
-    /// flushed (its region is quiesced by a full-barrier handover);
-    /// `None` lets frames drain freely.
-    pub cutoff: Option<f64>,
-}
-
-/// Job priority: earliest global frame first, then item (topological)
-/// order. Global frame indices are unique across tenants, so ordering is
-/// total. Tenant index, tenant-local frame and pool slot ride along as
-/// payload.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    /// Global arrival index of the frame (unique across tenants).
-    g: usize,
-    /// Global item index (tenant offset + local topological index).
-    item: u32,
-    /// Tenant index (payload, not priority).
-    class: u32,
-    /// Tenant-local frame index (payload).
-    frame: u32,
-    /// Index of the frame's recycled pool slot in its tenant's pool
-    /// (payload).
-    slot: u32,
-}
-
-impl PartialEq for Job {
-    fn eq(&self, other: &Self) -> bool {
-        (self.g, self.item) == (other.g, other.item)
-    }
-}
-
-impl Eq for Job {}
-
-impl Ord for Job {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.g, other.item).cmp(&(self.g, self.item))
-    }
-}
-
-impl PartialOrd for Job {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One item-completion event on the shared calendar (arrivals are walked
-/// with a cursor over the merged sequence, never heaped).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    /// Dense chiplet index the job ran on.
-    chiplet: u32,
-    job: Job,
-}
-
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by time, then insertion order for determinism.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One pooled in-flight frame of one tenant: tenant-local per-item
-/// remaining-dependency counters plus the count of items left.
-struct FrameSlot {
-    deps_left: Vec<u32>,
-    remaining: u32,
-}
-
-/// Co-simulates K tenant streams on one package through a shared event
-/// calendar, returning one tenant-tagged [`PhaseReport`] per stream (in
-/// input order): per-tenant steady-state statistics over the frames that
-/// were actually served, plus offered/dropped counts for the spin-up
-/// window.
-///
-/// Tenants whose schedules touch the same chiplet contend for it in
-/// global `(frame, item)` priority order; tenants on disjoint regions
-/// are bit-identical to standalone [`crate::simulate_phases`] runs.
-/// Each tenant's report exposes busy fractions for the chiplets its own
-/// schedule uses — on a shared chiplet that is the chiplet's *total*
-/// utilization over the tenant's observed span, since the silicon does
-/// not idle between tenants.
-///
-/// # Panics
-///
-/// Panics if a stream's schedule is empty or its times are not finite
-/// and non-decreasing, or if `ready_at` is not finite.
-pub fn simulate_tenants(
-    streams: &[TenantStream<'_>],
-    pkg: &McmPackage,
-    model: &dyn CostModel,
-    dtype: Dtype,
-) -> Vec<PhaseReport> {
-    if streams.is_empty() {
-        return Vec::new();
-    }
-    // Flatten each distinct schedule once (keying on the reference's
-    // address is sound: every stream borrows its schedule for the whole
-    // call, so two equal pointers are the same live `Schedule`).
-    let mut flat_cache: BTreeMap<*const Schedule, Vec<SimItem>> = BTreeMap::new();
-    for s in streams {
-        flat_cache
-            .entry(s.schedule as *const Schedule)
-            .or_insert_with(|| flatten_items(s.schedule, pkg, model, dtype));
-    }
-    let class_items: Vec<&Vec<SimItem>> = streams
-        .iter()
-        .map(|s| &flat_cache[&(s.schedule as *const Schedule)])
-        .collect();
-
-    // Per-tenant spin-up drops: times are non-decreasing, so the served
-    // frames are exactly the suffix arriving at or after the tenant's
-    // admission gate (see `crate::engine::admission_gate` — the
-    // wavefront bound holds a fortiori under cross-tenant contention,
-    // which only delays starts further).
-    let mut offered = Vec::with_capacity(streams.len());
-    let mut dropped = Vec::with_capacity(streams.len());
-    let mut gates = Vec::with_capacity(streams.len());
-    let mut served: Vec<Vec<f64>> = Vec::with_capacity(streams.len());
-    for (s, items) in streams.iter().zip(&class_items) {
-        assert!(!items.is_empty(), "cannot co-simulate an empty schedule");
-        assert!(
-            s.times.windows(2).all(|w| w[0] <= w[1]) && s.times.iter().all(|t| t.is_finite()),
-            "tenant arrivals must be finite and non-decreasing"
-        );
-        let gate = admission_gate(items, &s.readiness);
-        assert!(gate.is_finite(), "tenant readiness must be finite");
-        let first_served = s.times.partition_point(|&t| t < gate);
-        offered.push(s.times.len());
-        dropped.push(first_served);
-        gates.push(gate);
-        served.push(s.times[first_served..].to_vec());
-    }
-
-    let engine = MultiEngine::new(&class_items, served, streams);
-    let reports = engine.run();
-    reports
-        .into_iter()
-        .zip(offered.into_iter().zip(dropped).zip(gates))
-        .map(
-            |((report, flushed), ((offered, dropped), gate))| PhaseReport {
-                report,
-                offered,
-                dropped,
-                flushed,
-                admitted_from: gate,
-            },
-        )
-        .collect()
-}
-
-/// The shared-calendar multi-class DES core. See the module docs for the
-/// generalization from [`crate::engine`]'s single-class engine.
-struct MultiEngine {
-    // Global item tables (tenant-offset, immutable during the run).
-    /// Global item offset of each tenant.
-    offsets: Vec<usize>,
-    /// Item count of each tenant.
-    n_items: Vec<usize>,
-    /// Sorted distinct chiplets hosting work; dense index = position.
-    chiplet_ids: Vec<ChipletId>,
-    /// Dense chiplet index of each global item.
-    chiplet_of: Vec<u32>,
-    /// Service time of each global item in seconds.
-    durations: Vec<f64>,
-    /// Reverse dependency lists (global ids, ascending item order; all
-    /// edges stay within one tenant's item range).
-    dependents: Vec<Vec<u32>>,
-    /// Dependency counts, copied into a pool slot on (re)allocation.
-    deps_template: Vec<u32>,
-    /// Per-chiplet root items grouped by tenant, ascending tenant then
-    /// item order: the virtual-cursor groups.
-    class_roots: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Dense chiplet index of each tenant's root items in item order:
-    /// the dispatch fan-out of one frame arrival.
-    root_dispatch: Vec<Vec<u32>>,
-    /// Sorted distinct chiplets each tenant's schedule uses (for the
-    /// per-tenant busy map).
-    class_chiplets: Vec<Vec<ChipletId>>,
-
-    // Merged arrivals.
-    /// All served arrivals ordered by (time, tenant, tenant frame);
-    /// position = global frame index.
-    merged: Vec<(f64, u32, u32)>,
-    /// Per-tenant served arrival times (tenant-frame indexed).
-    served: Vec<Vec<f64>>,
-    /// Tenant frame → global frame index.
-    frame_g: Vec<Vec<usize>>,
-
-    // Event calendar: item completions only.
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    /// Next-arrival cursor into `merged`.
-    arrived: usize,
-    /// Per-tenant count of arrived frames.
-    class_arrived: Vec<usize>,
-
-    // Per-chiplet executors (dense).
-    /// Ready non-root jobs per chiplet (roots stay virtual).
-    queues: Vec<BinaryHeap<Job>>,
-    busy_until: Vec<f64>,
-    busy_time: Vec<f64>,
-    /// Virtual root cursors, one per `class_roots[c]` group: the
-    /// earliest not-yet-started root job of tenant `k` on chiplet `c`
-    /// is `(frame_g[k][v_frame], roots[v_idx])`.
-    v_frame: Vec<Vec<usize>>,
-    v_idx: Vec<Vec<usize>>,
-
-    // Per-tenant bounded in-flight frame pools.
-    pool: Vec<Vec<FrameSlot>>,
-    free_slots: Vec<Vec<u32>>,
-    slot_of_frame: Vec<BTreeMap<u32, u32>>,
-
-    // Per-tenant streaming reports.
-    /// Completion reorder rings (tenant-frame order; NaN = in flight).
-    commit: Vec<VecDeque<f64>>,
-    commit_next: Vec<usize>,
-    builders: Vec<ReportBuilder>,
-}
-
-impl MultiEngine {
-    fn new(
-        class_items: &[&Vec<SimItem>],
-        served: Vec<Vec<f64>>,
-        streams: &[TenantStream<'_>],
-    ) -> MultiEngine {
-        let k_tenants = class_items.len();
-        let mut offsets = Vec::with_capacity(k_tenants);
-        let mut n_items = Vec::with_capacity(k_tenants);
-        let mut n_total = 0usize;
-        for items in class_items {
-            offsets.push(n_total);
-            n_items.push(items.len());
-            n_total += items.len();
-        }
-
-        let mut chiplet_ids: Vec<ChipletId> = class_items
-            .iter()
-            .flat_map(|items| items.iter().map(|it| it.chiplet))
-            .collect();
-        chiplet_ids.sort_unstable();
-        chiplet_ids.dedup();
-        let dense = |c: ChipletId| {
-            chiplet_ids
-                .binary_search(&c)
-                .expect("chiplet registered by prep") as u32
-        };
-
-        let mut chiplet_of = Vec::with_capacity(n_total);
-        let mut durations = Vec::with_capacity(n_total);
-        let mut deps_template = Vec::with_capacity(n_total);
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n_total];
-        let mut class_roots: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); chiplet_ids.len()];
-        let mut root_dispatch: Vec<Vec<u32>> = vec![Vec::new(); k_tenants];
-        let mut class_chiplets: Vec<Vec<ChipletId>> = Vec::with_capacity(k_tenants);
-        for (k, items) in class_items.iter().enumerate() {
-            let off = offsets[k];
-            for (i, item) in items.iter().enumerate() {
-                let c = dense(item.chiplet);
-                chiplet_of.push(c);
-                durations.push(item.duration.as_secs());
-                deps_template.push(item.deps.len() as u32);
-                for &d in &item.deps {
-                    dependents[off + d].push((off + i) as u32);
-                }
-                if item.deps.is_empty() {
-                    let gi = (off + i) as u32;
-                    match class_roots[c as usize].last_mut() {
-                        Some((kk, v)) if *kk == k as u32 => v.push(gi),
-                        _ => class_roots[c as usize].push((k as u32, vec![gi])),
-                    }
-                    root_dispatch[k].push(c);
-                }
-            }
-            let mut used: Vec<ChipletId> = items.iter().map(|it| it.chiplet).collect();
-            used.sort_unstable();
-            used.dedup();
-            class_chiplets.push(used);
-        }
-
-        // Merge the served arrivals: global frame order is (time, tenant,
-        // tenant frame) — total because each tenant's times are
-        // non-decreasing, and arrivals at identical times resolve by
-        // tenant input order.
-        let mut merged: Vec<(f64, u32, u32)> = Vec::new();
-        for (k, ts) in served.iter().enumerate() {
-            merged.extend(ts.iter().enumerate().map(|(f, &t)| (t, k as u32, f as u32)));
-        }
-        merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut frame_g: Vec<Vec<usize>> = served.iter().map(|ts| vec![0; ts.len()]).collect();
-        for (g, &(_, k, f)) in merged.iter().enumerate() {
-            frame_g[k as usize][f as usize] = g;
-        }
-
-        let n_chiplets = chiplet_ids.len();
-        let v_frame: Vec<Vec<usize>> = class_roots.iter().map(|g| vec![0; g.len()]).collect();
-        let v_idx: Vec<Vec<usize>> = class_roots.iter().map(|g| vec![0; g.len()]).collect();
-        let builders = served
-            .iter()
-            .zip(streams)
-            .map(|(ts, s)| {
-                // Post-drop trim: `None` derives the default from the
-                // frames that actually entered the pipeline.
-                let warmup = s
-                    .warmup
-                    .unwrap_or_else(|| SimConfig::default_warmup(ts.len()));
-                ReportBuilder::new(ts.len(), warmup, s.cutoff)
-            })
-            .collect();
-        MultiEngine {
-            offsets,
-            n_items,
-            chiplet_of,
-            durations,
-            dependents,
-            deps_template,
-            class_roots,
-            root_dispatch,
-            class_chiplets,
-            merged,
-            served,
-            frame_g,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            arrived: 0,
-            class_arrived: vec![0; k_tenants],
-            queues: (0..n_chiplets).map(|_| BinaryHeap::new()).collect(),
-            busy_until: vec![0.0; n_chiplets],
-            busy_time: vec![0.0; n_chiplets],
-            v_frame,
-            v_idx,
-            pool: (0..k_tenants).map(|_| Vec::new()).collect(),
-            free_slots: vec![Vec::new(); k_tenants],
-            slot_of_frame: vec![BTreeMap::new(); k_tenants],
-            commit: vec![VecDeque::new(); k_tenants],
-            commit_next: vec![0; k_tenants],
-            builders,
-            chiplet_ids,
-        }
-    }
-
-    /// Runs the co-simulation, returning each tenant's report and its
-    /// boundary-flushed frame count.
-    fn run(mut self) -> Vec<(crate::report::SimReport, usize)> {
-        loop {
-            // Interleave the merged arrival cursor with the completion
-            // calendar in time order; `<=` lets arrivals win ties,
-            // matching the single-class engine's event order.
-            let arrival_due = match (self.merged.get(self.arrived), self.heap.peek()) {
-                (Some(&(t, _, _)), Some(top)) => t <= top.time,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if arrival_due {
-                self.process_arrival();
-            } else {
-                self.process_completion();
-            }
-        }
-        debug_assert!(
-            self.commit_next
-                .iter()
-                .zip(&self.served)
-                .all(|(&n, ts)| n == ts.len()),
-            "all frames committed"
-        );
-        debug_assert!(
-            self.slot_of_frame.iter().all(|m| m.is_empty()),
-            "all slots recycled"
-        );
-
-        let mut reports = Vec::with_capacity(self.builders.len());
-        for (k, builder) in self.builders.into_iter().enumerate() {
-            // The tenant's view of the silicon: total busy seconds of
-            // each chiplet its schedule uses; the builder normalizes by
-            // the tenant's own observed span.
-            let busy: BTreeMap<ChipletId, f64> = self.class_chiplets[k]
-                .iter()
-                .map(|&c| {
-                    let d = self
-                        .chiplet_ids
-                        .binary_search(&c)
-                        .expect("chiplet registered by prep");
-                    (c, self.busy_time[d])
-                })
-                .collect();
-            let flushed = builder.flushed();
-            reports.push((builder.finish(&busy), flushed));
-        }
-        reports
-    }
-
-    /// Admits the next merged frame: advances the cursors and offers
-    /// each of its tenant's root chiplets a dispatch, in item order.
-    fn process_arrival(&mut self) {
-        let (now, k, _) = self.merged[self.arrived];
-        let k = k as usize;
-        self.arrived += 1;
-        self.class_arrived[k] += 1;
-        for i in 0..self.root_dispatch[k].len() {
-            self.dispatch(self.root_dispatch[k][i] as usize, now);
-        }
-    }
-
-    /// Starts the next ready job on chiplet `c` if it is free: the
-    /// earliest of the explicit queue head and every tenant's virtual
-    /// root cursor by (global frame, item). Roots never sit in the
-    /// explicit queue and global frame indices are unique per frame, so
-    /// no two candidates tie.
-    fn dispatch(&mut self, c: usize, now: f64) {
-        if self.busy_until[c] > now {
-            return;
-        }
-        let mut v: Option<(usize, u32, usize)> = None;
-        for ei in 0..self.class_roots[c].len() {
-            let (k, ref roots) = self.class_roots[c][ei];
-            let vf = self.v_frame[c][ei];
-            if vf < self.class_arrived[k as usize] {
-                let g = self.frame_g[k as usize][vf];
-                let item = roots[self.v_idx[c][ei]];
-                if v.is_none_or(|(bg, bi, _)| (g, item) < (bg, bi)) {
-                    v = Some((g, item, ei));
-                }
-            }
-        }
-        let e = self.queues[c].peek().map(|j| (j.g, j.item));
-        let job = match (e, v) {
-            (Some(e), Some((vg, vi, _))) if e <= (vg, vi) => self.queues[c].pop().expect("peeked"),
-            (Some(_), None) => self.queues[c].pop().expect("peeked"),
-            (None, Some((_, _, ei))) | (Some(_), Some((_, _, ei))) => self.take_virtual(c, ei),
-            (None, None) => return,
-        };
-        self.start(c, job, now);
-    }
-
-    /// Materializes a virtual root cursor's head into a real job,
-    /// allocating (or reusing) the frame's pool slot in its tenant's
-    /// pool — the first moment the frame costs any per-frame memory.
-    fn take_virtual(&mut self, c: usize, ei: usize) -> Job {
-        let k = self.class_roots[c][ei].0 as usize;
-        let frame = self.v_frame[c][ei];
-        let item = self.class_roots[c][ei].1[self.v_idx[c][ei]];
-        self.v_idx[c][ei] += 1;
-        if self.v_idx[c][ei] == self.class_roots[c][ei].1.len() {
-            self.v_idx[c][ei] = 0;
-            self.v_frame[c][ei] += 1;
-        }
-        let g = self.frame_g[k][frame];
-        let slot = self.slot_for(k, frame as u32);
-        Job {
-            g,
-            item,
-            class: k as u32,
-            frame: frame as u32,
-            slot,
-        }
-    }
-
-    /// The frame's slot in its tenant's pool: existing, recycled off the
-    /// tenant's free list, or freshly grown.
-    fn slot_for(&mut self, k: usize, frame: u32) -> u32 {
-        if let Some(&s) = self.slot_of_frame[k].get(&frame) {
-            return s;
-        }
-        let off = self.offsets[k];
-        let len = self.n_items[k];
-        let s = match self.free_slots[k].pop() {
-            Some(s) => {
-                let slot = &mut self.pool[k][s as usize];
-                slot.deps_left
-                    .copy_from_slice(&self.deps_template[off..off + len]);
-                slot.remaining = len as u32;
-                s
-            }
-            None => {
-                self.pool[k].push(FrameSlot {
-                    deps_left: self.deps_template[off..off + len].to_vec(),
-                    remaining: len as u32,
-                });
-                (self.pool[k].len() - 1) as u32
-            }
-        };
-        self.slot_of_frame[k].insert(frame, s);
-        s
-    }
-
-    fn start(&mut self, c: usize, job: Job, now: f64) {
-        let dur = self.durations[job.item as usize];
-        self.busy_until[c] = now + dur;
-        self.busy_time[c] += dur;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time: now + dur,
-            seq: self.seq,
-            chiplet: c as u32,
-            job,
-        });
-    }
-
-    fn process_completion(&mut self) {
-        let Scheduled {
-            time, chiplet, job, ..
-        } = self.heap.pop().expect("completion event due");
-        let k = job.class as usize;
-        let s = job.slot as usize;
-        let item = job.item as usize;
-        self.pool[k][s].remaining -= 1;
-        if self.pool[k][s].remaining == 0 {
-            // The frame's last item has no incomplete dependents, so the
-            // slot retires immediately.
-            debug_assert!(self.dependents[item].is_empty(), "last item has dependents");
-            self.slot_of_frame[k].remove(&job.frame);
-            self.free_slots[k].push(job.slot);
-            self.commit_completion(k, job.frame as usize, time);
-        } else {
-            let off = self.offsets[k];
-            for di in 0..self.dependents[item].len() {
-                let succ = self.dependents[item][di] as usize;
-                self.pool[k][s].deps_left[succ - off] -= 1;
-                if self.pool[k][s].deps_left[succ - off] == 0 {
-                    let c2 = self.chiplet_of[succ] as usize;
-                    self.queues[c2].push(Job {
-                        g: job.g,
-                        item: succ as u32,
-                        class: job.class,
-                        frame: job.frame,
-                        slot: job.slot,
-                    });
-                    self.dispatch(c2, time);
-                }
-            }
-        }
-        self.dispatch(chiplet as usize, time);
-    }
-
-    /// Parks an out-of-order completion in the tenant's reorder ring and
-    /// drains every now-contiguous frame into its streaming report.
-    fn commit_completion(&mut self, k: usize, frame: usize, time: f64) {
-        let pos = frame - self.commit_next[k];
-        if pos >= self.commit[k].len() {
-            self.commit[k].resize(pos + 1, f64::NAN);
-        }
-        self.commit[k][pos] = time;
-        while let Some(&front) = self.commit[k].front() {
-            if front.is_nan() {
-                break;
-            }
-            self.commit[k].pop_front();
-            let f = self.commit_next[k];
-            self.builders[k].record(f, self.served[k][f], front);
-            self.commit_next[k] += 1;
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::{simulate_phases, SimPhase};
     use npu_dnn::models::attention::{fusion_block, FusionConfig};
     use npu_dnn::StageKind;
     use npu_maestro::FittedMaestro;
-    use npu_sched::{ModelPlan, StagePlan};
+    use npu_mcm::{ChipletId, McmPackage};
+    use npu_sched::{ModelPlan, Schedule, StagePlan};
+    use npu_tensor::Dtype;
+
+    use crate::{simulate_phases, simulate_tenants, Readiness, SimPhase};
 
     fn single_chiplet_schedule(c: ChipletId) -> Schedule {
         let g = fusion_block(&FusionConfig::spatial_default());
@@ -669,14 +43,14 @@ mod tests {
         let t1 = periodic(12, 0.7, 0.1);
         let co = simulate_tenants(
             &[
-                TenantStream {
+                SimPhase {
                     schedule: &s0,
                     times: t0.clone(),
                     readiness: Readiness::Barrier(0.0),
                     warmup: Some(2),
                     cutoff: None,
                 },
-                TenantStream {
+                SimPhase {
                     schedule: &s1,
                     times: t1.clone(),
                     readiness: Readiness::Barrier(0.0),
@@ -730,14 +104,14 @@ mod tests {
         let t1 = periodic(16, 0.5, 0.0);
         let co = simulate_tenants(
             &[
-                TenantStream {
+                SimPhase {
                     schedule: &s,
                     times: t0.clone(),
                     readiness: Readiness::Barrier(0.0),
                     warmup: Some(2),
                     cutoff: None,
                 },
-                TenantStream {
+                SimPhase {
                     schedule: &s,
                     times: t1,
                     readiness: Readiness::Barrier(0.0),
@@ -785,14 +159,14 @@ mod tests {
         let s1 = single_chiplet_schedule(ChipletId(1));
         let co = simulate_tenants(
             &[
-                TenantStream {
+                SimPhase {
                     schedule: &s0,
                     times: periodic(10, 0.5, 0.0),
                     readiness: Readiness::Barrier(0.0),
                     warmup: Some(1),
                     cutoff: None,
                 },
-                TenantStream {
+                SimPhase {
                     schedule: &s1,
                     times: periodic(10, 0.5, 0.0),
                     readiness: Readiness::Barrier(1.1),
@@ -822,14 +196,14 @@ mod tests {
         let run = || {
             simulate_tenants(
                 &[
-                    TenantStream {
+                    SimPhase {
                         schedule: &s,
                         times: periodic(12, 0.4, 0.0),
                         readiness: Readiness::Barrier(0.0),
                         warmup: Some(2),
                         cutoff: None,
                     },
-                    TenantStream {
+                    SimPhase {
                         schedule: &s2,
                         times: periodic(12, 0.4, 0.0),
                         readiness: Readiness::Barrier(0.0),
@@ -854,7 +228,7 @@ mod tests {
         let s = single_chiplet_schedule(ChipletId(3));
         let times = periodic(20, 0.45, 0.2);
         let multi = simulate_tenants(
-            &[TenantStream {
+            &[SimPhase {
                 schedule: &s,
                 times: times.clone(),
                 readiness: Readiness::Barrier(0.3),
@@ -885,5 +259,22 @@ mod tests {
         let pkg = McmPackage::simba_6x6();
         let model = FittedMaestro::new();
         assert!(simulate_tenants(&[], &pkg, &model, Dtype::Fp16).is_empty());
+    }
+
+    /// Both entry points validate readiness alike: a NaN ready time
+    /// panics even on a chiplet the stream's schedule never uses, where
+    /// the admission gate alone would skip it.
+    #[test]
+    #[should_panic(expected = "readiness must be finite")]
+    fn non_finite_readiness_on_an_unused_chiplet_panics() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s = single_chiplet_schedule(ChipletId(0));
+        let readiness = Readiness::PerChiplet {
+            at: 0.0,
+            ready: vec![(ChipletId(9), f64::NAN)],
+        };
+        let stream = SimPhase::new(&s, periodic(4, 0.5, 0.0), readiness);
+        let _ = simulate_tenants(&[stream], &pkg, &model, Dtype::Fp16);
     }
 }

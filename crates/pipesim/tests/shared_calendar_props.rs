@@ -1,0 +1,91 @@
+//! Property tests for the shared-calendar engine path: random sets of
+//! one to four streams on single-chiplet schedules, some sharing a
+//! chiplet, with random periodic arrivals, admission barriers and
+//! boundary cutoffs. Every stream's frames balance
+//! (`offered == served + dropped + flushed`, with the served frames
+//! counted in the report itself and the drops recounted from the
+//! barrier), and a stream whose chiplet no other stream touches is
+//! bit-identical to its standalone run.
+
+use proptest::prelude::*;
+
+use npu_dnn::models::attention::{fusion_block, FusionConfig};
+use npu_dnn::StageKind;
+use npu_maestro::FittedMaestro;
+use npu_mcm::{ChipletId, McmPackage};
+use npu_pipesim::{simulate_phases, simulate_tenants, Readiness, SimPhase};
+use npu_sched::{ModelPlan, Schedule, StagePlan};
+use npu_tensor::Dtype;
+
+/// Chiplets the streams draw from: few enough that sharing is common.
+const CHIPLETS: usize = 3;
+
+fn single_chiplet_schedule(c: ChipletId) -> Schedule {
+    let g = fusion_block(&FusionConfig::spatial_default());
+    Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            models: vec![ModelPlan::on_single_chiplet("s", g, c)],
+            region: vec![c],
+        }],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn streams_balance_and_disjoint_streams_run_as_if_alone(
+        draws in proptest::collection::vec(
+            (
+                (0..CHIPLETS, 1usize..14, 0.05f64..0.8),
+                (0.0f64..0.6, 0.0f64..1.5, 0u8..2, 0.1f64..1.2),
+            ),
+            1..5,
+        ),
+    ) {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let schedules: Vec<Schedule> =
+            (0..CHIPLETS).map(|c| single_chiplet_schedule(ChipletId(c as u32))).collect();
+        // (chiplet, frames, interval), (offset, barrier, has cutoff,
+        // cutoff as a fraction of the arrival span past the offset).
+        let streams: Vec<SimPhase<'_>> = draws
+            .iter()
+            .map(|&((c, frames, interval), (offset, barrier, cut, frac))| {
+                let times: Vec<f64> =
+                    (0..frames).map(|f| offset + f as f64 * interval).collect();
+                let cutoff = (cut == 1).then_some(offset + frac * frames as f64 * interval);
+                // No warmup trim: the report measures every served frame.
+                SimPhase {
+                    warmup: Some(0),
+                    cutoff,
+                    ..SimPhase::new(&schedules[c], times, Readiness::Barrier(barrier))
+                }
+            })
+            .collect();
+
+        let co = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+        prop_assert_eq!(co.len(), streams.len());
+        for (rep, (s, &(_, (_, barrier, _, _)))) in co.iter().zip(streams.iter().zip(&draws)) {
+            prop_assert_eq!(rep.offered, s.times.len());
+            prop_assert_eq!(rep.dropped, s.times.iter().filter(|&&t| t < barrier).count());
+            prop_assert_eq!(rep.report.measured_frames, rep.served());
+            prop_assert_eq!(rep.offered, rep.served() + rep.dropped + rep.flushed);
+            if s.cutoff.is_none() {
+                prop_assert_eq!(rep.flushed, 0);
+            }
+        }
+
+        for (i, ((c, _, _), _)) in draws.iter().enumerate() {
+            let shared = draws
+                .iter()
+                .enumerate()
+                .any(|(j, ((cj, _, _), _))| j != i && cj == c);
+            if !shared {
+                let alone = simulate_phases(&streams[i..=i], &pkg, &model, Dtype::Fp16);
+                prop_assert_eq!(&co[i], &alone[0], "stream {} on chiplet {}", i, c);
+            }
+        }
+    }
+}
