@@ -1,7 +1,9 @@
 //! Benchmarks the discrete-event engine hot path at fleet-day scale:
-//! a long saturated run (pure engine throughput, no arrival gaps) and a
-//! long drive timeline (phased engine + matcher, the shape `repro drive`
-//! and the planned fleet artifact pay per vehicle). Medians seed
+//! a long saturated run (pure engine throughput, no arrival gaps), a
+//! matched perception schedule under its own overloaded camera arrivals
+//! (hundreds of items, hundreds of frames in flight) and a long drive
+//! timeline (phased engine + matcher, the shape `repro drive` and the
+//! planned fleet artifact pay per vehicle). Medians seed
 //! `BENCH_des_engine.json`; append one entry per PR that touches the
 //! engine hot path so regressions stay visible PR-over-PR.
 
@@ -12,7 +14,7 @@ use npu_dnn::StageKind;
 use npu_maestro::{FittedMaestro, ReconfigModel};
 use npu_mcm::{ChipletId, McmPackage};
 use npu_pipesim::{simulate, SimConfig};
-use npu_scenario::{simulate_drive, Drive};
+use npu_scenario::{match_scenario, simulate_drive, Drive, Scenario};
 use npu_sched::{LayerPlan, ModelPlan, Schedule, StagePlan};
 use npu_tensor::Seconds;
 
@@ -24,9 +26,11 @@ const SATURATED_FRAMES: usize = 100_000;
 /// (7 200 frames), three legs — a million-frame day is 120 of these.
 const SEGMENT_SECS: f64 = 240.0;
 
+/// Frames in the matched case: 240 s of 30 FPS video.
+const MATCHED_FRAMES: usize = 7_200;
+
 /// A two-chiplet pipelined schedule: qkv on chiplet 0, the rest of the
-/// fusion block on chiplet 1, so frames overlap and the in-flight pool
-/// holds more than one frame.
+/// fusion block on chiplet 1, so more than one frame is in flight.
 fn pipelined_schedule() -> Schedule {
     let g = fusion_block(&FusionConfig::spatial_default());
     let mut mp = ModelPlan::on_single_chiplet("s", g.clone(), ChipletId(1));
@@ -67,6 +71,20 @@ fn bench(c: &mut Criterion) {
                 &SimConfig::saturated(SATURATED_FRAMES),
             ))
         })
+    });
+
+    // The real hot path: the matched highway-cruise schedule (721 items
+    // over most of the package) at its own 30 FPS arrivals. The package
+    // sustains about 11 FPS, so the backlog grows to hundreds of frames
+    // in flight and every chiplet queue stays busy.
+    let cruise = Scenario::builtin()
+        .into_iter()
+        .find(|s| s.name == "highway-cruise")
+        .expect("highway-cruise is a builtin family");
+    let matched = match_scenario(&cruise, &pkg, &model).schedule;
+    let cfg = cruise.sim_config(MATCHED_FRAMES);
+    g.bench_function("matched_30fps_6x6", |b| {
+        b.iter(|| black_box(simulate(&matched, &pkg, &model, &cfg)))
     });
 
     // The long-drive case the acceptance bar tracks: three 240 s legs

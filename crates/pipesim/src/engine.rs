@@ -15,9 +15,14 @@
 //! `(time, stream index)`; a frame's rank in it is its global frame
 //! index, so job priority `(global frame, item)` is total and tie-free.
 //! For one stream the global index is the stream's own frame index.
+//!
+//! The core keeps no per-frame state. Each chiplet serves an item's jobs
+//! in frame order, so one counter per item — the stream frames it has
+//! completed — decides when a job is ready and when a frame is done;
+//! memory is O(items + chiplets) however many frames are in flight.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use serde::{Deserialize, Serialize};
 
@@ -114,22 +119,23 @@ pub fn simulate(
 }
 
 /// Engine-internal measurements of one DES pass: how big the run was and
-/// how much state the engine actually held. The report is O(1) per frame;
-/// these numbers let tests (and capacity planning) pin that bound.
+/// how deep its pipeline got. The report is O(1) per frame and the engine
+/// holds no per-frame state; these numbers let tests (and capacity
+/// planning) pin the pipelining depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Frames pushed through the pipeline.
     pub frames: usize,
-    /// Most frames ever simultaneously in flight: the in-flight frame
-    /// pool's high-water mark (= slots allocated; slots are recycled as
-    /// frames complete, so this is the pool's final capacity too).
+    /// Most frames ever simultaneously in flight: started (a first job
+    /// began) but not completed (a last job finished). Frames still
+    /// waiting for their first job do not count.
     pub peak_in_flight: usize,
     /// Frames flushed in flight at the run's cutoff (0 without one).
     pub flushed: usize,
 }
 
 /// [`simulate`], also returning the engine's [`EngineStats`] — the
-/// 1M-frame smoke tests assert the in-flight pool stays bounded by the
+/// 1M-frame smoke tests assert the frames in flight stay bounded by the
 /// schedule's natural pipelining depth, never the frame count.
 pub fn simulate_with_stats(
     schedule: &Schedule,
@@ -462,7 +468,7 @@ fn flatten_distinct(
 
 /// Validates the streams, drops each one's frames arriving before its
 /// admission gate, and runs the survivors through one engine pass.
-/// Returns each stream's report and in-flight pool high-water mark.
+/// Returns each stream's report and peak frames in flight.
 fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, usize)> {
     let mut admitted = Vec::with_capacity(streams.len());
     let mut gates = Vec::with_capacity(streams.len());
@@ -524,23 +530,27 @@ struct StreamOutcome {
     peak_in_flight: usize,
 }
 
+/// `(global frame, item)` packed into one integer of the same order.
+fn pack(frame: u32, item: u32) -> u64 {
+    (frame as u64) << 32 | item as u64
+}
+
 /// Priority: earlier global frame first, then item (topological) order.
-/// The pool slot rides along as payload — two jobs of one frame always
-/// share a slot, so ordering (and equality) ignore it.
+/// The stream-local frame rides along as payload — it follows from the
+/// global frame, so ordering (and equality) ignore it.
 #[derive(Debug, Clone, Copy)]
 struct Job {
     /// Global frame index: the frame's rank in the merged arrivals.
     frame: u32,
     /// Global item index (stream offset + stream-local index).
     item: u32,
-    /// Index of the frame's recycled pool slot (payload, not priority).
-    slot: u32,
+    /// The frame's index within its stream (payload, not priority).
+    local: u32,
 }
 
 impl Job {
-    /// `(frame, item)` packed into one integer of the same order.
     fn key(&self) -> u64 {
-        (self.frame as u64) << 32 | self.item as u64
+        pack(self.frame, self.item)
     }
 }
 
@@ -598,18 +608,6 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// One pooled in-flight frame: per-item remaining-dependency counters
-/// (stream-local, reset from the stream's template on reuse) plus the
-/// count of items left.
-struct FrameSlot {
-    deps_left: Vec<u32>,
-    remaining: u32,
-    /// The stream the frame belongs to.
-    stream: usize,
-    /// The frame's index within its stream.
-    frame: usize,
-}
-
 /// A virtual root cursor: the not-yet-started root jobs of one stream on
 /// one chiplet. Its head is `(stream frame, roots[next])`.
 struct RootCursor {
@@ -639,64 +637,62 @@ fn global_frame(streams: &[Stream<'_>], k: usize, f: usize) -> u32 {
     streams.iter().enumerate().map(earlier).sum::<usize>() as u32
 }
 
-/// Marks a completed frame's entry in [`Stream::slots`].
-const RETIRED: u32 = u32::MAX;
-
-/// One stream's arrivals, pool bookkeeping and streaming report.
+/// One stream's arrivals, frame progress and streaming report.
 struct Stream<'a> {
     /// Served arrival times (stream-frame indexed).
     times: &'a [f64],
-    /// Global index of the stream's first item.
-    offset: usize,
-    /// Dependency counts, copied into a pool slot on (re)allocation.
-    deps_template: Vec<u32>,
     /// Dense chiplet index of each root item in item order: the
     /// dispatch fan-out of one frame arrival.
     root_dispatch: Vec<u32>,
+    /// Global indices of the stream's sink items (no dependents).
+    sinks: Vec<u32>,
     /// Dense indices of the chiplets the stream's schedule uses.
     chiplets: Vec<usize>,
     /// Frames `0..arrived` have arrived.
     arrived: usize,
-    /// Pool slot of each frame from `slots_base` on. Frames take their
-    /// first slot in frame order (every cursor of a stream walks its
-    /// frames in order), so the ring only grows at the back; completed
-    /// frames are marked [`RETIRED`] and trimmed off the front.
-    slots: VecDeque<u32>,
-    slots_base: usize,
-    free_slots: Vec<u32>,
-    in_flight: usize,
+    /// Frames `0..started` have started a job. Frames start in frame
+    /// order, since every root cursor of a stream walks its frames in
+    /// order.
+    started: usize,
+    /// Frames `0..completed` have completed and streamed into `report`.
+    completed: usize,
+    /// Most frames ever started but not yet completed.
     peak_in_flight: usize,
-    /// Completion reorder ring: `commit[i]` holds the completion time of
-    /// frame `commit_next + i` (NaN = still in flight). Completions
-    /// commit out of frame order; the ring drains them back in order.
-    commit: VecDeque<f64>,
-    commit_next: usize,
     report: ReportBuilder,
 }
 
-/// The DES core. Peak memory is O(items × in-flight frames), not
-/// O(items × frames):
+/// The DES core. It holds no per-frame state: peak memory is
+/// O(items + chiplets), whatever the frame count or backlog.
 ///
-/// - frame dependency state lives in a recycled pool slot, allocated when
-///   the frame's **first job starts** (not when it arrives — a saturated
-///   run offers every frame at t = 0) and freed when its last completes;
-/// - arrivals are walked with per-stream cursors, merged in
+/// - Every chiplet serves each item's jobs in frame order. Roots go
+///   through the frame-ordered cursors below; for a non-root item, its
+///   frame-`f` dependencies complete before its frame-`f + 1` ones (by
+///   induction), and `(frame, item)` priority then starts `(f, i)`
+///   first. So one counter per item, `done[i]` = the stream frames item
+///   `i` has completed, is the whole dependency state: job `(f, i)` is
+///   ready exactly when every dependency `d` has `done[d] > f`, and
+///   stream frame `f` completes exactly when every sink item has
+///   `done > f`. Frames therefore complete, and stream into the report,
+///   in frame order.
+/// - Arrivals are walked with per-stream cursors, merged in
 ///   `(time, stream)` order and interleaved with the completion calendar
 ///   in time order instead of being heaped upfront, with arrivals
-///   winning time ties;
-/// - root jobs (no dependencies) of arrived frames are represented by a
+///   winning time ties.
+/// - Root jobs (no dependencies) of arrived frames are represented by a
 ///   per-(chiplet, stream) **virtual cursor** over their root items
 ///   instead of queue entries, so a backlog of arrived-but-unstarted
-///   frames costs nothing;
-/// - item ids are stream-offset into one global table (durations,
-///   dependents, chiplets), keeping the hot path dense, and chiplet state
-///   is dense `Vec`s indexed by the sorted distinct chiplet list;
-/// - chiplet busy time is global (a shared chiplet is busy no matter
+///   frames costs nothing.
+/// - A job released onto a free chiplet starts at once when it beats
+///   the chiplet's queue head and every root cursor there — the job
+///   [`dispatch`](Engine::dispatch) would pick — skipping the queue.
+/// - Item ids are stream-offset into one global table (durations,
+///   dependencies, dependents, chiplets), keeping the hot path dense,
+///   and chiplet state is dense `Vec`s indexed by the sorted distinct
+///   chiplet list.
+/// - Chiplet busy time is global (a shared chiplet is busy no matter
 ///   whose frame it serves); each stream's report carries the busy
 ///   fractions of the chiplets **its** schedule uses, normalized by that
-///   stream's own observed span;
-/// - statistics stream through a per-stream [`ReportBuilder`] via a small
-///   reorder ring that commits completions back into frame order.
+///   stream's own observed span.
 struct Engine<'a> {
     // Global item tables (immutable during the run).
     /// Sorted distinct chiplets hosting work; dense index = position.
@@ -705,8 +701,14 @@ struct Engine<'a> {
     chiplet_of: Vec<u32>,
     /// Service time of each item in seconds.
     durations: Vec<f64>,
-    /// Dependents of item `i`: `dependents[dependents_at[i]..dependents_at[i + 1]]`,
-    /// ascending item order (edges never leave a stream).
+    /// Stream of each item.
+    stream_of: Vec<u32>,
+    /// Distinct dependencies of item `i`: `deps[deps_at[i]..deps_at[i + 1]]`.
+    deps_at: Vec<u32>,
+    deps: Vec<u32>,
+    /// Distinct dependents of item `i`:
+    /// `dependents[dependents_at[i]..dependents_at[i + 1]]`, ascending
+    /// item order (edges never leave a stream).
     dependents_at: Vec<u32>,
     dependents: Vec<u32>,
     /// Root items of every cursor, grouped by chiplet then stream.
@@ -716,6 +718,8 @@ struct Engine<'a> {
     cursors: Vec<RootCursor>,
 
     streams: Vec<Stream<'a>>,
+    /// Stream frames each item has completed.
+    done: Vec<u32>,
 
     // Event calendar: item completions only.
     heap: BinaryHeap<Scheduled>,
@@ -733,14 +737,11 @@ struct Engine<'a> {
     queues: Vec<BinaryHeap<Job>>,
     busy_until: Vec<f64>,
     busy_time: Vec<f64>,
-
-    /// Bounded in-flight frame pool, shared by all streams.
-    pool: Vec<FrameSlot>,
 }
 
 impl<'a> Engine<'a> {
     fn new(streams: &[Admitted<'a>]) -> Engine<'a> {
-        // Global frame indices are `u32`, which keeps `Job` small.
+        // Frame indices are `u32`, which keeps `Job` small.
         assert!(
             streams.iter().map(|s| s.times.len()).sum::<usize>() < u32::MAX as usize,
             "too many frames for one engine pass"
@@ -760,7 +761,12 @@ impl<'a> Engine<'a> {
         let n_items: usize = streams.iter().map(|s| s.items.len()).sum();
         let mut chiplet_of = Vec::with_capacity(n_items);
         let mut durations = Vec::with_capacity(n_items);
-        // (dependency, dependent) of every edge, ascending dependent.
+        let mut stream_of = Vec::with_capacity(n_items);
+        let mut deps_at = Vec::with_capacity(n_items + 1);
+        deps_at.push(0);
+        let mut deps: Vec<u32> = Vec::new();
+        // (dependency, dependent) of every distinct edge, ascending
+        // dependent.
         let mut edges: Vec<(u32, u32)> = Vec::new();
         // (dense chiplet, stream, global item) of every root item.
         let mut root_items: Vec<(u32, usize, u32)> = Vec::new();
@@ -772,9 +778,14 @@ impl<'a> Engine<'a> {
                 let c = dense(item.chiplet);
                 chiplet_of.push(c);
                 durations.push(item.duration.as_secs());
-                for &d in &item.deps {
-                    edges.push(((offset + d) as u32, (offset + i) as u32));
-                }
+                stream_of.push(k as u32);
+                // A dependency listed twice gates its dependent once.
+                let mut ds: Vec<u32> = item.deps.iter().map(|&d| (offset + d) as u32).collect();
+                ds.sort_unstable();
+                ds.dedup();
+                edges.extend(ds.iter().map(|&d| (d, (offset + i) as u32)));
+                deps.extend(ds);
+                deps_at.push(deps.len() as u32);
                 if item.deps.is_empty() {
                     root_items.push((c, k, (offset + i) as u32));
                     root_dispatch.push(c);
@@ -786,18 +797,13 @@ impl<'a> Engine<'a> {
             chiplets.dedup();
             states.push(Stream {
                 times: s.times,
-                offset,
-                deps_template: s.items.iter().map(|it| it.deps.len() as u32).collect(),
                 root_dispatch,
+                sinks: Vec::new(),
                 chiplets,
                 arrived: 0,
-                slots: VecDeque::new(),
-                slots_base: 0,
-                free_slots: Vec::new(),
-                in_flight: 0,
+                started: 0,
+                completed: 0,
                 peak_in_flight: 0,
-                commit: VecDeque::new(),
-                commit_next: 0,
                 report: ReportBuilder::new(s.times.len(), s.warmup, s.cutoff),
             });
             offset += s.items.len();
@@ -812,6 +818,11 @@ impl<'a> Engine<'a> {
         }
         for i in 0..n_items {
             dependents_at[i + 1] += dependents_at[i];
+        }
+        for i in 0..n_items {
+            if dependents_at[i] == dependents_at[i + 1] {
+                states[stream_of[i] as usize].sinks.push(i as u32);
+            }
         }
 
         // Group roots by chiplet; the stable sort keeps stream then item
@@ -843,12 +854,16 @@ impl<'a> Engine<'a> {
         let mut engine = Engine {
             chiplet_of,
             durations,
+            stream_of,
+            deps_at,
+            deps,
             dependents_at,
             dependents,
             roots,
             cursors_at,
             cursors,
             streams: states,
+            done: vec![0; n_items],
             heap: BinaryHeap::new(),
             seq: 0,
             top_done: false,
@@ -856,7 +871,6 @@ impl<'a> Engine<'a> {
             queues: (0..n_chiplets).map(|_| BinaryHeap::new()).collect(),
             busy_until: vec![0.0; n_chiplets],
             busy_time: vec![0.0; n_chiplets],
-            pool: Vec::new(),
             chiplet_ids,
         };
         engine.next_arrival = engine.peek_arrival();
@@ -880,12 +894,10 @@ impl<'a> Engine<'a> {
             }
         }
         debug_assert!(
-            self.streams.iter().all(|s| s.commit_next == s.times.len()),
-            "all frames committed"
-        );
-        debug_assert!(
-            self.streams.iter().all(|s| s.in_flight == 0),
-            "all slots recycled"
+            self.streams
+                .iter()
+                .all(|s| s.started == s.times.len() && s.completed == s.times.len()),
+            "all frames started and completed"
         );
 
         let (chiplet_ids, busy_time) = (&self.chiplet_ids, &self.busy_time);
@@ -933,39 +945,68 @@ impl<'a> Engine<'a> {
         self.next_arrival = self.peek_arrival();
     }
 
-    /// Starts the next ready job on chiplet `c` if it is free: the
-    /// earliest of the explicit queue head and every virtual root cursor
-    /// by (global frame, item). Roots never sit in the explicit queue and
-    /// global frame indices are unique, so no two candidates tie.
+    /// Starts the next ready job on chiplet `c` if it is free.
     fn dispatch(&mut self, c: usize, now: f64) {
-        if self.busy_until[c] > now {
-            return;
+        if self.busy_until[c] <= now {
+            let root = self.next_root(c);
+            self.start_next(c, root, now);
         }
-        let mut v: Option<(u32, u32, usize)> = None;
+    }
+
+    /// The earliest arrived root job waiting on chiplet `c`, over its
+    /// virtual cursors: the job's packed key and its cursor.
+    fn next_root(&self, c: usize) -> Option<(u64, usize)> {
+        let mut best: Option<(u64, usize)> = None;
         for ci in self.cursors_at[c]..self.cursors_at[c + 1] {
             let cur = &self.cursors[ci];
             if cur.frame < self.streams[cur.stream].arrived {
-                let head = (cur.global, self.roots[cur.next]);
-                if v.is_none_or(|(g, item, _)| head < (g, item)) {
-                    v = Some((head.0, head.1, ci));
+                let key = pack(cur.global, self.roots[cur.next]);
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, ci));
                 }
             }
         }
-        let e = self.queues[c].peek().map(|j| (j.frame, j.item));
-        let job = match (e, v) {
-            (Some(e), Some((g, item, _))) if e <= (g, item) => {
-                self.queues[c].pop().expect("peeked")
-            }
+        best
+    }
+
+    /// Starts the earlier, by (global frame, item), of free chiplet
+    /// `c`'s queue head and its earliest root job `root`. Roots never sit
+    /// in the queue and global frame indices are unique, so the two never
+    /// tie.
+    fn start_next(&mut self, c: usize, root: Option<(u64, usize)>, now: f64) {
+        let head = self.queues[c].peek().map(Job::key);
+        let job = match (head, root) {
+            (Some(h), Some((r, _))) if h < r => self.queues[c].pop().expect("peeked"),
+            (_, Some((_, ci))) => self.take_virtual(ci),
             (Some(_), None) => self.queues[c].pop().expect("peeked"),
-            (None, Some((_, _, ci))) | (Some(_), Some((_, _, ci))) => self.take_virtual(ci),
             (None, None) => return,
         };
         self.start(c, job, now);
     }
 
-    /// Materializes a virtual root cursor's head into a real job,
-    /// allocating (or reusing) the frame's pool slot — the first moment
-    /// the frame costs any per-frame memory.
+    /// Offers a job its last dependency just released: it starts at once
+    /// if its chiplet is free and it beats both the queue head and every
+    /// root cursor there — the job the queue would hand out next anyway —
+    /// and waits in the queue otherwise.
+    fn release(&mut self, job: Job, now: f64) {
+        let c = self.chiplet_of[job.item as usize] as usize;
+        if self.busy_until[c] > now {
+            self.queues[c].push(job);
+            return;
+        }
+        let root = self.next_root(c);
+        let key = job.key();
+        if self.queues[c].peek().is_none_or(|h| key < h.key()) && root.is_none_or(|(r, _)| key < r)
+        {
+            self.start(c, job, now);
+        } else {
+            self.queues[c].push(job);
+            self.start_next(c, root, now);
+        }
+    }
+
+    /// Materializes a virtual root cursor's head into a real job; the
+    /// first root job of a frame starts the frame.
     fn take_virtual(&mut self, ci: usize) -> Job {
         let cur = &mut self.cursors[ci];
         let (k, frame, global) = (cur.stream, cur.frame, cur.global);
@@ -976,45 +1017,16 @@ impl<'a> Engine<'a> {
             cur.frame += 1;
             cur.global = global_frame(&self.streams, k, cur.frame);
         }
+        let stream = &mut self.streams[k];
+        if frame == stream.started {
+            stream.started += 1;
+            stream.peak_in_flight = stream.peak_in_flight.max(stream.started - stream.completed);
+        }
         Job {
             frame: global,
             item,
-            slot: self.slot_for(k, frame),
+            local: frame as u32,
         }
-    }
-
-    /// The frame's pool slot: existing, recycled off its stream's free
-    /// list, or — only when every such slot is genuinely in flight —
-    /// freshly grown.
-    fn slot_for(&mut self, k: usize, frame: usize) -> u32 {
-        let stream = &mut self.streams[k];
-        if let Some(&s) = stream.slots.get(frame - stream.slots_base) {
-            return s;
-        }
-        debug_assert_eq!(frame, stream.slots_base + stream.slots.len());
-        let remaining = stream.deps_template.len() as u32;
-        let s = match stream.free_slots.pop() {
-            Some(s) => {
-                let slot = &mut self.pool[s as usize];
-                slot.deps_left.copy_from_slice(&stream.deps_template);
-                slot.remaining = remaining;
-                slot.frame = frame;
-                s
-            }
-            None => {
-                self.pool.push(FrameSlot {
-                    deps_left: stream.deps_template.clone(),
-                    remaining,
-                    stream: k,
-                    frame,
-                });
-                (self.pool.len() - 1) as u32
-            }
-        };
-        stream.in_flight += 1;
-        stream.peak_in_flight = stream.peak_in_flight.max(stream.in_flight);
-        stream.slots.push_back(s);
-        s
     }
 
     fn start(&mut self, c: usize, job: Job, now: f64) {
@@ -1043,41 +1055,23 @@ impl<'a> Engine<'a> {
             time, chiplet, job, ..
         } = *self.heap.peek().expect("completion event due");
         self.top_done = true;
-        let s = job.slot as usize;
         let item = job.item as usize;
-        let deps = self.dependents_at[item] as usize..self.dependents_at[item + 1] as usize;
-        let slot = &mut self.pool[s];
-        slot.remaining -= 1;
-        if slot.remaining == 0 {
-            // The frame's last item has no incomplete dependents (a
-            // dependent cannot finish before its dependency), so the
-            // slot retires immediately.
-            debug_assert!(deps.is_empty(), "last item has dependents");
-            let (k, frame) = (slot.stream, slot.frame);
-            let stream = &mut self.streams[k];
-            stream.slots[frame - stream.slots_base] = RETIRED;
-            while stream.slots.front() == Some(&RETIRED) {
-                stream.slots.pop_front();
-                stream.slots_base += 1;
-            }
-            stream.free_slots.push(job.slot);
-            stream.in_flight -= 1;
-            self.commit_completion(k, frame, time);
-        } else {
-            let off = self.streams[slot.stream].offset;
-            for di in deps {
-                let succ = self.dependents[di] as usize;
-                let left = &mut self.pool[s].deps_left[succ - off];
-                *left -= 1;
-                if *left == 0 {
-                    let c2 = self.chiplet_of[succ] as usize;
-                    self.queues[c2].push(Job {
-                        frame: job.frame,
-                        item: succ as u32,
-                        slot: job.slot,
-                    });
-                    self.dispatch(c2, time);
-                }
+        let f = job.local;
+        debug_assert_eq!(self.done[item], f, "an item completes its frames in order");
+        self.done[item] = f + 1;
+        let succs = self.dependents_at[item] as usize..self.dependents_at[item + 1] as usize;
+        if succs.is_empty() {
+            self.complete_sink(item, f as usize, time);
+        }
+        for di in succs {
+            let succ = self.dependents[di] as usize;
+            let deps = self.deps_at[succ] as usize..self.deps_at[succ + 1] as usize;
+            if self.deps[deps].iter().all(|&d| self.done[d as usize] > f) {
+                let next = Job {
+                    item: succ as u32,
+                    ..job
+                };
+                self.release(next, time);
             }
         }
         self.dispatch(chiplet as usize, time);
@@ -1086,23 +1080,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Parks an out-of-order completion in the stream's reorder ring and
-    /// drains every now-contiguous frame into its streaming report.
-    fn commit_completion(&mut self, k: usize, frame: usize, time: f64) {
-        let s = &mut self.streams[k];
-        let pos = frame - s.commit_next;
-        if pos >= s.commit.len() {
-            s.commit.resize(pos + 1, f64::NAN);
-        }
-        s.commit[pos] = time;
-        while let Some(&front) = s.commit.front() {
-            if front.is_nan() {
-                break;
-            }
-            s.commit.pop_front();
-            s.report
-                .record(s.commit_next, s.times[s.commit_next], front);
-            s.commit_next += 1;
+    /// A sink item completed stream frame `f`: the frame is done once
+    /// every sink of its stream has completed it.
+    fn complete_sink(&mut self, item: usize, f: usize, time: f64) {
+        let done = &self.done;
+        let s = &mut self.streams[self.stream_of[item] as usize];
+        if s.sinks.iter().all(|&i| done[i as usize] as usize > f) {
+            debug_assert_eq!(s.completed, f, "frames complete in frame order");
+            s.report.record(f, s.times[f], time);
+            s.completed += 1;
         }
     }
 }
@@ -1553,11 +1539,11 @@ mod tests {
         assert!(flushed.report.max_latency < drain.report.max_latency);
     }
 
-    /// The in-flight frame pool stays bounded by the schedule's natural
+    /// The frames in flight stay bounded by the schedule's natural
     /// pipelining depth even when every frame is offered at t = 0, as
     /// long as the entry stage is the bottleneck. (With an unthrottled
-    /// downstream bottleneck WIP genuinely accumulates — the pool then
-    /// tracks that real occupancy instead of pre-allocating all frames.)
+    /// downstream bottleneck WIP genuinely accumulates, and the peak
+    /// tracks that real occupancy.)
     #[test]
     fn saturated_pool_stays_bounded() {
         let g = fusion_block(&FusionConfig::spatial_default());
@@ -1585,6 +1571,88 @@ mod tests {
             "an entry-bottleneck pipeline keeps a couple of frames in flight, got {}",
             stats.peak_in_flight
         );
+    }
+
+    /// One stream of `items` through one engine pass: its report, flushed
+    /// frames and peak in-flight frames.
+    fn run_items(items: &[SimItem], times: &[f64]) -> (SimReport, usize, usize) {
+        let admitted = Admitted {
+            items,
+            times,
+            warmup: SimConfig::default_warmup(times.len()),
+            cutoff: None,
+        };
+        let out = Engine::new(&[admitted]).run().pop().expect("one stream");
+        (out.report, out.flushed, out.peak_in_flight)
+    }
+
+    /// Asserts `items` carry a duplicated dependency and simulate
+    /// bit-identically with the duplicates removed.
+    fn assert_duplicates_are_inert(items: &[SimItem]) {
+        let distinct: Vec<SimItem> = items
+            .iter()
+            .cloned()
+            .map(|mut it| {
+                it.deps.sort_unstable();
+                it.deps.dedup();
+                it
+            })
+            .collect();
+        assert!(
+            items
+                .iter()
+                .zip(&distinct)
+                .any(|(a, b)| a.deps.len() > b.deps.len()),
+            "the items carry a duplicated dependency"
+        );
+        // Arrivals well inside the pipe, so frames overlap in flight.
+        let times: Vec<f64> = (0..40).map(|f| f as f64 * 0.01).collect();
+        let (dup, flushed_dup, peak_dup) = run_items(items, &times);
+        let (dedup, flushed, peak) = run_items(&distinct, &times);
+        assert!(peak > 1, "frames overlap: {peak}");
+        assert_eq!((flushed_dup, peak_dup), (flushed, peak));
+        assert_eq!(format!("{dup:?}"), format!("{dedup:?}"));
+    }
+
+    /// A dependency listed twice gates its dependent exactly like one
+    /// listed once, including when it is the last to complete. The real
+    /// FE+BiFPN graph carries such duplicates: the bottom-up `add` of the
+    /// top scale takes `levels[i]` and `td[i]`, the same layer there.
+    #[test]
+    fn duplicate_dependencies_gate_like_distinct_ones() {
+        use npu_dnn::models::{fe_bfpn, BifpnConfig, FeConfig};
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            name: format!("s/m/l{chiplet}#0"),
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        // The slow root on c0 completes after the fast one on c1, so the
+        // join's duplicated dependency is the one that releases it.
+        assert_duplicates_are_inert(&[
+            item(0, 0.03, vec![]),
+            item(1, 0.01, vec![]),
+            item(2, 0.02, vec![1, 0, 0]),
+        ]);
+
+        let g = fe_bfpn(&FeConfig::default(), &BifpnConfig::default());
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        // Layers dealt round-robin over three chiplets, so jobs of
+        // several frames interleave on every chiplet.
+        let region: Vec<ChipletId> = (0..3).map(ChipletId).collect();
+        let mut mp = ModelPlan::on_single_chiplet("fe", g.clone(), region[0]);
+        for (id, layer) in g.iter() {
+            *mp.layer_plan_mut(id) = LayerPlan::single(layer.clone(), region[id.index() % 3]);
+        }
+        let schedule = Schedule {
+            stages: vec![StagePlan {
+                kind: StageKind::FeatureExtraction,
+                models: vec![mp],
+                region,
+            }],
+        };
+        assert_duplicates_are_inert(&flatten_items(&schedule, &pkg, &model, Dtype::Fp16));
     }
 
     /// With slow arrivals the pipeline is arrival-limited.

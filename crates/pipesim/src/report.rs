@@ -109,7 +109,7 @@ impl SimReport {
 
 /// Streaming accumulator behind [`SimReport`]: the engine calls
 /// [`record`](ReportBuilder::record) once per frame **in frame order** as
-/// completions commit, so no per-frame arrival/completion vectors ever
+/// frames complete, so no per-frame arrival/completion vectors ever
 /// materialize — O(1) state per run regardless of frame count.
 ///
 /// The frame count is known up front (one frame per arrival timestamp),
@@ -199,8 +199,8 @@ impl ReportBuilder {
     }
 
     /// Streams one frame's (arrival, completion) pair. Frames must be
-    /// recorded in frame order — the engine's commit ring guarantees it
-    /// even though frames *complete* out of order.
+    /// recorded in frame order — the engine completes them in that
+    /// order.
     pub(crate) fn record(&mut self, frame: usize, arrival: f64, completion: f64) {
         debug_assert_eq!(frame, self.recorded, "frames must stream in order");
         if frame == 0 {
