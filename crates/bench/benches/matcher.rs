@@ -2,9 +2,9 @@
 //! base matching on the paper's 6x6 package (Figs. 5-8), a scenario
 //! match on a large uniform OS-256 mesh (one `Study` grid point of the
 //! scenario DSE) and the minimizing mode on the two-NPU 12x6 package
-//! (Fig. 10). Every iteration builds a fresh matcher, so its memo cache
-//! starts cold as in a real match. Medians seed `BENCH_matcher.json`;
-//! append one entry per PR that touches the matcher or `evaluate`.
+//! (Fig. 10). Every iteration builds a fresh matcher, as a real match
+//! does. Medians seed `BENCH_matcher.json`; append one entry per PR that
+//! touches the matcher or `evaluate`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -2,12 +2,12 @@
 //! queries, full-graph costing, schedule evaluation and the DES engine.
 //! These bound the cost of the schedulers' inner loops.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use npu_dnn::models::attention::{fusion_block, FusionConfig};
 use npu_dnn::models::{fe_bfpn, BifpnConfig, FeConfig};
 use npu_dnn::{Layer, OpKind, PerceptionConfig};
-use npu_maestro::{graph_cost, Accelerator, CostModel, FittedMaestro, MemoCostModel};
+use npu_maestro::{graph_cost, Accelerator, CostModel, FittedMaestro};
 use npu_mcm::McmPackage;
 use npu_pipesim::{simulate, SimConfig};
 use npu_sched::sweep::chiplet_count_sweep;
@@ -56,12 +56,12 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // The memoized cost model: a cold cache pays one hash per query, a
-    // warm cache replaces the whole analytic evaluation with a lookup.
-    c.bench_function("layer_cost_memoized_warm", |b| {
-        let memo = MemoCostModel::new(&model);
-        memo.layer_cost(&qkv, &os);
-        b.iter(|| memo.layer_cost(&qkv, &os))
+    // The cost model as the matcher, the sweeps and the DES flattening
+    // call it: through `&dyn CostModel`, with no cache in front. This is
+    // the price of every repeated `(accelerator, layer)` query.
+    c.bench_function("layer_cost_fitted", |b| {
+        let dyn_model: &dyn CostModel = black_box(&model);
+        b.iter(|| dyn_model.layer_cost(black_box(&qkv), black_box(&os)))
     });
 
     // Serial vs parallel execution of a small sweep grid: the same

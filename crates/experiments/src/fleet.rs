@@ -192,7 +192,7 @@ pub fn run() -> FleetDse {
     let model = FittedMaestro::new();
 
     // Uniform pools: one first-fit packing per geometry, fanned out on
-    // the worker pool with the memoized cost model shared.
+    // the worker pool, every geometry calling the one cost model.
     let grid = Grid::of(Axis::new("geometry", FLEET_GEOMETRIES.to_vec()));
     let study = Study::new("fleet", grid, &model).run(|&(w, h), model| {
         pack_fleet(&fleet.vehicles, &os256_package(w, h), model, FLEET_FRAMES)

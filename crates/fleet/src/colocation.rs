@@ -210,7 +210,7 @@ impl<'m> CoScheduler<'m> {
             let region = Region { lo, hi: lo + width };
             lo += width;
             let (band_schedule, pipe) = self.band_schedule(tenant, width);
-            let schedule = translate_schedule(&band_schedule, region, mesh.width(), width);
+            let schedule = translate_schedule(band_schedule, region, mesh.width(), width);
             placements.push(TenantPlacement {
                 tenant: tenant.clone(),
                 region,
@@ -221,9 +221,9 @@ impl<'m> CoScheduler<'m> {
         Ok(Colocation { placements })
     }
 
-    /// Matches a tenant's workload onto a width-`width` band, memoized
-    /// per (width, scenario). The returned schedule is in band-local
-    /// chiplet ids.
+    /// Matches a tenant's workload onto a width-`width` band, cached
+    /// per (width, scenario). The returned schedule is the caller's own
+    /// copy, in band-local chiplet ids.
     fn band_schedule(&mut self, tenant: &Tenant, width: u32) -> (Schedule, Seconds) {
         let key = (width, format!("{:?}", tenant.scenario));
         if let Some(hit) = self.cache.get(&key) {
@@ -365,14 +365,14 @@ pub fn slo_violation(colo: &Colocation, reports: &[PhaseReport]) -> Option<Rejec
 /// `(x, y)` (id `y·width + x`) becomes global chiplet
 /// `(region.lo + x, y)` (id `y·mesh_w + region.lo + x`). Column bands
 /// are isometric, so only the ids change — durations and hop counts are
-/// preserved.
-fn translate_schedule(band: &Schedule, region: Region, mesh_w: u32, width: u32) -> Schedule {
+/// preserved. The ids are rewritten in place: `band` is the caller's own
+/// copy of the cached band schedule.
+fn translate_schedule(mut band: Schedule, region: Region, mesh_w: u32, width: u32) -> Schedule {
     let map = |c: ChipletId| {
         let (x, y) = (c.0 % width, c.0 / width);
         ChipletId(y * mesh_w + region.lo + x)
     };
-    let mut out = band.clone();
-    for stage in &mut out.stages {
+    for stage in &mut band.stages {
         for c in &mut stage.region {
             *c = map(*c);
         }
@@ -384,7 +384,7 @@ fn translate_schedule(band: &Schedule, region: Region, mesh_w: u32, width: u32) 
             }
         }
     }
-    out
+    band
 }
 
 #[cfg(test)]
@@ -487,6 +487,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every chiplet a placement's schedule names: stage regions first,
+    /// then shard hosts, in schedule order.
+    fn placement_chiplets(p: &TenantPlacement) -> Vec<ChipletId> {
+        let stages = &p.schedule.stages;
+        let regions = stages.iter().flat_map(|s| s.region.iter().copied());
+        let shards = stages
+            .iter()
+            .flat_map(|s| &s.models)
+            .flat_map(|mp| &mp.layers)
+            .flat_map(|lp| lp.shards.iter().map(|sh| sh.chiplet));
+        regions.chain(shards).collect()
+    }
+
+    #[test]
+    fn recompile_from_the_band_cache_translates_in_place() {
+        let model = FittedMaestro::new();
+        let mut sched = CoScheduler::new(McmPackage::simba_6x6(), &model);
+        // Two tenants on one scenario: equal demand splits the mesh 3/3,
+        // so the right band is a band-cache hit on the left band's match
+        // even in the first compile, and the second compile is all hits.
+        let shared = Scenario::new(
+            "shared",
+            CameraRig::new(4, (288, 512), 8.0),
+            OperatingMode::HighwayCruise,
+        );
+        let mut tenants = vec![
+            Tenant::new("left", shared.clone(), Priority::Standard),
+            Tenant::new("right", shared, Priority::Standard),
+        ];
+        canonical_order(&mut tenants);
+        let first = sched.compile(&tenants).unwrap();
+        assert_eq!(sched.cache.len(), 1, "one (width, scenario) match");
+        let again = sched.compile(&tenants).unwrap();
+        assert_eq!(sched.cache.len(), 1, "the recompile matched nothing");
+        assert_eq!(first, again);
+
+        let mesh = sched.package().mesh();
+        for p in &again.placements {
+            let chiplets = placement_chiplets(p);
+            assert!(!chiplets.is_empty());
+            for c in chiplets {
+                let x = c.0 % mesh.width();
+                assert!(
+                    (p.region.lo..p.region.hi).contains(&x),
+                    "{}: {c:?} outside columns {:?}",
+                    p.tenant.name,
+                    p.region
+                );
+            }
+        }
+        // Translating one copy never touches the cached band: the right
+        // placement is the left one shifted by the band width.
+        let [l, r] = &again.placements[..] else {
+            panic!("two placements");
+        };
+        assert_eq!(l.region.width(), r.region.width());
+        let shifted: Vec<ChipletId> = placement_chiplets(l)
+            .into_iter()
+            .map(|c| ChipletId(c.0 + r.region.lo - l.region.lo))
+            .collect();
+        assert_eq!(shifted, placement_chiplets(r));
+        assert_eq!(l.predicted_pipe, r.predicted_pipe);
     }
 
     /// A keyframe-rate quad-rig tenant: small enough that two of them

@@ -69,9 +69,6 @@ fn every_allow_is_justified_and_load_bearing() {
     assert_eq!(
         inventory,
         vec![
-            ("crates/maestro/src/memo.rs", "D001"),
-            ("crates/maestro/src/memo.rs", "D001"),
-            ("crates/maestro/src/memo.rs", "D001"),
             ("crates/noc/src/traffic.rs", "D001"),
             ("crates/noc/src/traffic.rs", "D001"),
             ("crates/sched/src/dse.rs", "D005"),

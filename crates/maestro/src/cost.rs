@@ -47,10 +47,13 @@ impl LayerCost {
 /// An analytical per-layer cost oracle.
 ///
 /// Implementations must be deterministic: the schedulers call them
-/// repeatedly during search. They must also be `Send + Sync` — the
-/// parallel sweep executor (`npu-par`) shares one model across worker
-/// threads, so interior state (e.g. [`crate::MemoCostModel`]'s cache)
-/// must be thread-safe.
+/// repeatedly during search — the same `(accelerator, layer)` many times
+/// per match — and rely on every repeat returning the same bits. They
+/// must also be `Send + Sync`: the parallel sweep executor (`npu-par`)
+/// shares one model across worker threads, so any interior state must
+/// be thread-safe. Consumers call the model directly, with no cache in
+/// front, so implementations should be cheap: [`FittedMaestro`] answers
+/// in ~44 ns.
 pub trait CostModel: Send + Sync {
     /// Cost of `layer` on `acc`.
     fn layer_cost(&self, layer: &Layer, acc: &Accelerator) -> LayerCost;

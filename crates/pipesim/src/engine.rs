@@ -577,8 +577,13 @@ impl PartialOrd for Job {
 
 /// One item-completion event on the calendar. Frame arrivals are never
 /// heaped — the engine walks the (non-decreasing) arrival timestamps
-/// with a cursor and interleaves them with the calendar in time order,
-/// so the heap holds at most one event per chiplet.
+/// with a cursor and interleaves them with the calendar in time order.
+///
+/// The heap holds at most one event per chiplet *after* the current
+/// instant, but may hold more at it: a chiplet is free once
+/// `busy_until <= now`, so an event processed earlier at the same
+/// instant can start a job on the chiplet while the chiplet's own
+/// completion at that instant is still queued.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Scheduled {
     time: f64,

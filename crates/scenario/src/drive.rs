@@ -394,8 +394,8 @@ pub fn simulate_drive(
 ) -> DriveOutcome {
     let dtype = Dtype::Fp16;
 
-    // Compile: one matched schedule per segment (the expensive step; the
-    // matcher shares the caller's memoized model across segments).
+    // Compile: one matched schedule per segment (the expensive step; every
+    // segment's matcher calls the caller's model directly).
     let outcomes: Vec<_> = drive
         .segments
         .iter()
@@ -516,8 +516,8 @@ pub fn simulate_drive(
 }
 
 /// Evaluates every drive on every package: the drive × package grid as
-/// one [`Study`] query, fanned out on the worker pool behind a shared
-/// memoized cost model with input-ordered, jobs-invariant results.
+/// one [`Study`] query, fanned out on the worker pool with the caller's
+/// cost model and input-ordered, jobs-invariant results.
 pub fn drive_sweep(
     drives: &[Drive],
     packages: &[McmPackage],

@@ -122,8 +122,8 @@ struct Combo {
 /// if nothing is feasible.
 ///
 /// The search is a one-axis [`Study`] over the combo enumeration: points
-/// are scored on the `npu-par` worker pool behind the study's shared
-/// memoized cost model, and the winner is picked with the study's
+/// are scored on the `npu-par` worker pool, each calling the study's
+/// cost model directly, and the winner is picked with the study's
 /// first-minimum `argmin_by` — so the winning configuration, including
 /// tie-breaks, is bit-identical to the serial search at any jobs count.
 pub fn explore_trunks(
@@ -231,10 +231,7 @@ pub fn table1_variants(
     cfg: DseConfig,
 ) -> Vec<DseResult> {
     // The OS reference sets the E2E budget the heterogeneous variants must
-    // respect (paper Table I: E2E drifts by +0.1% only). Each
-    // explore_trunks call memoizes its own variant's layer costs; the
-    // cross-variant repeats are a few hundred cheap queries, not worth a
-    // second cache layer here.
+    // respect (paper Table I: E2E drifts by +0.1% only).
     let os = explore_trunks(pipeline, pkg, TrunkVariant::OsOnly, model, cfg);
     let budget = DseConfig {
         e2e_budget: Some(os.report.e2e * 1.02),

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use npu_dnn::{LayerId, OpClass, PerceptionPipeline, StageKind};
-use npu_maestro::{CostModel, MemoCostModel};
+use npu_maestro::CostModel;
 use npu_mcm::{stage_regions, ChipletId, McmPackage};
 use npu_tensor::{float, Dtype, Seconds};
 
@@ -103,22 +103,20 @@ pub struct MatchOutcome {
 
 /// Algorithm 1 implementation.
 pub struct ThroughputMatcher<'m> {
-    /// The caller's model behind a memoization cache: after every
-    /// sharding step the matcher re-evaluates the stage it touched (and
-    /// the next one when the touched stage's exits moved), so the same
-    /// `(accelerator, layer)` costs repeat many times per match. The
-    /// cache is bit-transparent (see [`MemoCostModel`]).
-    model: MemoCostModel<'m>,
+    /// The caller's model, asked directly: after every sharding step the
+    /// matcher re-evaluates the stage it touched (and the next one when
+    /// the touched stage's exits moved), so the same `(accelerator,
+    /// layer)` costs repeat many times per match. The closed-form models
+    /// answer one in ~44 ns, about a ninth of a hashed, locked cache
+    /// lookup, so repeats are recomputed rather than cached.
+    model: &'m dyn CostModel,
     cfg: MatcherConfig,
 }
 
 impl<'m> ThroughputMatcher<'m> {
     /// Creates a matcher over a cost model.
     pub fn new(model: &'m dyn CostModel, cfg: MatcherConfig) -> Self {
-        ThroughputMatcher {
-            model: MemoCostModel::with_dtype(model, cfg.dtype),
-            cfg,
-        }
+        ThroughputMatcher { model, cfg }
     }
 
     /// Initial allocation (Algorithm 1 line 2): one region per stage; FE
@@ -365,7 +363,7 @@ impl<'m> ThroughputMatcher<'m> {
 
     /// Scores a schedule from scratch: every stage's pass, then the fold.
     fn score(&self, schedule: Schedule, pkg: &McmPackage) -> Scored {
-        let stages = evaluate_stages(&schedule, pkg, &self.model, self.cfg.dtype);
+        let stages = evaluate_stages(&schedule, pkg, self.model, self.cfg.dtype);
         let report = fold_scores(pkg, &stages);
         Scored {
             schedule,
@@ -378,7 +376,7 @@ impl<'m> ThroughputMatcher<'m> {
     /// stage's pass, and the next stage's only if `si`'s exits (the next
     /// stage's only input from it) moved, then folds again.
     fn rescore(&self, scored: &mut Scored, pkg: &McmPackage, si: usize) {
-        let (model, dtype) = (&self.model, self.cfg.dtype);
+        let (model, dtype) = (self.model, self.cfg.dtype);
         let upstream = match si {
             0 => &[][..],
             _ => &scored.stages[si - 1].exits[..],
@@ -472,7 +470,7 @@ impl<'m> ThroughputMatcher<'m> {
         // Score candidates by their current worst per-shard time. Scoring
         // is pure and per-candidate independent, so very large stages fan
         // out on the worker pool. The threshold is deliberately high:
-        // per-candidate work is microseconds (mostly memo-cache hits),
+        // per-candidate work is a few cost-model calls (microseconds),
         // shard_step runs once per match step — often nested inside a
         // sweep-level par_map — and spawning scoped threads that often
         // would cost more than it saves and oversubscribe the host. All
@@ -780,7 +778,7 @@ mod tests {
     /// The cached passes and their fold equal a from-scratch `evaluate`
     /// of the cached schedule, bit for bit.
     fn assert_cache_exact(m: &ThroughputMatcher, scored: &Scored, pkg: &McmPackage) {
-        let fresh = evaluate(&scored.schedule, pkg, &m.model, m.cfg.dtype);
+        let fresh = evaluate(&scored.schedule, pkg, m.model, m.cfg.dtype);
         let cached = EvalReport {
             nop_by_layer: fold_nop_by_layer(&scored.schedule, &scored.stages),
             ..scored.report.clone()
@@ -788,7 +786,7 @@ mod tests {
         assert_eq!(report_bits(&cached), report_bits(&fresh));
         assert_eq!(
             scored.stages,
-            evaluate_stages(&scored.schedule, pkg, &m.model, m.cfg.dtype)
+            evaluate_stages(&scored.schedule, pkg, m.model, m.cfg.dtype)
         );
     }
 

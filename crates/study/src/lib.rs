@@ -14,9 +14,9 @@
 //! * [`Grid`] — the cartesian product of axes, expanded eagerly in a
 //!   deterministic first-axis-major order;
 //! * [`Study`] — a grid bound to a cost model; [`Study::run`] fans the
-//!   points out on the `npu-par` worker pool behind one shared
-//!   [`MemoCostModel`](npu_maestro::MemoCostModel), returning
-//!   input-ordered, jobs-invariant results;
+//!   points out on the `npu-par` worker pool, handing every point that
+//!   model to call directly, and returns input-ordered, jobs-invariant
+//!   results;
 //! * [`Objective`] / [`Constraint`] — pluggable scoring and feasibility
 //!   predicates over the per-point metrics (latency targets, energy,
 //!   EDP, DES-vs-analytic agreement), including serving-style

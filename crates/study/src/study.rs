@@ -1,7 +1,7 @@
 //! The query runner: a grid bound to a cost model, executed on the
-//! worker pool behind one shared memoized cost model.
+//! worker pool with every point consulting that one model.
 
-use npu_maestro::{CostModel, MemoCostModel};
+use npu_maestro::CostModel;
 
 use crate::grid::Grid;
 use crate::objective::{Constraint, Objective};
@@ -14,9 +14,9 @@ use crate::objective::{Constraint, Objective};
 /// # Determinism
 ///
 /// Points fan out on the `npu-par` worker pool and come back in input
-/// order; the shared [`MemoCostModel`] only replays a deterministic
-/// oracle. Results are therefore bit-identical to a serial run at any
-/// jobs count (pin with `npu_par::with_jobs`).
+/// order, and every point asks the same deterministic cost model.
+/// Results are therefore bit-identical to a serial run at any jobs
+/// count (pin with `npu_par::with_jobs`).
 pub struct Study<'m, P> {
     name: String,
     grid: Grid<P>,
@@ -54,17 +54,18 @@ impl<'m, P> Study<'m, P> {
     }
 
     /// Executes the query: `runner` maps every grid point to its metrics
-    /// on the `npu-par` worker pool, with one [`MemoCostModel`] threaded
-    /// through all points so each distinct layer cost is computed once
-    /// across the whole grid.
+    /// on the `npu-par` worker pool, handing each point the study's own
+    /// cost model. The model is called directly, not through a shared
+    /// cache: a closed-form layer cost (~44 ns) is cheaper than a hashed,
+    /// locked lookup (~400 ns), and worker threads share nothing to
+    /// contend on.
     pub fn run<M, F>(self, runner: F) -> StudyRun<P, M>
     where
         P: Sync,
         M: Send,
         F: Fn(&P, &dyn CostModel) -> M + Sync,
     {
-        let memo = MemoCostModel::new(self.model);
-        let metrics = npu_par::par_map(self.grid.points(), |point| runner(point, &memo));
+        let metrics = npu_par::par_map(self.grid.points(), |point| runner(point, self.model));
         let (axes, points) = self.grid.into_parts();
         StudyRun {
             name: self.name,
@@ -199,19 +200,23 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_shared_across_the_grid() {
-        // Every point queries the same layer cost; the runner sees one
-        // shared cache, so identical queries cost one inner evaluation.
+    fn every_point_queries_the_studys_model() {
+        // The runner is handed the study's model itself: every point's
+        // answer is bit-identical to a direct call, at any jobs count.
         let model = FittedMaestro::new();
         let acc = Accelerator::shidiannao_like(256);
         let l = layer(4096);
-        let grid = Grid::of(Axis::new("rep", vec![0u8; 8]));
-        let run = npu_par::with_jobs(1, || {
-            Study::new("memo", grid, &model)
-                .run(|_, m| m.layer_cost(&l, &acc).latency.as_secs().to_bits())
-        });
-        let first = run.metrics()[0];
-        assert!(run.metrics().iter().all(|&b| b == first));
+        let direct = model.layer_cost(&l, &acc).latency.as_secs().to_bits();
+        for jobs in [1, 4] {
+            let grid = Grid::of(Axis::new("rep", vec![0u8; 8]));
+            let run = npu_par::with_jobs(jobs, || {
+                Study::new("direct", grid, &model).run(|_, m| {
+                    assert_eq!(m.name(), "fitted-maestro");
+                    m.layer_cost(&l, &acc).latency.as_secs().to_bits()
+                })
+            });
+            assert!(run.metrics().iter().all(|&b| b == direct));
+        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 
 use std::collections::{BTreeMap, BinaryHeap};
 
-use npu_maestro::FittedMaestro;
+use npu_core::noc::LinkParams;
+use npu_dnn::{Graph, Layer, OpKind, StageKind};
+use npu_maestro::{Accelerator, CostModel, FittedMaestro, LayerCost};
 use npu_mcm::{ChipletId, McmPackage};
 use npu_pipesim::{
     simulate, simulate_with_stats, LatencyQuantiles, Quantiles, SimConfig, SimReport,
 };
 use npu_scenario::{match_scenario, Scenario, SWEEP_FRAMES};
 use npu_sched::{flatten_items, LayerPlan, ModelPlan, Schedule, SimItem, StagePlan};
-use npu_tensor::Dtype;
+use npu_tensor::{Dtype, Seconds};
 
 /// Raw outcome of the reference pass: exactly what the old engine
 /// materialized before ISSUE 8.
@@ -287,7 +289,6 @@ fn overloaded_families_pin_the_old_engine_bit_for_bit() {
 #[test]
 fn million_frame_saturated_run_keeps_the_pool_bounded() {
     use npu_dnn::models::attention::{fusion_block, FusionConfig};
-    use npu_dnn::StageKind;
 
     let g = fusion_block(&FusionConfig::spatial_default());
     let pkg = McmPackage::simba_6x6();
@@ -319,6 +320,89 @@ fn million_frame_saturated_run_keeps_the_pool_bounded() {
     assert!(rep.steady_interval.as_secs() > 0.0);
     assert!(rep.tails.p50 <= rep.tails.p999);
     assert!(rep.busy_fraction(ChipletId(0)).unwrap() > 0.9, "saturated");
+}
+
+/// A cost model answering from a fixed per-layer latency table, so a
+/// hand-built schedule flattens to exactly the items a test names.
+struct TableModel(&'static [(&'static str, f64)]);
+
+impl CostModel for TableModel {
+    fn layer_cost(&self, layer: &Layer, acc: &Accelerator) -> LayerCost {
+        let (_, secs) = self
+            .0
+            .iter()
+            .find(|(name, _)| layer.name() == *name)
+            .expect("layer in the table");
+        LayerCost {
+            latency: Seconds::new(*secs),
+            ..LayerCost::zero(acc.array().pes())
+        }
+    }
+
+    fn name(&self) -> &str {
+        "table"
+    }
+}
+
+/// Two completions at one instant, and the first starts a job on the
+/// second's chiplet before that chiplet's own completion is processed.
+///
+/// Roots A (c0, 1 s) and B (c1, 1 s) both finish at t = 1, A's event
+/// first. A releases C (c1, 1 s); c1 is free at `busy_until <= now`, so
+/// C starts at once, while B's completion is still on the calendar. B
+/// then releases D (c1, 2 s), which waits for C. C releases E (c2, 5 s)
+/// at t = 2, so the frame completes at 7 s. Treating c1 as busy until
+/// B's event is processed would run D (the lower item index) before C
+/// and finish at 9 s.
+#[test]
+fn same_instant_completion_frees_the_chiplet_before_its_event() {
+    let dense = |name: &str| {
+        Layer::intrinsic(
+            name,
+            OpKind::Dense {
+                tokens: 64,
+                in_features: 64,
+                out_features: 64,
+            },
+        )
+    };
+    // Item order follows graph order: A, B, D, C, E.
+    let mut g = Graph::new("same-instant");
+    let a = g.add(dense("a"), &[]).unwrap();
+    let b = g.add(dense("b"), &[]).unwrap();
+    let d = g.add(dense("d"), &[b]).unwrap();
+    let c = g.add(dense("c"), &[a]).unwrap();
+    let e = g.add(dense("e"), &[c]).unwrap();
+    let mut mp = ModelPlan::on_single_chiplet("m", g.clone(), ChipletId(0));
+    for (id, chiplet) in [(b, 1), (d, 1), (c, 1), (e, 2)] {
+        *mp.layer_plan_mut(id) = LayerPlan::single(g.layer(id).clone(), ChipletId(chiplet));
+    }
+    let schedule = Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            models: vec![mp],
+            region: vec![ChipletId(0), ChipletId(1), ChipletId(2)],
+        }],
+    };
+    // A free NoP: item durations are exactly the table's latencies.
+    let pkg = McmPackage::simba_6x6().with_link(LinkParams {
+        bandwidth_bytes_per_sec: f64::INFINITY,
+        hop_latency: Seconds::ZERO,
+        ..LinkParams::simba_28nm()
+    });
+    let model = TableModel(&[("a", 1.0), ("b", 1.0), ("d", 2.0), ("c", 1.0), ("e", 5.0)]);
+
+    let cfg = SimConfig::saturated(1);
+    let items = flatten_items(&schedule, &pkg, &model, cfg.dtype);
+    let durations: Vec<f64> = items.iter().map(|it| it.duration.as_secs()).collect();
+    assert_eq!(durations, [1.0, 1.0, 2.0, 1.0, 5.0]);
+    let deps: Vec<&[usize]> = items.iter().map(|it| &it.deps[..]).collect();
+    assert_eq!(deps, [&[][..], &[], &[1], &[0], &[3]]);
+
+    let reference = reference_run(&items, &cfg.arrivals.times(cfg.frames));
+    let rep = simulate(&schedule, &pkg, &model, &cfg);
+    assert_matches_reference("same-instant", &rep, &reference, cfg.warmup);
+    assert_eq!(rep.mean_latency.as_secs(), 7.0);
 }
 
 /// The `Dtype` import is part of the pinned surface: the reference and
