@@ -575,35 +575,65 @@ impl PartialOrd for Job {
     }
 }
 
-/// One item-completion event on the calendar. Frame arrivals are never
-/// heaped — the engine walks the (non-decreasing) arrival timestamps
-/// with a cursor and interleaves them with the calendar in time order.
+/// The `total_cmp` order of `f64` as an unsigned integer order: a
+/// non-negative time flips its sign bit, a negative one every bit.
+fn time_ord(t: f64) -> u64 {
+    let b = t.to_bits();
+    b ^ ((b as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// Inverse of [`time_ord`]: the original bits, `-0.0` and NaNs included.
+fn time_from_ord(o: u64) -> f64 {
+    f64::from_bits(o ^ ((!o as i64 >> 63) as u64 | 1 << 63))
+}
+
+/// One item-completion event on the calendar: two `u128`s, 32 bytes.
+/// Frame arrivals are never heaped — the engine walks the
+/// (non-decreasing) arrival timestamps with a cursor and interleaves
+/// them with the calendar in time order.
 ///
 /// The heap holds at most one event per chiplet *after* the current
 /// instant, but may hold more at it: a chiplet is free once
 /// `busy_until <= now`, so an event processed earlier at the same
 /// instant can start a job on the chiplet while the chiplet's own
 /// completion at that instant is still queued.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Scheduled {
-    time: f64,
-    seq: u64,
-    /// Dense chiplet index the job ran on.
-    chiplet: u32,
-    job: Job,
+    /// `time_ord(time) << 64 | seq`: one integer compare orders events by
+    /// time under `total_cmp` (total even if a cost model ever produced
+    /// a NaN timestamp), then by insertion order for determinism. The
+    /// time decodes back from it bit for bit.
+    key: u128,
+    /// The completing job, `frame | item << 32 | local << 64`; its
+    /// chiplet is `chiplet_of[item]`.
+    job: u128,
 }
 
-impl Eq for Scheduled {}
+impl Scheduled {
+    fn new(time: f64, seq: u64, job: Job) -> Scheduled {
+        Scheduled {
+            key: (time_ord(time) as u128) << 64 | seq as u128,
+            job: job.frame as u128 | (job.item as u128) << 32 | (job.local as u128) << 64,
+        }
+    }
+
+    fn time(&self) -> f64 {
+        time_from_ord((self.key >> 64) as u64)
+    }
+
+    fn job(&self) -> Job {
+        Job {
+            frame: self.job as u32,
+            item: (self.job >> 32) as u32,
+            local: (self.job >> 64) as u32,
+        }
+    }
+}
 
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by time (then insertion order for determinism).
-        // total_cmp keeps the heap order total even if a cost model
-        // ever produced a NaN timestamp.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert for earliest-first.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -649,6 +679,9 @@ struct Stream<'a> {
     /// Dense chiplet index of each root item in item order: the
     /// dispatch fan-out of one frame arrival.
     root_dispatch: Vec<u32>,
+    /// The distinct chiplets of `root_dispatch`: where an arrival can
+    /// wake a root cursor.
+    root_chiplets: Vec<usize>,
     /// Global indices of the stream's sink items (no dependents).
     sinks: Vec<u32>,
     /// Dense indices of the chiplets the stream's schedule uses.
@@ -686,7 +719,15 @@ struct Stream<'a> {
 /// - Root jobs (no dependencies) of arrived frames are represented by a
 ///   per-(chiplet, stream) **virtual cursor** over their root items
 ///   instead of queue entries, so a backlog of arrived-but-unstarted
-///   frames costs nothing.
+///   frames costs nothing. Each chiplet caches its earliest cursor head
+///   in `root_min`, rescanned only where a cursor can change: at an
+///   arrival, on the arriving stream's root chiplets, and when a take
+///   advances a cursor. Every read checks the cache against a fresh scan
+///   in debug builds.
+/// - The completion calendar is a `BinaryHeap` of 32-byte events, each
+///   one `u128` sort key (time bits in `total_cmp` order, then a sequence
+///   number) and one `u128` packed job, so a sift step is one `u128`
+///   compare and one 32-byte move.
 /// - A job released onto a free chiplet starts at once when it beats
 ///   the chiplet's queue head and every root cursor there — the job
 ///   [`dispatch`](Engine::dispatch) would pick — skipping the queue.
@@ -721,6 +762,10 @@ struct Engine<'a> {
     /// The cursors of chiplet `c`: `cursors[cursors_at[c]..cursors_at[c + 1]]`.
     cursors_at: Vec<usize>,
     cursors: Vec<RootCursor>,
+    /// What [`next_root`](Engine::next_root) returns for each chiplet,
+    /// cached: refreshed only where a cursor's head or its arrived state
+    /// can change (an arrival of the cursor's stream, or a take).
+    root_min: Vec<Option<(u64, usize)>>,
 
     streams: Vec<Stream<'a>>,
     /// Stream frames each item has completed.
@@ -796,15 +841,18 @@ impl<'a> Engine<'a> {
                     root_dispatch.push(c);
                 }
             }
-            let mut chiplets: Vec<usize> =
-                chiplet_of[offset..].iter().map(|&c| c as usize).collect();
-            chiplets.sort_unstable();
-            chiplets.dedup();
+            let distinct = |cs: &[u32]| {
+                let mut cs: Vec<usize> = cs.iter().map(|&c| c as usize).collect();
+                cs.sort_unstable();
+                cs.dedup();
+                cs
+            };
             states.push(Stream {
                 times: s.times,
+                root_chiplets: distinct(&root_dispatch),
                 root_dispatch,
                 sinks: Vec::new(),
-                chiplets,
+                chiplets: distinct(&chiplet_of[offset..]),
                 arrived: 0,
                 started: 0,
                 completed: 0,
@@ -867,6 +915,7 @@ impl<'a> Engine<'a> {
             roots,
             cursors_at,
             cursors,
+            root_min: vec![None; n_chiplets],
             streams: states,
             done: vec![0; n_items],
             heap: BinaryHeap::new(),
@@ -874,7 +923,8 @@ impl<'a> Engine<'a> {
             top_done: false,
             next_arrival: None,
             queues: (0..n_chiplets).map(|_| BinaryHeap::new()).collect(),
-            busy_until: vec![0.0; n_chiplets],
+            // Free at any instant: arrival times may be negative.
+            busy_until: vec![f64::NEG_INFINITY; n_chiplets],
             busy_time: vec![0.0; n_chiplets],
             chiplet_ids,
         };
@@ -887,7 +937,7 @@ impl<'a> Engine<'a> {
             // Interleave the arrival cursors with the completion calendar
             // in time order; `<=` lets arrivals win ties.
             let arrival_due = match (self.next_arrival, self.heap.peek()) {
-                (Some((t, _)), Some(top)) => t <= top.time,
+                (Some((t, _)), Some(top)) => t <= top.time(),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
@@ -939,11 +989,16 @@ impl<'a> Engine<'a> {
         next
     }
 
-    /// Admits the next merged frame: advances the cursors and offers each
-    /// of its stream's root chiplets a dispatch, in item order.
+    /// Admits the next merged frame: advances the cursors, refreshes the
+    /// root heads they may have woken, and offers each of its stream's
+    /// root chiplets a dispatch, in item order.
     fn process_arrival(&mut self) {
         let (now, k) = self.next_arrival.expect("arrival due");
         self.streams[k].arrived += 1;
+        for i in 0..self.streams[k].root_chiplets.len() {
+            let c = self.streams[k].root_chiplets[i];
+            self.root_min[c] = self.next_root(c);
+        }
         for i in 0..self.streams[k].root_dispatch.len() {
             self.dispatch(self.streams[k].root_dispatch[i] as usize, now);
         }
@@ -953,9 +1008,16 @@ impl<'a> Engine<'a> {
     /// Starts the next ready job on chiplet `c` if it is free.
     fn dispatch(&mut self, c: usize, now: f64) {
         if self.busy_until[c] <= now {
-            let root = self.next_root(c);
+            let root = self.root_head(c);
             self.start_next(c, root, now);
         }
+    }
+
+    /// The earliest arrived root job waiting on chiplet `c`: the cached
+    /// [`next_root`](Engine::next_root).
+    fn root_head(&self, c: usize) -> Option<(u64, usize)> {
+        debug_assert_eq!(self.root_min[c], self.next_root(c), "stale root head");
+        self.root_min[c]
     }
 
     /// The earliest arrived root job waiting on chiplet `c`, over its
@@ -982,7 +1044,7 @@ impl<'a> Engine<'a> {
         let head = self.queues[c].peek().map(Job::key);
         let job = match (head, root) {
             (Some(h), Some((r, _))) if h < r => self.queues[c].pop().expect("peeked"),
-            (_, Some((_, ci))) => self.take_virtual(ci),
+            (_, Some((_, ci))) => self.take_virtual(c, ci),
             (Some(_), None) => self.queues[c].pop().expect("peeked"),
             (None, None) => return,
         };
@@ -999,7 +1061,7 @@ impl<'a> Engine<'a> {
             self.queues[c].push(job);
             return;
         }
-        let root = self.next_root(c);
+        let root = self.root_head(c);
         let key = job.key();
         if self.queues[c].peek().is_none_or(|h| key < h.key()) && root.is_none_or(|(r, _)| key < r)
         {
@@ -1010,9 +1072,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Materializes a virtual root cursor's head into a real job; the
-    /// first root job of a frame starts the frame.
-    fn take_virtual(&mut self, ci: usize) -> Job {
+    /// Materializes the head of chiplet `c`'s root cursor `ci` into a
+    /// real job and refreshes the chiplet's root head; the first root
+    /// job of a frame starts the frame.
+    fn take_virtual(&mut self, c: usize, ci: usize) -> Job {
         let cur = &mut self.cursors[ci];
         let (k, frame, global) = (cur.stream, cur.frame, cur.global);
         let item = self.roots[cur.next];
@@ -1022,6 +1085,7 @@ impl<'a> Engine<'a> {
             cur.frame += 1;
             cur.global = global_frame(&self.streams, k, cur.frame);
         }
+        self.root_min[c] = self.next_root(c);
         let stream = &mut self.streams[k];
         if frame == stream.started {
             stream.started += 1;
@@ -1039,12 +1103,7 @@ impl<'a> Engine<'a> {
         self.busy_until[c] = now + dur;
         self.busy_time[c] += dur;
         self.seq += 1;
-        let event = Scheduled {
-            time: now + dur,
-            seq: self.seq,
-            chiplet: c as u32,
-            job,
-        };
+        let event = Scheduled::new(now + dur, self.seq, job);
         if std::mem::take(&mut self.top_done) {
             *self
                 .heap
@@ -1056,9 +1115,8 @@ impl<'a> Engine<'a> {
     }
 
     fn process_completion(&mut self) {
-        let Scheduled {
-            time, chiplet, job, ..
-        } = *self.heap.peek().expect("completion event due");
+        let event = *self.heap.peek().expect("completion event due");
+        let (time, job) = (event.time(), event.job());
         self.top_done = true;
         let item = job.item as usize;
         let f = job.local;
@@ -1079,7 +1137,7 @@ impl<'a> Engine<'a> {
                 self.release(next, time);
             }
         }
-        self.dispatch(chiplet as usize, time);
+        self.dispatch(self.chiplet_of[item] as usize, time);
         if std::mem::take(&mut self.top_done) {
             self.heap.pop();
         }
@@ -1678,5 +1736,356 @@ mod tests {
         assert!((rep.steady_interval.as_secs() - 1.0).abs() < 1e-9);
         // Utilization is low: the chiplet idles between frames.
         assert!(rep.busy_fraction(ChipletId(0)).unwrap() < 0.5);
+    }
+
+    /// The calendar key orders events exactly like `(time.total_cmp,
+    /// seq)`, and both halves of an event decode back to what went in:
+    /// the time bit for bit, and every field of the job.
+    #[test]
+    fn calendar_key_orders_like_total_cmp_then_seq() {
+        assert_eq!(std::mem::size_of::<Scheduled>(), 32);
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        // Arrival times may be negative: validation only asks for finite,
+        // non-decreasing ones.
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -subnormal,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            subnormal,
+            f64::MIN_POSITIVE,
+            0.1,
+            2.5,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let job = Job {
+            frame: 0x8000_0001,
+            item: u32::MAX,
+            local: 0x7fff_fffe,
+        };
+        // Equal times with different sequence numbers, at both ends of
+        // the sequence range.
+        let events: Vec<(f64, u64)> = times
+            .iter()
+            .flat_map(|&t| [(t, 0), (t, 1), (t, u64::MAX)])
+            .collect();
+        for &(ta, sa) in &events {
+            let a = Scheduled::new(ta, sa, job);
+            assert_eq!(a.time().to_bits(), ta.to_bits(), "time {ta:e} decodes");
+            let back = a.job();
+            assert_eq!(
+                (back.frame, back.item, back.local),
+                (job.frame, job.item, job.local)
+            );
+            for &(tb, sb) in &events {
+                let b = Scheduled::new(tb, sb, job);
+                // BinaryHeap is a max-heap: the calendar order is reversed.
+                assert_eq!(
+                    b.cmp(&a),
+                    ta.total_cmp(&tb).then(sa.cmp(&sb)),
+                    "({ta:e}, {sa}) vs ({tb:e}, {sb})"
+                );
+            }
+        }
+    }
+
+    fn single_chiplet_schedule(c: ChipletId) -> Schedule {
+        let g = fusion_block(&FusionConfig::spatial_default());
+        Schedule {
+            stages: vec![StagePlan {
+                kind: StageKind::SpatialFusion,
+                models: vec![ModelPlan::on_single_chiplet("s", g, c)],
+                region: vec![c],
+            }],
+        }
+    }
+
+    fn periodic(frames: usize, interval: f64, offset: f64) -> Vec<f64> {
+        (0..frames).map(|f| offset + f as f64 * interval).collect()
+    }
+
+    /// Tenants on disjoint chiplet regions are bit-identical to their
+    /// standalone phased runs: sharing a calendar costs nothing when
+    /// nothing is actually shared.
+    #[test]
+    fn disjoint_regions_match_standalone_runs() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s0 = single_chiplet_schedule(ChipletId(0));
+        let s1 = single_chiplet_schedule(ChipletId(7));
+        let t0 = periodic(16, 0.5, 0.0);
+        let t1 = periodic(12, 0.7, 0.1);
+        let co = simulate_tenants(
+            &[
+                SimPhase {
+                    schedule: &s0,
+                    times: t0.clone(),
+                    readiness: Readiness::Barrier(0.0),
+                    warmup: Some(2),
+                    cutoff: None,
+                },
+                SimPhase {
+                    schedule: &s1,
+                    times: t1.clone(),
+                    readiness: Readiness::Barrier(0.0),
+                    warmup: Some(2),
+                    cutoff: None,
+                },
+            ],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        let alone0 = simulate_phases(
+            &[SimPhase {
+                schedule: &s0,
+                times: t0,
+                readiness: Readiness::Barrier(0.0),
+                warmup: Some(2),
+                cutoff: None,
+            }],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        let alone1 = simulate_phases(
+            &[SimPhase {
+                schedule: &s1,
+                times: t1,
+                readiness: Readiness::Barrier(0.0),
+                warmup: Some(2),
+                cutoff: None,
+            }],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        assert_eq!(co[0], alone0[0]);
+        assert_eq!(co[1], alone1[0]);
+    }
+
+    /// Two tenants contending for one chiplet: the co-run is strictly
+    /// slower than either tenant alone, and the higher-priority frames
+    /// (earlier global order on ties) still complete.
+    #[test]
+    fn shared_chiplet_contention_increases_latency() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s = single_chiplet_schedule(ChipletId(0));
+        // ~366 ms service time; each tenant alone at 0.5 s intervals is
+        // arrival-limited, together they oversubscribe the chiplet.
+        let t0 = periodic(16, 0.5, 0.0);
+        let t1 = periodic(16, 0.5, 0.0);
+        let co = simulate_tenants(
+            &[
+                SimPhase {
+                    schedule: &s,
+                    times: t0.clone(),
+                    readiness: Readiness::Barrier(0.0),
+                    warmup: Some(2),
+                    cutoff: None,
+                },
+                SimPhase {
+                    schedule: &s,
+                    times: t1,
+                    readiness: Readiness::Barrier(0.0),
+                    warmup: Some(2),
+                    cutoff: None,
+                },
+            ],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        let alone = simulate_phases(
+            &[SimPhase {
+                schedule: &s,
+                times: t0,
+                readiness: Readiness::Barrier(0.0),
+                warmup: Some(2),
+                cutoff: None,
+            }],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        for rep in &co {
+            assert!(
+                rep.report.mean_latency > alone[0].report.mean_latency,
+                "contention must raise latency: co {} vs alone {}",
+                rep.report.mean_latency,
+                alone[0].report.mean_latency
+            );
+        }
+        // Tenant 0 wins every same-time tie (lower tenant index), so it
+        // queues behind at most one tenant-1 frame; tenant 1 waits for
+        // tenant 0's whole backlog and runs strictly later.
+        assert!(co[0].report.mean_latency < co[1].report.mean_latency);
+    }
+
+    /// Per-tenant spin-up windows drop exactly the frames arriving
+    /// before that tenant's `ready_at`, and the balance holds.
+    #[test]
+    fn ready_at_drops_are_per_tenant() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s0 = single_chiplet_schedule(ChipletId(0));
+        let s1 = single_chiplet_schedule(ChipletId(1));
+        let co = simulate_tenants(
+            &[
+                SimPhase {
+                    schedule: &s0,
+                    times: periodic(10, 0.5, 0.0),
+                    readiness: Readiness::Barrier(0.0),
+                    warmup: Some(1),
+                    cutoff: None,
+                },
+                SimPhase {
+                    schedule: &s1,
+                    times: periodic(10, 0.5, 0.0),
+                    readiness: Readiness::Barrier(1.1),
+                    warmup: Some(1),
+                    cutoff: None,
+                },
+            ],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        assert_eq!(co[0].dropped, 0);
+        assert_eq!(co[1].dropped, 3, "frames at 0.0, 0.5, 1.0 dropped");
+        for rep in &co {
+            assert_eq!(rep.served() + rep.dropped, rep.offered);
+        }
+        assert_eq!(co[1].report.measured_frames, 7 - 2);
+    }
+
+    /// The co-simulation is deterministic: same inputs, same bits.
+    #[test]
+    fn co_simulation_is_deterministic() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s = single_chiplet_schedule(ChipletId(0));
+        let s2 = single_chiplet_schedule(ChipletId(2));
+        let run = || {
+            simulate_tenants(
+                &[
+                    SimPhase {
+                        schedule: &s,
+                        times: periodic(12, 0.4, 0.0),
+                        readiness: Readiness::Barrier(0.0),
+                        warmup: Some(2),
+                        cutoff: None,
+                    },
+                    SimPhase {
+                        schedule: &s2,
+                        times: periodic(12, 0.4, 0.0),
+                        readiness: Readiness::Barrier(0.0),
+                        warmup: Some(2),
+                        cutoff: None,
+                    },
+                ],
+                &pkg,
+                &model,
+                Dtype::Fp16,
+            )
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// A single stream through `simulate_tenants` is bit-identical to the
+    /// same stream through `simulate_phases`.
+    #[test]
+    fn single_stream_matches_phased_engine() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s = single_chiplet_schedule(ChipletId(3));
+        let times = periodic(20, 0.45, 0.2);
+        let multi = simulate_tenants(
+            &[SimPhase {
+                schedule: &s,
+                times: times.clone(),
+                readiness: Readiness::Barrier(0.3),
+                warmup: Some(3),
+                cutoff: None,
+            }],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        let phased = simulate_phases(
+            &[SimPhase {
+                schedule: &s,
+                times,
+                readiness: Readiness::Barrier(0.3),
+                warmup: Some(3),
+                cutoff: None,
+            }],
+            &pkg,
+            &model,
+            Dtype::Fp16,
+        );
+        assert_eq!(multi[0], phased[0]);
+    }
+
+    /// Arrival times may be negative: validation only asks for finite,
+    /// non-decreasing ones. A chiplet that never ran is free at any
+    /// instant, so a run wholly before t = 0 serves and measures every
+    /// frame, like the same run shifted past it.
+    #[test]
+    fn negative_arrival_times_are_served() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s = single_chiplet_schedule(ChipletId(0));
+        let run = |offset: f64| {
+            let phase = SimPhase {
+                schedule: &s,
+                times: periodic(8, 0.5, offset),
+                readiness: Readiness::Barrier(offset),
+                warmup: Some(1),
+                cutoff: None,
+            };
+            simulate_phases(&[phase], &pkg, &model, Dtype::Fp16)[0].clone()
+        };
+        let (early, late) = (run(-64.0), run(0.0));
+        assert_eq!(early.served(), 8);
+        assert_eq!(early.report.measured_frames, 6);
+        assert_eq!(early.report.measured_frames, late.report.measured_frames);
+        // Equal up to the rounding of the shifted arrival arithmetic.
+        let rel = early.report.mean_latency.as_secs() / late.report.mean_latency.as_secs() - 1.0;
+        assert!(rel.abs() < 1e-9, "{early:?} vs {late:?}");
+    }
+
+    #[test]
+    fn empty_stream_list_is_empty() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        assert!(simulate_tenants(&[], &pkg, &model, Dtype::Fp16).is_empty());
+    }
+
+    /// Both entry points validate readiness alike: a NaN ready time
+    /// panics even on a chiplet the stream's schedule never uses, where
+    /// the admission gate alone would skip it.
+    #[test]
+    #[should_panic(expected = "readiness must be finite")]
+    fn non_finite_readiness_on_an_unused_chiplet_panics() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s = single_chiplet_schedule(ChipletId(0));
+        let readiness = Readiness::PerChiplet {
+            at: 0.0,
+            ready: vec![(ChipletId(9), f64::NAN)],
+        };
+        let stream = SimPhase::new(&s, periodic(4, 0.5, 0.0), readiness);
+        let _ = simulate_tenants(&[stream], &pkg, &model, Dtype::Fp16);
     }
 }

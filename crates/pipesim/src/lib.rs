@@ -55,8 +55,6 @@
 
 pub mod arrivals;
 pub mod engine;
-#[cfg(test)]
-mod multi;
 pub mod quantiles;
 pub mod report;
 pub mod trace;

@@ -12,15 +12,22 @@
 //! million-frame saturated smoke then pins the memory bound: the run
 //! completes with a handful of frames in flight, and the engine holds no
 //! per-frame state for any of them.
+//!
+//! The reference also runs K streams on one calendar with shared
+//! chiplets, and a property test pins `simulate_tenants` against it bit
+//! for bit on random DAG streams with same-instant arrivals.
 
 use std::collections::{BTreeMap, BinaryHeap};
 
+use proptest::prelude::*;
+
 use npu_core::noc::LinkParams;
-use npu_dnn::{Graph, Layer, OpKind, StageKind};
+use npu_dnn::{Graph, Layer, LayerId, OpKind, StageKind};
 use npu_maestro::{Accelerator, CostModel, FittedMaestro, LayerCost};
 use npu_mcm::{ChipletId, McmPackage};
 use npu_pipesim::{
-    simulate, simulate_with_stats, LatencyQuantiles, Quantiles, SimConfig, SimReport,
+    simulate, simulate_tenants, simulate_with_stats, LatencyQuantiles, Quantiles, Readiness,
+    SimConfig, SimPhase, SimReport,
 };
 use npu_scenario::{match_scenario, Scenario, SWEEP_FRAMES};
 use npu_sched::{flatten_items, LayerPlan, ModelPlan, Schedule, SimItem, StagePlan};
@@ -34,40 +41,71 @@ struct RefRun {
     busy: BTreeMap<ChipletId, f64>,
 }
 
+/// Priority `(global frame, item)`: the global frame is the frame's rank
+/// in the merged arrivals and belongs to one stream, so the stream and
+/// its local frame index ride along without ever deciding the order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct RefJob {
     frame: usize,
     item: usize,
+    stream: usize,
+    local: usize,
 }
 
 enum RefEvent {
-    Arrival(usize),
-    Done { chiplet: ChipletId, job: RefJob },
+    Arrival {
+        frame: usize,
+        stream: usize,
+        local: usize,
+    },
+    Done {
+        chiplet: ChipletId,
+        job: RefJob,
+    },
 }
 
-/// The pre-ISSUE-8 engine, verbatim in structure: all arrivals heaped
+/// One stream through [`reference_run_streams`].
+fn reference_run(items: &[SimItem], times: &[f64]) -> RefRun {
+    reference_run_streams(&[(items, times)])
+        .pop()
+        .expect("one run per stream")
+}
+
+/// The old engine, verbatim in structure: all arrivals heaped
 /// upfront (seq order = frame order, below every completion seq), a
 /// per-frame O(items) dependency-counter table, `BTreeMap`-keyed chiplet
 /// state, and full arrival/completion vectors.
-fn reference_run(items: &[SimItem], times: &[f64]) -> RefRun {
-    let frames = times.len();
-    let n_items = items.len();
-
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_items];
-    for (i, item) in items.iter().enumerate() {
-        for &d in &item.deps {
-            dependents[d].push(i);
+///
+/// It runs K streams, each `(items, arrival times)`, on one calendar.
+/// Arrivals merge by `(time, stream index)`, and a frame's rank in the
+/// merge is its global frame, which sets job priority. Streams share
+/// every chiplet they both use; each stream's run reports the total busy
+/// time of the chiplets its own items use.
+fn reference_run_streams(streams: &[(&[SimItem], &[f64])]) -> Vec<RefRun> {
+    let mut dependents: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut deps_left: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut remaining: Vec<Vec<usize>> = Vec::new();
+    for &(items, times) in streams {
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); items.len()];
+        for (i, item) in items.iter().enumerate() {
+            for &d in &item.deps {
+                succs[d].push(i);
+            }
         }
+        dependents.push(succs);
+        deps_left.push(
+            times
+                .iter()
+                .map(|_| items.iter().map(|it| it.deps.len()).collect())
+                .collect(),
+        );
+        remaining.push(vec![items.len(); times.len()]);
     }
-    let mut deps_left: Vec<Vec<usize>> = (0..frames)
-        .map(|_| items.iter().map(|it| it.deps.len()).collect())
-        .collect();
-    let mut remaining: Vec<usize> = vec![n_items; frames];
 
     let mut ready: BTreeMap<ChipletId, BinaryHeap<std::cmp::Reverse<RefJob>>> = BTreeMap::new();
     let mut busy_until: BTreeMap<ChipletId, f64> = BTreeMap::new();
     let mut busy_time: BTreeMap<ChipletId, f64> = BTreeMap::new();
-    for item in items {
+    for item in streams.iter().flat_map(|&(items, _)| items) {
         ready.entry(item.chiplet).or_default();
         busy_time.entry(item.chiplet).or_insert(0.0);
     }
@@ -84,23 +122,46 @@ fn reference_run(items: &[SimItem], times: &[f64]) -> RefRun {
         let ord = if b >> 63 == 0 { b | (1 << 63) } else { !b };
         std::cmp::Reverse((ord, seq, idx))
     };
-    for (f, &t) in times.iter().enumerate() {
+    // Merge the arrivals by (time, stream). Times are finite, so
+    // `partial_cmp` is total here, and it ties -0.0 with +0.0 as the
+    // engine's `<` does.
+    let mut merged: Vec<(f64, usize, usize)> = streams
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &(_, times))| times.iter().enumerate().map(move |(f, &t)| (t, k, f)))
+        .collect();
+    merged.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("finite arrival times")
+            .then((a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    let mut event_time: Vec<f64> = Vec::new();
+    for (frame, &(t, stream, local)) in merged.iter().enumerate() {
         seq += 1;
-        events.push(RefEvent::Arrival(f));
+        events.push(RefEvent::Arrival {
+            frame,
+            stream,
+            local,
+        });
+        event_time.push(t);
         heap.push(key(t, seq, events.len() - 1));
     }
-    let mut event_time: Vec<f64> = times.to_vec();
 
-    let mut arrivals = vec![0.0; frames];
-    let mut completions = vec![f64::NAN; frames];
+    let mut arrivals: Vec<Vec<f64>> = streams.iter().map(|(_, t)| vec![0.0; t.len()]).collect();
+    let mut completions: Vec<Vec<f64>> = streams
+        .iter()
+        .map(|(_, t)| vec![f64::NAN; t.len()])
+        .collect();
 
     macro_rules! dispatch {
         ($chiplet:expr, $now:expr) => {{
             let c = $chiplet;
             let now = $now;
-            if busy_until.get(&c).copied().unwrap_or(0.0) <= now {
+            // A chiplet that never ran is free at any instant, negative
+            // arrival times included.
+            if busy_until.get(&c).copied().unwrap_or(f64::NEG_INFINITY) <= now {
                 if let Some(std::cmp::Reverse(job)) = ready.get_mut(&c).and_then(|q| q.pop()) {
-                    let dur = items[job.item].duration.as_secs();
+                    let dur = streams[job.stream].0[job.item].duration.as_secs();
                     busy_until.insert(c, now + dur);
                     *busy_time.get_mut(&c).unwrap() += dur;
                     seq += 1;
@@ -114,7 +175,7 @@ fn reference_run(items: &[SimItem], times: &[f64]) -> RefRun {
     macro_rules! enqueue {
         ($job:expr, $now:expr) => {{
             let job: RefJob = $job;
-            let c = items[job.item].chiplet;
+            let c = streams[job.stream].0[job.item].chiplet;
             ready.get_mut(&c).unwrap().push(std::cmp::Reverse(job));
             dispatch!(c, $now);
         }};
@@ -123,29 +184,36 @@ fn reference_run(items: &[SimItem], times: &[f64]) -> RefRun {
     while let Some(std::cmp::Reverse((_, _, idx))) = heap.pop() {
         let time = event_time[idx];
         match events[idx] {
-            RefEvent::Arrival(frame) => {
-                arrivals[frame] = time;
-                for (i, item) in items.iter().enumerate() {
-                    if item.deps.is_empty() {
-                        enqueue!(RefJob { frame, item: i }, time);
+            RefEvent::Arrival {
+                frame,
+                stream,
+                local,
+            } => {
+                arrivals[stream][local] = time;
+                for (item, it) in streams[stream].0.iter().enumerate() {
+                    if it.deps.is_empty() {
+                        enqueue!(
+                            RefJob {
+                                frame,
+                                item,
+                                stream,
+                                local,
+                            },
+                            time
+                        );
                     }
                 }
             }
             RefEvent::Done { chiplet, job } => {
-                remaining[job.frame] -= 1;
-                if remaining[job.frame] == 0 {
-                    completions[job.frame] = time;
+                let (k, f) = (job.stream, job.local);
+                remaining[k][f] -= 1;
+                if remaining[k][f] == 0 {
+                    completions[k][f] = time;
                 }
-                for &succ in &dependents[job.item] {
-                    deps_left[job.frame][succ] -= 1;
-                    if deps_left[job.frame][succ] == 0 {
-                        enqueue!(
-                            RefJob {
-                                frame: job.frame,
-                                item: succ,
-                            },
-                            time
-                        );
+                for &succ in &dependents[k][job.item] {
+                    deps_left[k][f][succ] -= 1;
+                    if deps_left[k][f][succ] == 0 {
+                        enqueue!(RefJob { item: succ, ..job }, time);
                     }
                 }
                 dispatch!(chiplet, time);
@@ -153,12 +221,22 @@ fn reference_run(items: &[SimItem], times: &[f64]) -> RefRun {
         }
     }
 
-    assert!(remaining.iter().all(|&r| r == 0), "all frames completed");
-    RefRun {
-        arrivals,
-        completions,
-        busy: busy_time,
-    }
+    assert!(
+        remaining.iter().flatten().all(|&r| r == 0),
+        "all frames completed"
+    );
+    streams
+        .iter()
+        .zip(arrivals.into_iter().zip(completions))
+        .map(|(&(items, _), (arrivals, completions))| RefRun {
+            arrivals,
+            completions,
+            busy: items
+                .iter()
+                .map(|it| (it.chiplet, busy_time[&it.chiplet]))
+                .collect(),
+        })
+        .collect()
 }
 
 /// Replays the old report math over the reference run and compares every
@@ -411,4 +489,143 @@ fn same_instant_completion_frees_the_chiplet_before_its_event() {
 fn sim_config_dtype_matches_flatten_default() {
     let cfg = SimConfig::saturated(4);
     assert_eq!(cfg.dtype, Dtype::Fp16);
+}
+
+/// Chiplets the generated streams draw from: few, so streams share them.
+const SHARED_CHIPLETS: u64 = 3;
+
+/// A cost model charging a `Dense` layer `tokens` eighths of a second.
+/// Durations and arrival times on one binary grid make same-instant
+/// events, and so the calendar's tie-breaks, common.
+struct EighthsModel;
+
+impl CostModel for EighthsModel {
+    fn layer_cost(&self, layer: &Layer, acc: &Accelerator) -> LayerCost {
+        let OpKind::Dense { tokens, .. } = layer.op() else {
+            panic!("generated graphs hold dense layers only");
+        };
+        LayerCost {
+            latency: Seconds::new(tokens as f64 / 8.0),
+            ..LayerCost::zero(acc.array().pes())
+        }
+    }
+
+    fn name(&self) -> &str {
+        "eighths"
+    }
+}
+
+/// A random DAG of 2–6 dense layers drawn from `seed`, one stage on the
+/// shared chiplets. Layer 0 is a root on chiplet 0, so every stream
+/// keeps a root cursor there. Each later layer takes up to two earlier
+/// layers as inputs (none makes it another root, a repeat a duplicated
+/// edge), lasts 1–4 eighths of a second and runs on a drawn chiplet.
+fn generated_schedule(seed: u64) -> Schedule {
+    let mut z = seed;
+    // splitmix64: one draw in `0..n` per call.
+    let mut draw = |n: u64| {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut x = z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (x ^ (x >> 31)) % n
+    };
+    let layers = 2 + draw(5) as usize;
+    let mut g = Graph::new("generated");
+    let mut placed: Vec<(LayerId, ChipletId)> = Vec::with_capacity(layers);
+    for l in 0..layers {
+        let inputs: Vec<_> = if l == 0 {
+            Vec::new()
+        } else {
+            (0..draw(3))
+                .map(|_| placed[draw(l as u64) as usize].0)
+                .collect()
+        };
+        let layer = Layer::intrinsic(
+            format!("l{l}"),
+            OpKind::Dense {
+                tokens: 1 + draw(4),
+                in_features: 8,
+                out_features: 8,
+            },
+        );
+        let chiplet = if l == 0 { 0 } else { draw(SHARED_CHIPLETS) };
+        let id = g.add(layer, &inputs).expect("inputs precede the layer");
+        placed.push((id, ChipletId(chiplet as u32)));
+    }
+    let mut mp = ModelPlan::on_single_chiplet("m", g.clone(), ChipletId(0));
+    for &(id, chiplet) in &placed {
+        *mp.layer_plan_mut(id) = LayerPlan::single(g.layer(id).clone(), chiplet);
+    }
+    Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            region: mp.chiplets().into_iter().collect(),
+            models: vec![mp],
+        }],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two or three streams of random DAGs on three shared chiplets,
+    /// each with its own arrivals on an eighth-second grid (negative
+    /// offsets and zero intervals included, so streams often arrive at
+    /// one instant), co-simulated on one calendar, match the K-stream
+    /// reference engine bit for bit, stream by stream.
+    #[test]
+    fn shared_chiplet_streams_pin_the_reference_bit_for_bit(
+        draws in proptest::collection::vec(
+            ((1usize..12, -3i64..3, 0i64..5), (0u64..u64::MAX, 0usize..3)),
+            2..4,
+        ),
+    ) {
+        // A free NoP: item durations are exactly the model's eighths.
+        let pkg = McmPackage::simba_6x6().with_link(LinkParams {
+            bandwidth_bytes_per_sec: f64::INFINITY,
+            hop_latency: Seconds::ZERO,
+            ..LinkParams::simba_28nm()
+        });
+        let model = EighthsModel;
+        let schedules: Vec<Schedule> =
+            draws.iter().map(|&(_, (seed, _))| generated_schedule(seed)).collect();
+        let times: Vec<Vec<f64>> = draws
+            .iter()
+            .map(|&((frames, offset, interval), _)| {
+                (0..frames as i64).map(|f| (offset + f * interval) as f64 / 8.0).collect()
+            })
+            .collect();
+        let streams: Vec<SimPhase<'_>> = schedules
+            .iter()
+            .zip(&times)
+            .zip(&draws)
+            .map(|((schedule, times), &(_, (_, warmup)))| SimPhase {
+                schedule,
+                times: times.clone(),
+                readiness: Readiness::Barrier(times[0]),
+                warmup: Some(warmup),
+                cutoff: None,
+            })
+            .collect();
+        let reps = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+        let items: Vec<Vec<SimItem>> = schedules
+            .iter()
+            .map(|s| flatten_items(s, &pkg, &model, Dtype::Fp16))
+            .collect();
+        let inputs: Vec<(&[SimItem], &[f64])> =
+            items.iter().zip(&times).map(|(i, t)| (&i[..], &t[..])).collect();
+        let reference = reference_run_streams(&inputs);
+        for (k, ((rep, run), &(_, (_, warmup)))) in
+            reps.iter().zip(&reference).zip(&draws).enumerate()
+        {
+            prop_assert_eq!((rep.dropped, rep.flushed), (0, 0));
+            assert_matches_reference(
+                &format!("stream {k} of {draws:?}"),
+                &rep.report,
+                run,
+                warmup,
+            );
+        }
+    }
 }
