@@ -3,7 +3,10 @@
 //! matched perception schedule under its own overloaded camera arrivals
 //! (hundreds of items, hundreds of frames in flight) and a long drive
 //! timeline (phased engine + matcher, the shape `repro drive` and the
-//! planned fleet artifact pay per vehicle). Medians seed
+//! planned fleet artifact pay per vehicle), plus the event calendar's
+//! worst case: a saturated schedule replicated across a 96-chiplet
+//! package, whose chiplets finish in lockstep so every new completion
+//! lands far behind the earliest pending one. Medians seed
 //! `BENCH_des_engine.json`; append one entry per PR that touches the
 //! engine hot path so regressions stay visible PR-over-PR.
 
@@ -11,6 +14,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use npu_dnn::models::attention::{fusion_block, FusionConfig};
 use npu_dnn::StageKind;
+use npu_fleet::os256_package;
 use npu_maestro::{FittedMaestro, ReconfigModel};
 use npu_mcm::{ChipletId, McmPackage};
 use npu_pipesim::{simulate, SimConfig};
@@ -29,6 +33,9 @@ const SEGMENT_SECS: f64 = 240.0;
 /// Frames in the matched case: 240 s of 30 FPS video.
 const MATCHED_FRAMES: usize = 7_200;
 
+/// Frames in the replicated lockstep case.
+const LOCKSTEP_FRAMES: usize = 2_000;
+
 /// A two-chiplet pipelined schedule: qkv on chiplet 0, the rest of the
 /// fusion block on chiplet 1, so more than one frame is in flight.
 fn pipelined_schedule() -> Schedule {
@@ -41,6 +48,23 @@ fn pipelined_schedule() -> Schedule {
             kind: StageKind::SpatialFusion,
             models: vec![mp],
             region: vec![ChipletId(0), ChipletId(1)],
+        }],
+    }
+}
+
+/// One fusion-block model per chiplet of `pkg`, all in one stage: every
+/// chiplet runs the same chain, so with saturated arrivals all of them
+/// complete each layer at the same instant.
+fn replicated_schedule(pkg: &McmPackage) -> Schedule {
+    let g = fusion_block(&FusionConfig::spatial_default());
+    Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            models: pkg
+                .ids()
+                .map(|c| ModelPlan::on_single_chiplet(format!("s{}", c.0), g.clone(), c))
+                .collect(),
+            region: pkg.ids().collect(),
         }],
     }
 }
@@ -97,6 +121,21 @@ fn bench(c: &mut Criterion) {
                 &pkg,
                 &model,
                 &ReconfigModel::default(),
+            ))
+        })
+    });
+
+    // The calendar's worst case: ~96 pending completions, each new one
+    // landing behind most of them instead of near the earliest end.
+    let mesh = os256_package(12, 8);
+    let replicated = replicated_schedule(&mesh);
+    g.bench_function("replicated_lockstep_12x8", |b| {
+        b.iter(|| {
+            black_box(simulate(
+                &replicated,
+                &mesh,
+                &model,
+                &SimConfig::saturated(LOCKSTEP_FRAMES),
             ))
         })
     });

@@ -587,12 +587,12 @@ fn time_from_ord(o: u64) -> f64 {
     f64::from_bits(o ^ ((!o as i64 >> 63) as u64 | 1 << 63))
 }
 
-/// One item-completion event on the calendar: two `u128`s, 32 bytes.
-/// Frame arrivals are never heaped — the engine walks the
+/// One item-completion event on the [`Calendar`]: two `u128`s, 32 bytes.
+/// Frame arrivals are never on the calendar — the engine walks the
 /// (non-decreasing) arrival timestamps with a cursor and interleaves
 /// them with the calendar in time order.
 ///
-/// The heap holds at most one event per chiplet *after* the current
+/// The calendar holds at most one event per chiplet *after* the current
 /// instant, but may hold more at it: a chiplet is free once
 /// `busy_until <= now`, so an event processed earlier at the same
 /// instant can start a job on the chiplet while the chiplet's own
@@ -630,16 +630,76 @@ impl Scheduled {
     }
 }
 
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other.key.cmp(&self.key)
-    }
+/// A new event landing within this many slots of the calendar's earliest
+/// end is placed by shifting one slot at a time; one landing further
+/// back is placed by a binary search and one block move.
+///
+/// A constant, not an option: on every builtin workload a new event
+/// lands near the earliest end of ~20 pending ones. Over 93M insertions
+/// of an e2ebench `long-drive` run (seed 1), the number of pending
+/// events earlier than the new one was ≤ 2 for 52.6% of them, ≤ 8 for
+/// 90.7% and > 16 for 1.7% (`dse-grid` 91.3% ≤ 8, `fleet-pack` 87.0%);
+/// every builtin scenario has a mean of 3–5, on `simba_6x6` and a
+/// 96-chiplet package alike.
+const NEAR: usize = 8;
+
+/// The completion calendar: pending events in descending `key` order, so
+/// the earliest is last and `peek`/`pop` are O(1).
+///
+/// A new event usually lands a few slots from the earliest end (see
+/// [`NEAR`]), so placing it with a short, predictable shift from that
+/// end beats a binary-heap sift. An event landing more than [`NEAR`]
+/// slots back, as on saturated replicated schedules where every chiplet
+/// finishes in lockstep, takes a `partition_point` and one `copy_within`.
+/// Keys are unique (the sequence number is), so events pop in exactly
+/// the order a min-heap would give.
+#[derive(Default)]
+struct Calendar {
+    v: Vec<Scheduled>,
 }
 
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Calendar {
+    fn peek(&self) -> Option<&Scheduled> {
+        self.v.last()
+    }
+
+    fn pop(&mut self) -> Option<Scheduled> {
+        self.v.pop()
+    }
+
+    fn push(&mut self, event: Scheduled) {
+        self.v.push(event);
+        self.place(event);
+    }
+
+    /// Replaces the earliest event with `event`.
+    fn replace_top(&mut self, event: Scheduled) {
+        *self.v.last_mut().expect("an event to replace") = event;
+        self.place(event);
+    }
+
+    /// Moves `event`, just written to the last slot, to its sorted place.
+    fn place(&mut self, event: Scheduled) {
+        let v = &mut self.v;
+        let others = v.len() - 1;
+        let at = if others <= NEAR || event.key < v[others - NEAR].key {
+            let mut i = others;
+            while i > 0 && v[i - 1].key < event.key {
+                v[i] = v[i - 1];
+                i -= 1;
+            }
+            i
+        } else {
+            let at = v[..others - NEAR].partition_point(|e| e.key > event.key);
+            v.copy_within(at..others, at + 1);
+            at
+        };
+        v[at] = event;
+        debug_assert!(
+            (at == 0 || v[at - 1].key > event.key)
+                && v.get(at + 1).is_none_or(|e| e.key < event.key),
+            "calendar event out of order"
+        );
     }
 }
 
@@ -724,10 +784,12 @@ struct Stream<'a> {
 ///   arrival, on the arriving stream's root chiplets, and when a take
 ///   advances a cursor. Every read checks the cache against a fresh scan
 ///   in debug builds.
-/// - The completion calendar is a `BinaryHeap` of 32-byte events, each
-///   one `u128` sort key (time bits in `total_cmp` order, then a sequence
-///   number) and one `u128` packed job, so a sift step is one `u128`
-///   compare and one 32-byte move.
+/// - The completion [`Calendar`] is a vector of 32-byte events sorted
+///   latest first, each one `u128` sort key (time bits in `total_cmp`
+///   order, then a sequence number) and one `u128` packed job. A new
+///   event usually lands a few slots from the earliest end, so placing
+///   it is a short shift of one `u128` compare and one 32-byte move per
+///   step.
 /// - A job released onto a free chiplet starts at once when it beats
 ///   the chiplet's queue head and every root cursor there — the job
 ///   [`dispatch`](Engine::dispatch) would pick — skipping the queue.
@@ -772,12 +834,12 @@ struct Engine<'a> {
     done: Vec<u32>,
 
     // Event calendar: item completions only.
-    heap: BinaryHeap<Scheduled>,
+    calendar: Calendar,
     seq: u64,
-    /// Whether the calendar's top is a completion already being
-    /// processed: the next job started takes its place, one sift instead
-    /// of a pop and a push. Every event started meanwhile sorts after
-    /// it, so the top cannot change first.
+    /// Whether the calendar's earliest event is a completion already
+    /// being processed: the next job started takes its slot, one
+    /// placement instead of a pop and a push. Every event started
+    /// meanwhile sorts after it, so the earliest cannot change first.
     top_done: bool,
     /// The next arrival in merged order: `(time, stream)`.
     next_arrival: Option<(f64, usize)>,
@@ -918,7 +980,7 @@ impl<'a> Engine<'a> {
             root_min: vec![None; n_chiplets],
             streams: states,
             done: vec![0; n_items],
-            heap: BinaryHeap::new(),
+            calendar: Calendar::default(),
             seq: 0,
             top_done: false,
             next_arrival: None,
@@ -936,7 +998,7 @@ impl<'a> Engine<'a> {
         loop {
             // Interleave the arrival cursors with the completion calendar
             // in time order; `<=` lets arrivals win ties.
-            let arrival_due = match (self.next_arrival, self.heap.peek()) {
+            let arrival_due = match (self.next_arrival, self.calendar.peek()) {
                 (Some((t, _)), Some(top)) => t <= top.time(),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -1105,17 +1167,14 @@ impl<'a> Engine<'a> {
         self.seq += 1;
         let event = Scheduled::new(now + dur, self.seq, job);
         if std::mem::take(&mut self.top_done) {
-            *self
-                .heap
-                .peek_mut()
-                .expect("completed event on the calendar") = event;
+            self.calendar.replace_top(event);
         } else {
-            self.heap.push(event);
+            self.calendar.push(event);
         }
     }
 
     fn process_completion(&mut self) {
-        let event = *self.heap.peek().expect("completion event due");
+        let event = *self.calendar.peek().expect("completion event due");
         let (time, job) = (event.time(), event.job());
         self.top_done = true;
         let item = job.item as usize;
@@ -1139,7 +1198,7 @@ impl<'a> Engine<'a> {
         }
         self.dispatch(self.chiplet_of[item] as usize, time);
         if std::mem::take(&mut self.top_done) {
-            self.heap.pop();
+            self.calendar.pop();
         }
     }
 
@@ -1788,14 +1847,103 @@ mod tests {
             );
             for &(tb, sb) in &events {
                 let b = Scheduled::new(tb, sb, job);
-                // BinaryHeap is a max-heap: the calendar order is reversed.
                 assert_eq!(
-                    b.cmp(&a),
+                    a.key.cmp(&b.key),
                     ta.total_cmp(&tb).then(sa.cmp(&sb)),
                     "({ta:e}, {sa}) vs ({tb:e}, {sb})"
                 );
             }
         }
+    }
+
+    /// Random push / replace-earliest / pop sequences pop exactly the keys
+    /// a binary min-heap pops, with each event's job moving with its key.
+    /// Sizes and times are drawn so new events land both within `NEAR`
+    /// slots of the earliest end and further back.
+    #[test]
+    fn calendar_pops_like_a_min_heap() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+
+        // Equal times (told apart by `seq`), negative times and both zeros.
+        let pool = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.0f64.next_up(), 7.0];
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut cal = Calendar::default();
+        let mut reference = BinaryHeap::new();
+        let mut seq = 0u64;
+        let (mut near, mut far) = (0usize, 0usize);
+        for round in 0..400 {
+            // Alternate growing and draining so the calendar size sweeps
+            // from empty to several dozen pending events.
+            let target = if round % 2 == 0 {
+                rng.gen_range(1..80)
+            } else {
+                0
+            };
+            for _ in 0..200 {
+                let event = {
+                    seq += 1;
+                    let time = if rng.gen_range(0..2usize) == 0 {
+                        pool[rng.gen_range(0..pool.len())]
+                    } else {
+                        rng.gen_range(-4.0..8.0)
+                    };
+                    let job = Job {
+                        frame: seq as u32,
+                        item: 0,
+                        local: 0,
+                    };
+                    Scheduled::new(time, seq, job)
+                };
+                // 0 pushes, 1 replaces the earliest, 2 pops.
+                let r = rng.gen_range(0..4usize);
+                let op = match reference.len().cmp(&target) {
+                    _ if reference.is_empty() => 0,
+                    Ordering::Less => [0, 0, 0, 1][r],
+                    Ordering::Equal => [0, 1, 1, 2][r],
+                    Ordering::Greater => [2, 2, 2, 1][r],
+                };
+                if op == 2 {
+                    let popped = cal.pop().expect("a pending event");
+                    let Reverse(want) = reference.pop().expect("a pending key");
+                    assert_eq!(popped.key, want);
+                    assert_eq!(
+                        popped.job().frame,
+                        want as u32,
+                        "the job moves with its key"
+                    );
+                } else {
+                    if op == 1 {
+                        reference.pop();
+                    }
+                    let rank = reference
+                        .iter()
+                        .filter(|&&Reverse(k)| k < event.key)
+                        .count();
+                    if rank < NEAR || reference.len() <= NEAR {
+                        near += 1;
+                    } else {
+                        far += 1;
+                    }
+                    reference.push(Reverse(event.key));
+                    if op == 1 {
+                        cal.replace_top(event);
+                    } else {
+                        cal.push(event);
+                    }
+                }
+                assert_eq!(cal.peek().map(|e| e.key), reference.peek().map(|r| r.0));
+            }
+        }
+        while let Some(Reverse(want)) = reference.pop() {
+            assert_eq!(cal.pop().map(|e| e.key), Some(want));
+        }
+        assert!(cal.pop().is_none());
+        assert!(
+            near > 10_000 && far > 10_000,
+            "both placement paths ran: {near} near, {far} far"
+        );
     }
 
     fn single_chiplet_schedule(c: ChipletId) -> Schedule {
