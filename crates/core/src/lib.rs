@@ -128,12 +128,6 @@ impl Platform {
         &self.package
     }
 
-    /// Overrides the matcher configuration (builder style).
-    pub fn with_matcher_config(mut self, cfg: MatcherConfig) -> Self {
-        self.matcher_cfg = cfg;
-        self
-    }
-
     /// Runs Algorithm 1 on a perception pipeline.
     pub fn schedule_perception(&self, pipeline: &PerceptionPipeline) -> MatchOutcome {
         ThroughputMatcher::new(&self.model, self.matcher_cfg.clone())

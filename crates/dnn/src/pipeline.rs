@@ -136,14 +136,6 @@ impl Stage {
         self.models.iter().map(|m| m.instances).sum()
     }
 
-    /// Total layer count across model instances.
-    pub fn total_layers(&self) -> u64 {
-        self.models
-            .iter()
-            .map(|m| m.graph.len() as u64 * m.instances)
-            .sum()
-    }
-
     /// MACs across all instances.
     pub fn total_macs(&self) -> MacCount {
         self.models.iter().map(StageModel::total_macs).sum()

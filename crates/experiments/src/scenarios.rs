@@ -32,11 +32,6 @@ impl ScenarioGrid {
     pub fn family(&self, name: &str) -> Vec<&ScenarioPoint> {
         self.points.iter().filter(|p| p.scenario == name).collect()
     }
-
-    /// The worst DES-vs-predicted disagreement across the grid.
-    pub fn worst_drift(&self) -> f64 {
-        self.points.iter().map(|p| p.drift).fold(0.0, f64::max)
-    }
 }
 
 /// Runs the built-in scenario families on the paper's 6×6 single-NPU

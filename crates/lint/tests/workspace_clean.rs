@@ -58,9 +58,9 @@ fn every_allow_is_justified_and_load_bearing() {
     for a in &report.allows {
         assert!(!a.reason.is_empty(), "unjustified allow: {a:?}");
     }
-    // The audited inventory of intentional hash-container uses and env
-    // reads (ISSUE 7 satellite). Growing this list is a deliberate act:
-    // the new site must carry a written justification to show up here.
+    // The audited inventory of intentional hash-container uses. Growing
+    // this list is a deliberate act: the new site must carry a written
+    // justification to show up here.
     let inventory: Vec<(&str, &str)> = report
         .allows
         .iter()
@@ -71,7 +71,6 @@ fn every_allow_is_justified_and_load_bearing() {
         vec![
             ("crates/noc/src/traffic.rs", "D001"),
             ("crates/noc/src/traffic.rs", "D001"),
-            ("crates/sched/src/dse.rs", "D005"),
         ],
         "allow inventory drifted: {:#?}",
         report.allows

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use npu_dnn::{Layer, OpClass};
+use npu_dnn::Layer;
 use npu_tensor::{Dtype, Joules, MacCount, Seconds};
 
 use crate::accelerator::Accelerator;
@@ -208,13 +208,6 @@ impl CostModel for FirstPrinciples {
     fn name(&self) -> &str {
         "first-principles"
     }
-}
-
-/// Returns true when `class` benefits from the WS dataflow's energy
-/// profile (conv-like classes): the heterogeneity heuristic used by the
-/// trunk DSE.
-pub fn ws_energy_affine(class: OpClass) -> bool {
-    matches!(class, OpClass::Conv | OpClass::Deconv)
 }
 
 #[cfg(test)]

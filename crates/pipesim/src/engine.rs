@@ -18,8 +18,10 @@
 //!
 //! The core keeps no per-frame state. Each chiplet serves an item's jobs
 //! in frame order, so one counter per item — the stream frames it has
-//! completed — decides when a job is ready and when a frame is done;
-//! memory is O(items + chiplets) however many frames are in flight.
+//! completed — decides when a job is ready and when a frame is done, and
+//! a chiplet's ready queue holds each of its items at most once, under
+//! its lowest ready frame. Memory is O(items + chiplets) however many
+//! frames are in flight or waiting.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -119,9 +121,10 @@ pub fn simulate(
 }
 
 /// Engine-internal measurements of one DES pass: how big the run was and
-/// how deep its pipeline got. The report is O(1) per frame and the engine
-/// holds no per-frame state; these numbers let tests (and capacity
-/// planning) pin the pipelining depth.
+/// how deep its pipeline got. The engine's memory does not grow with
+/// either: it holds a frame counter and at most one ready-queue entry
+/// per item, however many frames are in flight or waiting. These numbers
+/// let tests (and capacity planning) pin the pipelining depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Frames pushed through the pipeline.
@@ -703,26 +706,14 @@ impl Calendar {
     }
 }
 
-/// A virtual root cursor: the not-yet-started root jobs of one stream on
-/// one chiplet. Its head is `(stream frame, roots[next])`.
-struct RootCursor {
-    stream: usize,
-    /// The stream's root items on the chiplet: `roots[start..end]`.
-    start: usize,
-    end: usize,
-    next: usize,
-    frame: usize,
-    /// Global frame index of `frame`.
-    global: u32,
-}
-
 /// Global frame index of stream `k`'s frame `f`: its rank in the merged
 /// arrivals, where same-instant arrivals resolve by stream order. With
 /// one stream it is the frame itself.
 fn global_frame(streams: &[Stream<'_>], k: usize, f: usize) -> u32 {
-    let Some(&t) = streams[k].times.get(f) else {
-        return u32::MAX;
-    };
+    if streams.len() == 1 {
+        return f as u32;
+    }
+    let t = streams[k].times[f];
     let earlier = |(j, s): (usize, &Stream<'_>)| match j.cmp(&k) {
         Ordering::Less => s.times.partition_point(|&x| x <= t),
         Ordering::Equal => f,
@@ -736,12 +727,9 @@ fn global_frame(streams: &[Stream<'_>], k: usize, f: usize) -> u32 {
 struct Stream<'a> {
     /// Served arrival times (stream-frame indexed).
     times: &'a [f64],
-    /// Dense chiplet index of each root item in item order: the
-    /// dispatch fan-out of one frame arrival.
-    root_dispatch: Vec<u32>,
-    /// The distinct chiplets of `root_dispatch`: where an arrival can
-    /// wake a root cursor.
-    root_chiplets: Vec<usize>,
+    /// Global indices of the stream's root items (no dependencies), in
+    /// item order: what one frame arrival makes ready.
+    roots: Vec<u32>,
     /// Global indices of the stream's sink items (no dependents).
     sinks: Vec<u32>,
     /// Dense indices of the chiplets the stream's schedule uses.
@@ -749,8 +737,7 @@ struct Stream<'a> {
     /// Frames `0..arrived` have arrived.
     arrived: usize,
     /// Frames `0..started` have started a job. Frames start in frame
-    /// order, since every root cursor of a stream walks its frames in
-    /// order.
+    /// order, since each root item starts its frames in order.
     started: usize,
     /// Frames `0..completed` have completed and streamed into `report`.
     completed: usize,
@@ -762,28 +749,35 @@ struct Stream<'a> {
 /// The DES core. It holds no per-frame state: peak memory is
 /// O(items + chiplets), whatever the frame count or backlog.
 ///
-/// - Every chiplet serves each item's jobs in frame order. Roots go
-///   through the frame-ordered cursors below; for a non-root item, its
-///   frame-`f` dependencies complete before its frame-`f + 1` ones (by
-///   induction), and `(frame, item)` priority then starts `(f, i)`
+/// - Every chiplet serves each item's jobs in frame order. A root
+///   item's frames become ready in arrival order; for a non-root item,
+///   its frame-`f` dependencies complete before its frame-`f + 1` ones
+///   (by induction), and `(frame, item)` priority then starts `(f, i)`
 ///   first. So one counter per item, `done[i]` = the stream frames item
 ///   `i` has completed, is the whole dependency state: job `(f, i)` is
-///   ready exactly when every dependency `d` has `done[d] > f`, and
-///   stream frame `f` completes exactly when every sink item has
-///   `done > f`. Frames therefore complete, and stream into the report,
-///   in frame order.
+///   ready exactly when every dependency `d` has `done[d] > f` (a root's
+///   when frame `f` has arrived), and stream frame `f` completes exactly
+///   when every sink item has `done > f`. Frames therefore complete,
+///   and stream into the report, in frame order.
+/// - Each chiplet's ready queue holds an item at most once, keyed by
+///   its lowest ready job, so a queue never holds more entries than its
+///   chiplet has items, whatever the backlog. The lowest ready job of
+///   every item is queued, so the queue head is the earliest ready job
+///   on the chiplet. One count per item, `waiting[i]` = its ready jobs
+///   not yet started, decides the rest, for roots and non-roots alike: a
+///   job that becomes ready (its frame arrives, for a root; its last
+///   dependency completes the frame, otherwise) is queued if the count
+///   was 0 and only counted otherwise, and when a queued job starts, its
+///   item is queued again under the next frame while the count stays
+///   positive, with no dependency re-check. Debug builds check on every
+///   such start that a counted job is ready by the readiness rule. One
+///   entry per ready job instead grows with the backlog: one chiplet's
+///   queue reached 217 entries in `repro drive-long`, and 2,381 in a
+///   20,000-frame saturated run of the matched `simba_6x6` schedule.
 /// - Arrivals are walked with per-stream cursors, merged in
 ///   `(time, stream)` order and interleaved with the completion calendar
 ///   in time order instead of being heaped upfront, with arrivals
 ///   winning time ties.
-/// - Root jobs (no dependencies) of arrived frames are represented by a
-///   per-(chiplet, stream) **virtual cursor** over their root items
-///   instead of queue entries, so a backlog of arrived-but-unstarted
-///   frames costs nothing. Each chiplet caches its earliest cursor head
-///   in `root_min`, rescanned only where a cursor can change: at an
-///   arrival, on the arriving stream's root chiplets, and when a take
-///   advances a cursor. Every read checks the cache against a fresh scan
-///   in debug builds.
 /// - The completion [`Calendar`] is a vector of 32-byte events sorted
 ///   latest first, each one `u128` sort key (time bits in `total_cmp`
 ///   order, then a sequence number) and one `u128` packed job. A new
@@ -791,8 +785,8 @@ struct Stream<'a> {
 ///   it is a short shift of one `u128` compare and one 32-byte move per
 ///   step.
 /// - A job released onto a free chiplet starts at once when it beats
-///   the chiplet's queue head and every root cursor there — the job
-///   [`dispatch`](Engine::dispatch) would pick — skipping the queue.
+///   the chiplet's queue head — the job [`dispatch`](Engine::dispatch)
+///   would pick — skipping the queue.
 /// - Item ids are stream-offset into one global table (durations,
 ///   dependencies, dependents, chiplets), keeping the hot path dense,
 ///   and chiplet state is dense `Vec`s indexed by the sorted distinct
@@ -819,19 +813,16 @@ struct Engine<'a> {
     /// item order (edges never leave a stream).
     dependents_at: Vec<u32>,
     dependents: Vec<u32>,
-    /// Root items of every cursor, grouped by chiplet then stream.
-    roots: Vec<u32>,
-    /// The cursors of chiplet `c`: `cursors[cursors_at[c]..cursors_at[c + 1]]`.
-    cursors_at: Vec<usize>,
-    cursors: Vec<RootCursor>,
-    /// What [`next_root`](Engine::next_root) returns for each chiplet,
-    /// cached: refreshed only where a cursor's head or its arrived state
-    /// can change (an arrival of the cursor's stream, or a take).
-    root_min: Vec<Option<(u64, usize)>>,
 
     streams: Vec<Stream<'a>>,
     /// Stream frames each item has completed.
     done: Vec<u32>,
+    /// Ready jobs of each item not yet started. An item sits in its
+    /// chiplet's ready queue, under the lowest of them, exactly when it
+    /// has one.
+    waiting: Vec<u32>,
+    /// Frames arrived over all streams: the next arrival's global frame.
+    arrivals: u32,
 
     // Event calendar: item completions only.
     calendar: Calendar,
@@ -845,7 +836,7 @@ struct Engine<'a> {
     next_arrival: Option<(f64, usize)>,
 
     // Per-chiplet executors (dense).
-    /// Ready non-root jobs per chiplet (roots stay virtual).
+    /// Ready items per chiplet, each under its lowest ready job.
     queues: Vec<BinaryHeap<Job>>,
     busy_until: Vec<f64>,
     busy_time: Vec<f64>,
@@ -880,12 +871,10 @@ impl<'a> Engine<'a> {
         // (dependency, dependent) of every distinct edge, ascending
         // dependent.
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        // (dense chiplet, stream, global item) of every root item.
-        let mut root_items: Vec<(u32, usize, u32)> = Vec::new();
         let mut states = Vec::with_capacity(streams.len());
         let mut offset = 0;
         for (k, s) in streams.iter().enumerate() {
-            let mut root_dispatch = Vec::new();
+            let mut roots = Vec::new();
             for (i, item) in s.items.iter().enumerate() {
                 let c = dense(item.chiplet);
                 chiplet_of.push(c);
@@ -899,22 +888,18 @@ impl<'a> Engine<'a> {
                 deps.extend(ds);
                 deps_at.push(deps.len() as u32);
                 if item.deps.is_empty() {
-                    root_items.push((c, k, (offset + i) as u32));
-                    root_dispatch.push(c);
+                    roots.push((offset + i) as u32);
                 }
             }
-            let distinct = |cs: &[u32]| {
-                let mut cs: Vec<usize> = cs.iter().map(|&c| c as usize).collect();
-                cs.sort_unstable();
-                cs.dedup();
-                cs
-            };
+            let mut chiplets: Vec<usize> =
+                chiplet_of[offset..].iter().map(|&c| c as usize).collect();
+            chiplets.sort_unstable();
+            chiplets.dedup();
             states.push(Stream {
                 times: s.times,
-                root_chiplets: distinct(&root_dispatch),
-                root_dispatch,
+                roots,
                 sinks: Vec::new(),
-                chiplets: distinct(&chiplet_of[offset..]),
+                chiplets,
                 arrived: 0,
                 started: 0,
                 completed: 0,
@@ -940,32 +925,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Group roots by chiplet; the stable sort keeps stream then item
-        // order within a chiplet.
-        root_items.sort_by_key(|&(c, _, _)| c);
         let n_chiplets = chiplet_ids.len();
-        let roots: Vec<u32> = root_items.iter().map(|&(_, _, i)| i).collect();
-        let mut cursors: Vec<RootCursor> = Vec::new();
-        let mut cursors_at = vec![0; n_chiplets + 1];
-        for (at, &(c, k, _)) in root_items.iter().enumerate() {
-            if at > 0 && root_items[at - 1].0 == c && root_items[at - 1].1 == k {
-                cursors.last_mut().expect("cursor open").end += 1;
-            } else {
-                cursors.push(RootCursor {
-                    stream: k,
-                    start: at,
-                    end: at + 1,
-                    next: at,
-                    frame: 0,
-                    global: global_frame(&states, k, 0),
-                });
-            }
-            cursors_at[c as usize + 1] = cursors.len();
-        }
-        for c in 0..n_chiplets {
-            cursors_at[c + 1] = cursors_at[c + 1].max(cursors_at[c]);
-        }
-
         let mut engine = Engine {
             chiplet_of,
             durations,
@@ -974,12 +934,10 @@ impl<'a> Engine<'a> {
             deps,
             dependents_at,
             dependents,
-            roots,
-            cursors_at,
-            cursors,
-            root_min: vec![None; n_chiplets],
             streams: states,
             done: vec![0; n_items],
+            waiting: vec![0; n_items],
+            arrivals: 0,
             calendar: Calendar::default(),
             seq: 0,
             top_done: false,
@@ -1016,6 +974,10 @@ impl<'a> Engine<'a> {
                 .all(|s| s.started == s.times.len() && s.completed == s.times.len()),
             "all frames started and completed"
         );
+        debug_assert!(
+            self.queues.iter().all(BinaryHeap::is_empty),
+            "every ready queue drained"
+        );
 
         let (chiplet_ids, busy_time) = (&self.chiplet_ids, &self.busy_time);
         self.streams
@@ -1051,112 +1013,116 @@ impl<'a> Engine<'a> {
         next
     }
 
-    /// Admits the next merged frame: advances the cursors, refreshes the
-    /// root heads they may have woken, and offers each of its stream's
-    /// root chiplets a dispatch, in item order.
+    /// Admits the next merged frame: each of its stream's root items
+    /// gains a ready job, queued under the frame unless the item is
+    /// queued already; then each root's chiplet is offered a dispatch,
+    /// in item order.
     fn process_arrival(&mut self) {
         let (now, k) = self.next_arrival.expect("arrival due");
+        let local = self.streams[k].arrived as u32;
         self.streams[k].arrived += 1;
-        for i in 0..self.streams[k].root_chiplets.len() {
-            let c = self.streams[k].root_chiplets[i];
-            self.root_min[c] = self.next_root(c);
+        for i in 0..self.streams[k].roots.len() {
+            let item = self.streams[k].roots[i];
+            if self.waiting[item as usize] > 0 {
+                self.waiting[item as usize] += 1;
+            } else {
+                self.enqueue(Job {
+                    frame: self.arrivals,
+                    item,
+                    local,
+                });
+            }
         }
-        for i in 0..self.streams[k].root_dispatch.len() {
-            self.dispatch(self.streams[k].root_dispatch[i] as usize, now);
+        self.arrivals += 1;
+        for i in 0..self.streams[k].roots.len() {
+            let item = self.streams[k].roots[i] as usize;
+            self.dispatch(self.chiplet_of[item] as usize, now);
         }
         self.next_arrival = self.peek_arrival();
     }
 
-    /// Starts the next ready job on chiplet `c` if it is free.
+    /// Queues `job` on its chiplet: the lowest ready job of an item that
+    /// has no other.
+    fn enqueue(&mut self, job: Job) {
+        let c = self.chiplet_of[job.item as usize] as usize;
+        debug_assert!(
+            self.queues[c].iter().all(|j| j.item != job.item),
+            "an item is queued at most once"
+        );
+        self.waiting[job.item as usize] = 1;
+        self.queues[c].push(job);
+    }
+
+    /// Starts the earliest ready job on chiplet `c` if it is free.
+    #[inline]
     fn dispatch(&mut self, c: usize, now: f64) {
         if self.busy_until[c] <= now {
-            let root = self.root_head(c);
-            self.start_next(c, root, now);
+            self.start_head(c, now);
         }
     }
 
-    /// The earliest arrived root job waiting on chiplet `c`: the cached
-    /// [`next_root`](Engine::next_root).
-    fn root_head(&self, c: usize) -> Option<(u64, usize)> {
-        debug_assert_eq!(self.root_min[c], self.next_root(c), "stale root head");
-        self.root_min[c]
-    }
-
-    /// The earliest arrived root job waiting on chiplet `c`, over its
-    /// virtual cursors: the job's packed key and its cursor.
-    fn next_root(&self, c: usize) -> Option<(u64, usize)> {
-        let mut best: Option<(u64, usize)> = None;
-        for ci in self.cursors_at[c]..self.cursors_at[c + 1] {
-            let cur = &self.cursors[ci];
-            if cur.frame < self.streams[cur.stream].arrived {
-                let key = pack(cur.global, self.roots[cur.next]);
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, ci));
-                }
-            }
-        }
-        best
-    }
-
-    /// Starts the earlier, by (global frame, item), of free chiplet
-    /// `c`'s queue head and its earliest root job `root`. Roots never sit
-    /// in the queue and global frame indices are unique, so the two never
-    /// tie.
-    fn start_next(&mut self, c: usize, root: Option<(u64, usize)>, now: f64) {
-        let head = self.queues[c].peek().map(Job::key);
-        let job = match (head, root) {
-            (Some(h), Some((r, _))) if h < r => self.queues[c].pop().expect("peeked"),
-            (_, Some((_, ci))) => self.take_virtual(c, ci),
-            (Some(_), None) => self.queues[c].pop().expect("peeked"),
-            (None, None) => return,
+    /// Starts free chiplet `c`'s queue head, then queues its item again
+    /// under its next frame if that one is ready too. The first job of a
+    /// frame is a root, and a root's jobs always pass through the queue,
+    /// so only here can a frame start.
+    fn start_head(&mut self, c: usize, now: f64) {
+        let Some(job) = self.queues[c].pop() else {
+            return;
         };
         self.start(c, job, now);
+        let item = job.item as usize;
+        let k = self.stream_of[item] as usize;
+        let f = job.local as usize;
+        if self.deps_at[item] == self.deps_at[item + 1] {
+            let stream = &mut self.streams[k];
+            if f == stream.started {
+                stream.started += 1;
+                stream.peak_in_flight =
+                    stream.peak_in_flight.max(stream.started - stream.completed);
+            }
+        }
+        self.waiting[item] -= 1;
+        // Not the converse: within one completion, a dependent's next
+        // frame can be ready before the loop reaches and counts it.
+        debug_assert!(
+            self.waiting[item] == 0 || self.is_ready(item, f + 1),
+            "a counted job is ready"
+        );
+        if self.waiting[item] > 0 {
+            let next = Job {
+                frame: global_frame(&self.streams, k, f + 1),
+                item: job.item,
+                local: job.local + 1,
+            };
+            self.queues[c].push(next);
+        }
     }
 
-    /// Offers a job its last dependency just released: it starts at once
-    /// if its chiplet is free and it beats both the queue head and every
-    /// root cursor there — the job the queue would hand out next anyway —
+    /// The readiness rule: stream frame `f` of `item` is ready once it has
+    /// arrived, for a root, or once every dependency has completed it.
+    fn is_ready(&self, item: usize, f: usize) -> bool {
+        let deps = &self.deps[self.deps_at[item] as usize..self.deps_at[item + 1] as usize];
+        if deps.is_empty() {
+            f < self.streams[self.stream_of[item] as usize].arrived
+        } else {
+            deps.iter().all(|&d| self.done[d as usize] as usize > f)
+        }
+    }
+
+    /// Offers a job its last dependency just released, its item's only
+    /// ready job: it starts at once if its chiplet is free and it beats
+    /// the queue head — the job the queue would hand out next anyway —
     /// and waits in the queue otherwise.
     fn release(&mut self, job: Job, now: f64) {
         let c = self.chiplet_of[job.item as usize] as usize;
-        if self.busy_until[c] > now {
-            self.queues[c].push(job);
-            return;
-        }
-        let root = self.root_head(c);
-        let key = job.key();
-        if self.queues[c].peek().is_none_or(|h| key < h.key()) && root.is_none_or(|(r, _)| key < r)
-        {
+        if self.busy_until[c] <= now && self.queues[c].peek().is_none_or(|h| job.key() < h.key()) {
+            // The dependency that released it has not completed the next
+            // frame, so the item has no other ready job.
+            debug_assert!(!self.is_ready(job.item as usize, job.local as usize + 1));
             self.start(c, job, now);
         } else {
-            self.queues[c].push(job);
-            self.start_next(c, root, now);
-        }
-    }
-
-    /// Materializes the head of chiplet `c`'s root cursor `ci` into a
-    /// real job and refreshes the chiplet's root head; the first root
-    /// job of a frame starts the frame.
-    fn take_virtual(&mut self, c: usize, ci: usize) -> Job {
-        let cur = &mut self.cursors[ci];
-        let (k, frame, global) = (cur.stream, cur.frame, cur.global);
-        let item = self.roots[cur.next];
-        cur.next += 1;
-        if cur.next == cur.end {
-            cur.next = cur.start;
-            cur.frame += 1;
-            cur.global = global_frame(&self.streams, k, cur.frame);
-        }
-        self.root_min[c] = self.next_root(c);
-        let stream = &mut self.streams[k];
-        if frame == stream.started {
-            stream.started += 1;
-            stream.peak_in_flight = stream.peak_in_flight.max(stream.started - stream.completed);
-        }
-        Job {
-            frame: global,
-            item,
-            local: frame as u32,
+            self.enqueue(job);
+            self.dispatch(c, now);
         }
     }
 
@@ -1188,7 +1154,15 @@ impl<'a> Engine<'a> {
         for di in succs {
             let succ = self.dependents[di] as usize;
             let deps = self.deps_at[succ] as usize..self.deps_at[succ + 1] as usize;
-            if self.deps[deps].iter().all(|&d| self.done[d as usize] > f) {
+            if !self.deps[deps].iter().all(|&d| self.done[d as usize] > f) {
+                continue;
+            }
+            if self.waiting[succ] > 0 {
+                // Its lowest ready job is queued already. A release onto a
+                // free chiplet starts the queue head, so offer one here too.
+                self.waiting[succ] += 1;
+                self.dispatch(self.chiplet_of[succ] as usize, time);
+            } else {
                 let next = Job {
                     item: succ as u32,
                     ..job

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use npu_dnn::{PerceptionPipeline, StageKind};
+use npu_dnn::PerceptionPipeline;
 use npu_maestro::CostModel;
 use npu_mcm::{ChipletId, McmPackage};
 use npu_tensor::float;
@@ -134,17 +134,11 @@ pub fn baseline_schedule(
     Schedule { stages }
 }
 
-/// Convenience: true if the stage kind belongs to the paper's Table II
-/// scope (the first three bottleneck stages).
-pub fn in_table2_scope(kind: StageKind) -> bool {
-    kind != StageKind::Trunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::evaluate;
-    use npu_dnn::PerceptionConfig;
+    use npu_dnn::{PerceptionConfig, StageKind};
     use npu_maestro::FittedMaestro;
     use npu_tensor::Dtype;
 

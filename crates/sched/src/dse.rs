@@ -179,21 +179,6 @@ pub fn explore_trunks(
     });
 
     let searched = run.metrics().iter().flatten().count();
-    // npu-lint: allow(D005) debug tracing gate: prints to stderr only, never affects returned results
-    if std::env::var("DSE_DEBUG").is_ok() {
-        for (combo, entry) in run.iter() {
-            let Some((_, report, feasible)) = entry else {
-                continue;
-            };
-            eprintln!(
-                "combo {:?} pipe={:.1}ms e={:.1}mJ feas={}",
-                combo,
-                report.pipe.as_millis(),
-                report.energy().as_millijoules(),
-                feasible
-            );
-        }
-    }
 
     // Feasible configs score by EDP (lower better); infeasible ones by
     // a large penalty plus pipe so the least-bad is kept as fallback.

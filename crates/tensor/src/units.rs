@@ -593,19 +593,9 @@ impl Hertz {
         Hertz(ghz * 1e9)
     }
 
-    /// Creates a frequency from MHz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Hertz(mhz * 1e6)
-    }
-
     /// Raw value in Hz.
     pub fn as_hz(self) -> f64 {
         self.0
-    }
-
-    /// Value in GHz.
-    pub fn as_ghz(self) -> f64 {
-        self.0 / 1e9
     }
 }
 

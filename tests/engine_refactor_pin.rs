@@ -483,6 +483,81 @@ fn same_instant_completion_frees_the_chiplet_before_its_event() {
     assert_eq!(rep.mean_latency.as_secs(), 7.0);
 }
 
+/// A release onto a free chiplet whose item already waits there starts
+/// the waiting frame, before a lower-key job that a same-instant
+/// completion releases later.
+///
+/// Two saturated frames. P (c0, 1 s) releases X (c1, 1 s) at t = 1, and
+/// X0 waits: V (c1, 1.5 s) holds c1. At t = 1.5 W (c2, 1.5 s) releases Z
+/// (c1, 0.5 s), which beats X0 and runs to t = 2. At t = 2 P's frame-1
+/// completion comes first: it releases X1 onto c1, free at
+/// `busy_until <= now`, so X0 starts. Z0's completion then releases Y
+/// (c1, 1 s), which waits; Y releases E (c0, 5 s) at t = 4, and the
+/// frames complete at 9 s and 14 s. Not offering c1 a dispatch because
+/// X is already queued would start Y0, the lower item index, at t = 2
+/// and finish at 8 s and 13 s.
+#[test]
+fn release_onto_a_free_chiplet_starts_its_queued_frame() {
+    let dense = |name: &str| {
+        Layer::intrinsic(
+            name,
+            OpKind::Dense {
+                tokens: 64,
+                in_features: 64,
+                out_features: 64,
+            },
+        )
+    };
+    // Item order follows graph order: P, W, V, Z, Y, X, E.
+    let mut g = Graph::new("queued-release");
+    let p = g.add(dense("p"), &[]).unwrap();
+    let w = g.add(dense("w"), &[]).unwrap();
+    let v = g.add(dense("v"), &[]).unwrap();
+    let z = g.add(dense("z"), &[w]).unwrap();
+    let y = g.add(dense("y"), &[z]).unwrap();
+    let x = g.add(dense("x"), &[p]).unwrap();
+    g.add(dense("e"), &[y]).unwrap();
+    let mut mp = ModelPlan::on_single_chiplet("m", g.clone(), ChipletId(0));
+    for (id, chiplet) in [(w, 2), (v, 1), (z, 1), (y, 1), (x, 1)] {
+        *mp.layer_plan_mut(id) = LayerPlan::single(g.layer(id).clone(), ChipletId(chiplet));
+    }
+    let schedule = Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            models: vec![mp],
+            region: vec![ChipletId(0), ChipletId(1), ChipletId(2)],
+        }],
+    };
+    // A free NoP: item durations are exactly the table's latencies.
+    let pkg = McmPackage::simba_6x6().with_link(LinkParams {
+        bandwidth_bytes_per_sec: f64::INFINITY,
+        hop_latency: Seconds::ZERO,
+        ..LinkParams::simba_28nm()
+    });
+    let model = TableModel(&[
+        ("p", 1.0),
+        ("w", 1.5),
+        ("v", 1.5),
+        ("z", 0.5),
+        ("y", 1.0),
+        ("x", 1.0),
+        ("e", 5.0),
+    ]);
+
+    let cfg = SimConfig::saturated(2);
+    let items = flatten_items(&schedule, &pkg, &model, cfg.dtype);
+    let durations: Vec<f64> = items.iter().map(|it| it.duration.as_secs()).collect();
+    assert_eq!(durations, [1.0, 1.5, 1.5, 0.5, 1.0, 1.0, 5.0]);
+    let deps: Vec<&[usize]> = items.iter().map(|it| &it.deps[..]).collect();
+    assert_eq!(deps, [&[][..], &[], &[], &[1], &[3], &[0], &[4]]);
+
+    let reference = reference_run(&items, &cfg.arrivals.times(cfg.frames));
+    let rep = simulate(&schedule, &pkg, &model, &cfg);
+    assert_matches_reference("queued-release", &rep, &reference, cfg.warmup);
+    assert_eq!(rep.mean_latency.as_secs(), 11.5);
+    assert_eq!(rep.max_latency.as_secs(), 14.0);
+}
+
 /// The `Dtype` import is part of the pinned surface: the reference and
 /// the engine must flatten with the same accounting datatype.
 #[test]
@@ -517,7 +592,7 @@ impl CostModel for EighthsModel {
 
 /// A random DAG of 2–6 dense layers drawn from `seed`, one stage on the
 /// shared chiplets. Layer 0 is a root on chiplet 0, so every stream
-/// keeps a root cursor there. Each later layer takes up to two earlier
+/// queues a root there. Each later layer takes up to two earlier
 /// layers as inputs (none makes it another root, a repeat a duplicated
 /// edge), lasts 1–4 eighths of a second and runs on a drawn chiplet.
 fn generated_schedule(seed: u64) -> Schedule {
@@ -566,6 +641,66 @@ fn generated_schedule(seed: u64) -> Schedule {
     }
 }
 
+/// One generated stream: `(frames, arrival offset, arrival interval)` in
+/// eighths of a second, then `(schedule seed, warmup)`.
+type StreamDraw = ((usize, i64, i64), (u64, usize));
+
+/// Co-simulates the drawn streams on three shared chiplets and checks
+/// each stream's report against the K-stream reference bit for bit.
+fn assert_shared_streams_match_reference(draws: &[StreamDraw]) {
+    // A free NoP: item durations are exactly the model's eighths.
+    let pkg = McmPackage::simba_6x6().with_link(LinkParams {
+        bandwidth_bytes_per_sec: f64::INFINITY,
+        hop_latency: Seconds::ZERO,
+        ..LinkParams::simba_28nm()
+    });
+    let model = EighthsModel;
+    let schedules: Vec<Schedule> = draws
+        .iter()
+        .map(|&(_, (seed, _))| generated_schedule(seed))
+        .collect();
+    let times: Vec<Vec<f64>> = draws
+        .iter()
+        .map(|&((frames, offset, interval), _)| {
+            (0..frames as i64)
+                .map(|f| (offset + f * interval) as f64 / 8.0)
+                .collect()
+        })
+        .collect();
+    let streams: Vec<SimPhase<'_>> = schedules
+        .iter()
+        .zip(&times)
+        .zip(draws)
+        .map(|((schedule, times), &(_, (_, warmup)))| SimPhase {
+            schedule,
+            times: times.clone(),
+            readiness: Readiness::Barrier(times[0]),
+            warmup: Some(warmup),
+            cutoff: None,
+        })
+        .collect();
+    let reps = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+    let items: Vec<Vec<SimItem>> = schedules
+        .iter()
+        .map(|s| flatten_items(s, &pkg, &model, Dtype::Fp16))
+        .collect();
+    let inputs: Vec<(&[SimItem], &[f64])> = items
+        .iter()
+        .zip(&times)
+        .map(|(i, t)| (&i[..], &t[..]))
+        .collect();
+    let reference = reference_run_streams(&inputs);
+    for (k, ((rep, run), &(_, (_, warmup)))) in reps.iter().zip(&reference).zip(draws).enumerate() {
+        assert_eq!((rep.dropped, rep.flushed), (0, 0));
+        assert_matches_reference(
+            &format!("stream {k} of {draws:?}"),
+            &rep.report,
+            run,
+            warmup,
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -581,51 +716,21 @@ proptest! {
             2..4,
         ),
     ) {
-        // A free NoP: item durations are exactly the model's eighths.
-        let pkg = McmPackage::simba_6x6().with_link(LinkParams {
-            bandwidth_bytes_per_sec: f64::INFINITY,
-            hop_latency: Seconds::ZERO,
-            ..LinkParams::simba_28nm()
-        });
-        let model = EighthsModel;
-        let schedules: Vec<Schedule> =
-            draws.iter().map(|&(_, (seed, _))| generated_schedule(seed)).collect();
-        let times: Vec<Vec<f64>> = draws
-            .iter()
-            .map(|&((frames, offset, interval), _)| {
-                (0..frames as i64).map(|f| (offset + f * interval) as f64 / 8.0).collect()
-            })
-            .collect();
-        let streams: Vec<SimPhase<'_>> = schedules
-            .iter()
-            .zip(&times)
-            .zip(&draws)
-            .map(|((schedule, times), &(_, (_, warmup)))| SimPhase {
-                schedule,
-                times: times.clone(),
-                readiness: Readiness::Barrier(times[0]),
-                warmup: Some(warmup),
-                cutoff: None,
-            })
-            .collect();
-        let reps = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
-        let items: Vec<Vec<SimItem>> = schedules
-            .iter()
-            .map(|s| flatten_items(s, &pkg, &model, Dtype::Fp16))
-            .collect();
-        let inputs: Vec<(&[SimItem], &[f64])> =
-            items.iter().zip(&times).map(|(i, t)| (&i[..], &t[..])).collect();
-        let reference = reference_run_streams(&inputs);
-        for (k, ((rep, run), &(_, (_, warmup)))) in
-            reps.iter().zip(&reference).zip(&draws).enumerate()
-        {
-            prop_assert_eq!((rep.dropped, rep.flushed), (0, 0));
-            assert_matches_reference(
-                &format!("stream {k} of {draws:?}"),
-                &rep.report,
-                run,
-                warmup,
-            );
-        }
+        assert_shared_streams_match_reference(&draws);
     }
+}
+
+/// A fixed draw of the property above. A completion releases the next
+/// frame of an item whose earlier frame already waits on a free chiplet,
+/// while that chiplet's own completion at the same instant is still on
+/// the calendar; the engine must offer the chiplet a dispatch then, as a
+/// release onto a free chiplet does in the reference, or a lower-key job
+/// released by the pending completion starts first.
+#[test]
+fn shared_chiplet_release_onto_a_queued_item_pins_the_reference() {
+    assert_shared_streams_match_reference(&[
+        ((10, 2, 3), (4106166808575755941, 1)),
+        ((7, -3, 4), (11951658683618473250, 0)),
+        ((2, -2, 4), (7412023205174904577, 1)),
+    ]);
 }
