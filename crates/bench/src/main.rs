@@ -2,11 +2,8 @@
 //! line.
 //!
 //! ```text
-//! repro             # everything
-//! repro fig3        # one artifact (fig3, fig4, fig5..fig8 (alias fig5to8),
-//!                   # fig9, fig10, fig11, table1, table2, table3,
-//!                   # ablations, sweeps, scenarios, scenario-dse, drive,
-//!                   # tails, fleet, lint)
+//! repro             # everything, in the paper's section order
+//! repro fig3        # one artifact (`repro --list` names them all)
 //! repro --list      # print the artifact registry (names + aliases)
 //! repro --json ...  # machine-readable, one JSON document per artifact
 //! repro --jobs N .. # worker threads for the sweep grids (default: all
@@ -16,263 +13,132 @@
 //! Flags are accepted anywhere in argv: `repro fig3 --json` and
 //! `repro --json fig3` are the same invocation.
 //!
-//! Each registry entry is a trait object whose [`Artifact::run`]
-//! computes the experiment **once** and returns a [`Render`] — text and
-//! JSON are two views of the same run, never a recomputation.
+//! Each [`ARTIFACTS`] entry's `run` computes the experiment **once** and
+//! returns a [`Render`] — text and JSON are two views of the same run,
+//! never a recomputation.
 
 use std::env;
 use std::process::ExitCode;
 
+use npu_experiments::{
+    ablations, drive, drive_long, ext_sweeps, fig10, fig11, fig3, fig4, fig5to8, fig9, fleet, lint,
+    scenario_dse, scenarios, table1, table2, table3, tails,
+};
 use npu_study::Render;
 
 /// One renderable artifact of the paper reproduction.
-trait Artifact: Sync {
+struct Artifact {
     /// The canonical artifact name (also the golden-file name).
-    fn name(&self) -> &'static str;
-
+    name: &'static str,
     /// Other accepted spellings (`fig5`..`fig8` for the panel).
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
-    }
-
+    aliases: &'static [&'static str],
     /// Computes the experiment and returns its renderings.
-    fn run(&self) -> Box<dyn Render>;
+    run: fn() -> Box<dyn Render>,
 }
 
-struct Fig3;
-impl Artifact for Fig3 {
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fig3::run())
-    }
-}
-
-struct Fig4;
-impl Artifact for Fig4 {
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fig4::run())
-    }
-}
-
-struct Fig5to8;
-impl Artifact for Fig5to8 {
-    fn name(&self) -> &'static str {
-        "fig5to8"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig5", "fig6", "fig7", "fig8"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fig5to8::run())
-    }
-}
-
-struct Fig9;
-impl Artifact for Fig9 {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fig9::run())
-    }
-}
-
-struct Fig10;
-impl Artifact for Fig10 {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fig10::run())
-    }
-}
-
-struct Fig11;
-impl Artifact for Fig11 {
-    fn name(&self) -> &'static str {
-        "fig11"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fig11::run())
-    }
-}
-
-struct Table1;
-impl Artifact for Table1 {
-    fn name(&self) -> &'static str {
-        "table1"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::table1::run())
-    }
-}
-
-struct Table2;
-impl Artifact for Table2 {
-    fn name(&self) -> &'static str {
-        "table2"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::table2::run())
-    }
-}
-
-struct Table3;
-impl Artifact for Table3 {
-    fn name(&self) -> &'static str {
-        "table3"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::table3::run())
-    }
-}
-
-struct Ablations;
-impl Artifact for Ablations {
-    fn name(&self) -> &'static str {
-        "ablations"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::ablations::run())
-    }
-}
-
-struct Sweeps;
-impl Artifact for Sweeps {
-    fn name(&self) -> &'static str {
-        "sweeps"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::ext_sweeps::run())
-    }
-}
-
-struct Scenarios;
-impl Artifact for Scenarios {
-    fn name(&self) -> &'static str {
-        "scenarios"
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::scenarios::run())
-    }
-}
-
-struct ScenarioDse;
-impl Artifact for ScenarioDse {
-    fn name(&self) -> &'static str {
-        "scenario-dse"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["scenario_dse"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::scenario_dse::run())
-    }
-}
-
-struct DriveTimelines;
-impl Artifact for DriveTimelines {
-    fn name(&self) -> &'static str {
-        "drive"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["drives", "drive-timelines"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::drive::run())
-    }
-}
-
-struct DriveLongTimeline;
-impl Artifact for DriveLongTimeline {
-    fn name(&self) -> &'static str {
-        "drive-long"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["long-drive", "drive_long"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::drive_long::run())
-    }
-}
-
-struct Tails;
-impl Artifact for Tails {
-    fn name(&self) -> &'static str {
-        "tails"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["tail", "tail-latency"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::tails::run())
-    }
-}
-
-struct Fleet;
-impl Artifact for Fleet {
-    fn name(&self) -> &'static str {
-        "fleet"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fleet-dse", "tenants"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::fleet::run())
-    }
-}
-
-struct Lint;
-impl Artifact for Lint {
-    fn name(&self) -> &'static str {
-        "lint"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["lints", "check"]
-    }
-    fn run(&self) -> Box<dyn Render> {
-        Box::new(npu_experiments::lint::run())
-    }
-}
-
-/// The single registry every other list derives from: the JSON `all`
-/// expansion, name lookup (with aliases), `--list` and the
-/// error-message listing.
-static ARTIFACTS: [&dyn Artifact; 18] = [
-    &Fig3,
-    &Fig4,
-    &Fig5to8,
-    &Fig9,
-    &Fig10,
-    &Fig11,
-    &Table1,
-    &Table2,
-    &Table3,
-    &Ablations,
-    &Sweeps,
-    &Scenarios,
-    &ScenarioDse,
-    &DriveTimelines,
-    &DriveLongTimeline,
-    &Tails,
-    &Fleet,
-    &Lint,
+/// The registry, in the paper's section order: `all`, `--list`, name
+/// lookup (with aliases) and the error-message listing all read it.
+static ARTIFACTS: [Artifact; 18] = [
+    Artifact {
+        name: "fig3",
+        aliases: &[],
+        run: || Box::new(fig3::run()),
+    },
+    Artifact {
+        name: "fig4",
+        aliases: &[],
+        run: || Box::new(fig4::run()),
+    },
+    Artifact {
+        name: "fig5to8",
+        aliases: &["fig5", "fig6", "fig7", "fig8"],
+        run: || Box::new(fig5to8::run()),
+    },
+    Artifact {
+        name: "fig9",
+        aliases: &[],
+        run: || Box::new(fig9::run()),
+    },
+    Artifact {
+        name: "table1",
+        aliases: &[],
+        run: || Box::new(table1::run()),
+    },
+    Artifact {
+        name: "table2",
+        aliases: &[],
+        run: || Box::new(table2::run()),
+    },
+    Artifact {
+        name: "fig10",
+        aliases: &[],
+        run: || Box::new(fig10::run()),
+    },
+    Artifact {
+        name: "table3",
+        aliases: &[],
+        run: || Box::new(table3::run()),
+    },
+    Artifact {
+        name: "fig11",
+        aliases: &[],
+        run: || Box::new(fig11::run()),
+    },
+    Artifact {
+        name: "ablations",
+        aliases: &[],
+        run: || Box::new(ablations::run()),
+    },
+    Artifact {
+        name: "sweeps",
+        aliases: &[],
+        run: || Box::new(ext_sweeps::run()),
+    },
+    Artifact {
+        name: "scenarios",
+        aliases: &[],
+        run: || Box::new(scenarios::run()),
+    },
+    Artifact {
+        name: "scenario-dse",
+        aliases: &["scenario_dse"],
+        run: || Box::new(scenario_dse::run()),
+    },
+    Artifact {
+        name: "drive",
+        aliases: &["drives", "drive-timelines"],
+        run: || Box::new(drive::run()),
+    },
+    Artifact {
+        name: "drive-long",
+        aliases: &["long-drive", "drive_long"],
+        run: || Box::new(drive_long::run()),
+    },
+    Artifact {
+        name: "tails",
+        aliases: &["tail", "tail-latency"],
+        run: || Box::new(tails::run()),
+    },
+    Artifact {
+        name: "fleet",
+        aliases: &["fleet-dse", "tenants"],
+        run: || Box::new(fleet::run()),
+    },
+    Artifact {
+        name: "lint",
+        aliases: &["lints", "check"],
+        run: || Box::new(lint::run()),
+    },
 ];
 
-fn find(name: &str) -> Option<&'static dyn Artifact> {
+fn find(name: &str) -> Option<&'static Artifact> {
     ARTIFACTS
         .iter()
-        .find(|a| a.name() == name || a.aliases().contains(&name))
-        .copied()
+        .find(|a| a.name == name || a.aliases.contains(&name))
 }
 
 fn expected_names() -> String {
-    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
     format!("{} or all", names.join(", "))
 }
 
@@ -290,8 +156,8 @@ fn registry_listing(json: bool) -> String {
         let entries: Vec<ListedArtifact> = ARTIFACTS
             .iter()
             .map(|a| ListedArtifact {
-                name: a.name().to_string(),
-                aliases: a.aliases().iter().map(|s| s.to_string()).collect(),
+                name: a.name.to_string(),
+                aliases: a.aliases.iter().map(|s| s.to_string()).collect(),
             })
             .collect();
         serde_json::to_string_pretty(&entries).expect("registry serializes")
@@ -299,10 +165,10 @@ fn registry_listing(json: bool) -> String {
         ARTIFACTS
             .iter()
             .map(|a| {
-                if a.aliases().is_empty() {
-                    a.name().to_string()
+                if a.aliases.is_empty() {
+                    a.name.to_string()
                 } else {
-                    format!("{} (aliases: {})", a.name(), a.aliases().join(", "))
+                    format!("{} (aliases: {})", a.name, a.aliases.join(", "))
                 }
             })
             .collect::<Vec<_>>()
@@ -389,35 +255,32 @@ fn main() -> ExitCode {
         args.push("all".to_string());
     }
 
+    // Resolve every name first, then run the list once: `all` and named
+    // artifacts share one path, and output follows argv order whatever
+    // order the workers finish in.
     let mut ok = true;
+    let mut selected: Vec<&Artifact> = Vec::new();
     for arg in &args {
         if arg == "all" {
-            if flags.json {
-                // One JSON document per artifact, registry order.
-                for artifact in ARTIFACTS {
-                    println!("{}", artifact.run().json());
-                }
-            } else {
-                // The curated full report (paper section order).
-                print!("{}", npu_experiments::run_all());
-            }
-            continue;
+            selected.extend(&ARTIFACTS);
+        } else if let Some(artifact) = find(arg) {
+            selected.push(artifact);
+        } else {
+            eprintln!("unknown artifact `{arg}`; expected {}", expected_names());
+            ok = false;
         }
-        match find(arg) {
-            Some(artifact) => {
-                // One computation, rendered in the requested format.
-                let rendered = artifact.run();
-                if flags.json {
-                    println!("{}", rendered.json());
-                } else {
-                    print!("{}", rendered.text());
-                }
-            }
-            None => {
-                eprintln!("unknown artifact `{arg}`; expected {}", expected_names());
-                ok = false;
-            }
+    }
+    let outputs = npu_par::par_map(&selected, |artifact| {
+        // One computation, rendered in the requested format.
+        let rendered = (artifact.run)();
+        if flags.json {
+            rendered.json() + "\n"
+        } else {
+            rendered.text()
         }
+    });
+    for output in outputs {
+        print!("{output}");
     }
     if ok {
         ExitCode::SUCCESS
@@ -433,23 +296,23 @@ mod tests {
     #[test]
     fn aliases_resolve_to_the_panel() {
         for alias in ["fig5", "fig6", "fig7", "fig8", "fig5to8"] {
-            assert_eq!(find(alias).unwrap().name(), "fig5to8");
+            assert_eq!(find(alias).unwrap().name, "fig5to8");
         }
-        assert_eq!(find("scenario_dse").unwrap().name(), "scenario-dse");
+        assert_eq!(find("scenario_dse").unwrap().name, "scenario-dse");
         for alias in ["drives", "drive-timelines"] {
-            assert_eq!(find(alias).unwrap().name(), "drive");
+            assert_eq!(find(alias).unwrap().name, "drive");
         }
         for alias in ["long-drive", "drive_long"] {
-            assert_eq!(find(alias).unwrap().name(), "drive-long");
+            assert_eq!(find(alias).unwrap().name, "drive-long");
         }
         for alias in ["tail", "tail-latency"] {
-            assert_eq!(find(alias).unwrap().name(), "tails");
+            assert_eq!(find(alias).unwrap().name, "tails");
         }
         for alias in ["lints", "check"] {
-            assert_eq!(find(alias).unwrap().name(), "lint");
+            assert_eq!(find(alias).unwrap().name, "lint");
         }
         for alias in ["fleet-dse", "tenants"] {
-            assert_eq!(find(alias).unwrap().name(), "fleet");
+            assert_eq!(find(alias).unwrap().name, "fleet");
         }
     }
 
@@ -462,17 +325,17 @@ mod tests {
     #[test]
     fn expected_names_lists_every_artifact() {
         let listing = expected_names();
-        for a in ARTIFACTS {
-            assert!(listing.contains(a.name()));
+        for a in &ARTIFACTS {
+            assert!(listing.contains(a.name));
         }
     }
 
     #[test]
     fn registry_names_and_aliases_are_unique() {
         let mut seen = std::collections::HashSet::new();
-        for a in ARTIFACTS {
-            assert!(seen.insert(a.name()), "duplicate name {}", a.name());
-            for alias in a.aliases() {
+        for a in &ARTIFACTS {
+            assert!(seen.insert(a.name), "duplicate name {}", a.name);
+            for alias in a.aliases {
                 assert!(seen.insert(alias), "duplicate alias {alias}");
             }
         }

@@ -54,15 +54,33 @@ fn json_mode_emits_valid_json() {
     );
 }
 
+/// `--json all` is every artifact's document (each pinned by its golden
+/// file) concatenated in `--list` order: one run path, one order.
 #[test]
 fn json_all_emits_one_document_per_artifact() {
-    let out = repro(&["--json", "all"]);
+    let out = repro(&["--list", "--json"]);
+    assert!(out.status.success(), "repro --list --json failed");
+    let listing: serde_json::Value =
+        serde_json::from_str(String::from_utf8(out.stdout).unwrap().trim()).expect("valid JSON");
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let expected: String = listing
+        .as_array()
+        .expect("a JSON array")
+        .iter()
+        .map(|entry| {
+            let name = entry.get("name").and_then(|v| v.as_str()).unwrap();
+            std::fs::read_to_string(golden_dir.join(format!("{name}.json")))
+                .unwrap_or_else(|e| panic!("golden file for `{name}`: {e}"))
+        })
+        .collect();
+
+    let out = repro(&["--jobs", "2", "--json", "all"]);
     assert!(out.status.success(), "repro --json all failed");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    // Concatenated pretty-printed documents: one per artifact, each
-    // opening at column 0.
-    let docs = stdout.matches("\n{\n").count() + usize::from(stdout.starts_with('{'));
-    assert_eq!(docs, 18, "expected 18 JSON documents:\n{stdout}");
+    assert!(
+        stdout == expected,
+        "`repro --json all` is not the golden files concatenated in --list order"
+    );
 }
 
 #[test]

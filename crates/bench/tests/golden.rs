@@ -16,10 +16,12 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
+    golden_dir().join(format!("{name}.json"))
 }
 
 /// Runs `repro --json <name>` (with a pinned worker count, which must
@@ -134,4 +136,98 @@ fn fleet_json_matches_golden() {
 #[test]
 fn lint_json_matches_golden() {
     check_golden("lint");
+}
+
+/// Fig. 4: the per-layer OS-vs-WS latency and energy deltas of every
+/// perception stage.
+#[test]
+fn fig4_json_matches_golden() {
+    check_golden("fig4");
+}
+
+/// Figs. 5-8: the throughput-matched stage mapping on the 6x6 package,
+/// including the shard configuration Algorithm 1 chose per stage.
+#[test]
+fn fig5to8_json_matches_golden() {
+    check_golden("fig5to8");
+}
+
+/// Fig. 9: NoP data-movement latency and energy under the matched
+/// schedule.
+#[test]
+fn fig9_json_matches_golden() {
+    check_golden("fig9");
+}
+
+/// Fig. 10: Algorithm 1 scaled to two NPUs (72 chiplets).
+#[test]
+fn fig10_json_matches_golden() {
+    check_golden("fig10");
+}
+
+/// Fig. 11: lane-trunk latency and energy under context-aware computing.
+#[test]
+fn fig11_json_matches_golden() {
+    check_golden("fig11");
+}
+
+/// Table I: the heterogeneous trunk-integration brute force. The
+/// document is about half a megabyte; it is pinned whole rather than by
+/// digest so a drift shows the line that moved.
+#[test]
+fn table1_json_matches_golden() {
+    check_golden("table1");
+}
+
+/// Table II: chiplet arrangements against monolithic baselines at equal
+/// PE budget.
+#[test]
+fn table2_json_matches_golden() {
+    check_golden("table2");
+}
+
+/// Table III: the occupancy-trunk upsampling ablation.
+#[test]
+fn table3_json_matches_golden() {
+    check_golden("table3");
+}
+
+/// The scheduler, dataflow and cost-model ablations.
+#[test]
+fn ablations_json_matches_golden() {
+    check_golden("ablations");
+}
+
+/// The chiplet-count scaling and failure-injection sweeps.
+#[test]
+fn sweeps_json_matches_golden() {
+    check_golden("sweeps");
+}
+
+/// Every artifact `repro --list` names has a golden file, so a new
+/// artifact cannot ship unpinned. (Each file is checked by its own
+/// test above; this one only lists.)
+#[test]
+fn every_listed_artifact_has_a_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--list", "--json"])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "repro --list --json failed");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let listing: serde_json::Value =
+        serde_json::from_str(stdout.trim()).expect("--list --json is valid JSON");
+    let entries = listing.as_array().expect("a JSON array");
+    assert!(!entries.is_empty(), "the registry lists no artifact");
+    for entry in entries {
+        let name = entry
+            .get("name")
+            .and_then(|v| v.as_str())
+            .expect("each entry has a name");
+        assert!(
+            golden_path(name).is_file(),
+            "artifact `{name}` has no golden file under {}",
+            golden_dir().display()
+        );
+    }
 }

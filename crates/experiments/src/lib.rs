@@ -2,8 +2,9 @@
 //!
 //! One module per experiment; each exposes a `run()` returning a typed
 //! result that renders itself as an aligned text table with the paper's
-//! reference values alongside our measured ones. The `repro` binary in
-//! `npu-bench` and the criterion benches drive these.
+//! reference values alongside our measured ones. The `repro` binary
+//! lists every `run()` in its artifact table; the criterion benches call
+//! them directly.
 //!
 //! | Paper artifact | Module |
 //! |---|---|
@@ -53,35 +54,3 @@ pub mod table2;
 pub mod table3;
 pub mod tails;
 mod text;
-
-pub use text::TextTable;
-
-/// Every experiment rendered one after another (the full reproduction).
-///
-/// The artifacts are independent, so they are generated concurrently on
-/// the `npu-par` worker pool (`repro --jobs N` controls the width) and
-/// concatenated in the paper's section order — the rendered report is
-/// byte-identical to the serial run.
-pub fn run_all() -> String {
-    let sections: [fn() -> String; 18] = [
-        || fig3::run().to_string(),
-        || fig4::run().to_string(),
-        || fig5to8::run().to_string(),
-        || fig9::run().to_string(),
-        || table1::run().to_string(),
-        || table2::run().to_string(),
-        || fig10::run().to_string(),
-        || table3::run().to_string(),
-        || fig11::run().to_string(),
-        || ablations::run().to_string(),
-        || ext_sweeps::run().to_string(),
-        || scenarios::run().to_string(),
-        || scenario_dse::run().to_string(),
-        || drive::run().to_string(),
-        || drive_long::run().to_string(),
-        || tails::run().to_string(),
-        || fleet::run().to_string(),
-        || lint::run().to_string(),
-    ];
-    npu_par::par_map(&sections, |section| section()).concat()
-}

@@ -1,11 +1,6 @@
-//! Text rendering helpers.
-//!
-//! The aligned-table type itself now lives in `npu-study` (it is the
-//! `StudyReport` rendering surface); it is re-exported here so every
-//! experiment module — and downstream users of
-//! `npu_experiments::TextTable` — keep their import paths.
+//! Text rendering helpers shared by the experiment modules.
 
-pub use npu_study::TextTable;
+pub(crate) use npu_study::TextTable;
 
 /// Formats a millisecond quantity.
 pub(crate) fn ms(s: npu_tensor::Seconds) -> String {
@@ -20,13 +15,6 @@ pub(crate) fn pct(ours: f64, reference: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reexported_table_renders() {
-        let mut t = TextTable::new("Demo", &["a", "metric"]);
-        t.row(vec!["x".into(), "1.0".into()]);
-        assert!(t.to_string().contains("=== Demo ==="));
-    }
 
     #[test]
     fn pct_signs() {

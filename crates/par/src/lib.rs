@@ -130,9 +130,9 @@ where
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
     // Divide the jobs budget across nesting levels: `jobs` workers each
     // inherit `jobs_total / jobs`, so a nested par_map (e.g. a sweep
-    // inside run_all) keeps total concurrency near the budget instead of
-    // multiplying it. Results are jobs-invariant, so the split only
-    // affects scheduling, never output.
+    // inside one of `repro all`'s artifacts) keeps total concurrency near
+    // the budget instead of multiplying it. Results are jobs-invariant,
+    // so the split only affects scheduling, never output.
     let inner_jobs = (current_jobs() / jobs).max(1);
     thread::scope(|s| {
         let workers: Vec<_> = (0..jobs)
