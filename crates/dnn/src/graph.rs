@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -88,10 +89,14 @@ struct Node {
 /// assert_eq!(g.preds(b), &[a]);
 /// # Ok::<(), npu_dnn::GraphError>(())
 /// ```
+///
+/// The nodes are shared between clones: a cloned graph (and every
+/// schedule copy that holds one) points at the same layers and edges
+/// until one of the copies is extended with [`Graph::add`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Graph {
     name: String,
-    nodes: Vec<Node>,
+    nodes: Arc<Vec<Node>>,
 }
 
 impl Graph {
@@ -99,7 +104,7 @@ impl Graph {
     pub fn new(name: impl Into<String>) -> Self {
         Graph {
             name: name.into(),
-            nodes: Vec::new(),
+            nodes: Arc::new(Vec::new()),
         }
     }
 
@@ -124,10 +129,11 @@ impl Graph {
             }
         }
         let id = LayerId(self.nodes.len() as u32);
+        let nodes = Arc::make_mut(&mut self.nodes);
         for &p in preds {
-            self.nodes[p.index()].succs.push(id);
+            nodes[p.index()].succs.push(id);
         }
-        self.nodes.push(Node {
+        nodes.push(Node {
             layer,
             preds: preds.to_vec(),
             succs: Vec::new(),
@@ -355,6 +361,45 @@ mod tests {
     fn total_macs_sums_layers() {
         let g = chain(3);
         assert_eq!(g.total_macs().as_u64(), 3 * 16 * 8 * 8);
+    }
+
+    #[test]
+    fn clones_share_layers_until_extended() {
+        let mut g = Graph::new("g");
+        let a = g.add(dense("a", 4), &[]).unwrap();
+        let mut h = g.clone();
+        assert!(std::ptr::eq(h.layer(a), g.layer(a)));
+        assert_eq!(h.layer(a).name().as_ptr(), g.layer(a).name().as_ptr());
+        // Extending the copy detaches its nodes and leaves the original
+        // alone; the layer names stay shared.
+        let b = h.add(dense("b", 4), &[a]).unwrap();
+        assert_eq!((g.len(), h.len()), (1, 2));
+        assert!(g.succs(a).is_empty());
+        assert_eq!(h.succs(a), &[b]);
+        assert!(!std::ptr::eq(h.layer(a), g.layer(a)));
+        assert_eq!(h.layer(a).name().as_ptr(), g.layer(a).name().as_ptr());
+    }
+
+    /// The JSON of [`json_round_trip_is_pinned`]'s two-layer graph: the
+    /// shared names and node list are written as a plain string and a
+    /// plain array, the format of an owned `String` and `Vec`.
+    const PINNED_TOY_JSON: &str = concat!(
+        r#"{"name":"toy","nodes":["#,
+        r#"{"layer":{"name":"a","op":{"Dense":{"tokens":2,"in_features":8,"out_features":8}},"#,
+        r#""out":{"n":1,"c":8,"h":2,"w":1}},"preds":[],"succs":[1]},"#,
+        r#"{"layer":{"name":"b","op":{"Dense":{"tokens":2,"in_features":8,"out_features":8}},"#,
+        r#""out":{"n":1,"c":8,"h":2,"w":1}},"preds":[0],"succs":[]}]}"#
+    );
+
+    #[test]
+    fn json_round_trip_is_pinned() {
+        let mut g = Graph::new("toy");
+        let a = g.add(dense("a", 2), &[]).unwrap();
+        g.add(dense("b", 2), &[a]).unwrap();
+        let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(json, PINNED_TOY_JSON);
+        let back: Graph = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, g);
     }
 
     proptest! {

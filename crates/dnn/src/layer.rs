@@ -1,6 +1,7 @@
 //! A single named layer: operator + output shape.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,9 +24,12 @@ use crate::op::{OpClass, OpDims, OpKind};
 /// );
 /// assert_eq!(l.macs().as_u64(), 2 * 16_000 * 256 * 1024);
 /// ```
+///
+/// The name is shared, not owned: cloning a layer (and every schedule
+/// that holds one) bumps a reference count instead of copying the bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Layer {
-    name: String,
+    name: Arc<str>,
     op: OpKind,
     out: TensorShape,
 }
@@ -33,6 +37,7 @@ pub struct Layer {
 impl Layer {
     /// Creates a layer from a name, operator and explicit output shape.
     pub fn new(name: impl Into<String>, op: OpKind, out: TensorShape) -> Self {
+        let name: String = name.into();
         Layer {
             name: name.into(),
             op,
@@ -97,11 +102,7 @@ impl Layer {
 
     /// Returns a renamed copy (used when instantiating template graphs).
     pub fn renamed(&self, name: impl Into<String>) -> Self {
-        Layer {
-            name: name.into(),
-            op: self.op,
-            out: self.out,
-        }
+        Layer::new(name, self.op, self.out)
     }
 }
 
@@ -165,5 +166,38 @@ mod tests {
         let r = l.renamed("b");
         assert_eq!(r.name(), "b");
         assert_eq!(r.op(), l.op());
+    }
+
+    #[test]
+    fn clones_share_the_name_bytes() {
+        let l = Layer::intrinsic(
+            "s_fuse.qkv",
+            OpKind::Dense {
+                tokens: 10,
+                in_features: 4,
+                out_features: 4,
+            },
+        );
+        let c = l.clone();
+        assert_eq!(c, l);
+        assert_eq!(c.name().as_ptr(), l.name().as_ptr());
+        // A rename is a new name, even when the text is the same.
+        assert_ne!(l.renamed("s_fuse.qkv").name().as_ptr(), l.name().as_ptr());
+    }
+
+    #[test]
+    fn json_round_trip_writes_the_name_as_a_string() {
+        let l = Layer::intrinsic(
+            "qkv",
+            OpKind::Dense {
+                tokens: 10,
+                in_features: 4,
+                out_features: 4,
+            },
+        );
+        let json = serde_json::to_string(&l).unwrap();
+        assert!(json.starts_with(r#"{"name":"qkv","op":"#), "{json}");
+        let back: Layer = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, l);
     }
 }

@@ -37,9 +37,12 @@ pub const VERIFY_FRAMES: usize = 64;
 
 /// A contiguous column band `[lo, hi)` of the package mesh: one
 /// tenant's chiplet region. Column bands are isometric sub-meshes —
-/// translating `(x, y) → (x + lo, y)` preserves every hop distance — so
-/// a schedule matched on the band behaves identically when flattened
-/// onto the full package.
+/// translating `(x, y) → (x + lo, y)` preserves every hop distance
+/// between chiplets — so a schedule matched on the band keeps its
+/// chiplet-to-chiplet transfers when flattened onto the full package.
+/// Its DRAM reads get longer: the DRAM ports sit on the package's west
+/// edge, so every chiplet of a band at `lo > 0` is `lo` hops further
+/// from DRAM than on the band alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Region {
     /// First mesh column of the band (inclusive).
@@ -229,8 +232,21 @@ impl<'m> CoScheduler<'m> {
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
+        let cfg = MatcherConfig {
+            allow_fe_split: true,
+            ..MatcherConfig::default()
+        };
+        let outcome = ThroughputMatcher::new(self.model, cfg)
+            .match_throughput(&tenant.scenario.workload(), &self.band_package(width));
+        let entry = (outcome.schedule, outcome.report.pipe);
+        self.cache.insert(key, entry.clone());
+        entry
+    }
+
+    /// The width-`width` sub-package a band schedule is matched on.
+    fn band_package(&self, width: u32) -> McmPackage {
         let mesh = self.pkg.mesh();
-        let band = McmPackage::from_fn(
+        McmPackage::from_fn(
             format!("{}/band{}", self.pkg.name(), width),
             Mesh2d::new(width, mesh.height()),
             |i| {
@@ -243,16 +259,7 @@ impl<'m> CoScheduler<'m> {
                     .accelerator()
                     .clone()
             },
-        );
-        let cfg = MatcherConfig {
-            allow_fe_split: true,
-            ..MatcherConfig::default()
-        };
-        let outcome = ThroughputMatcher::new(self.model, cfg)
-            .match_throughput(&tenant.scenario.workload(), &band);
-        let entry = (outcome.schedule, outcome.report.pipe);
-        self.cache.insert(key, entry.clone());
-        entry
+        )
     }
 
     /// Verifies a colocation in one shared-calendar DES run: every
@@ -363,10 +370,18 @@ pub fn slo_violation(colo: &Colocation, reports: &[PhaseReport]) -> Option<Rejec
 
 /// Rebases a band-local schedule onto the full mesh: band chiplet
 /// `(x, y)` (id `y·width + x`) becomes global chiplet
-/// `(region.lo + x, y)` (id `y·mesh_w + region.lo + x`). Column bands
-/// are isometric, so only the ids change — durations and hop counts are
-/// preserved. The ids are rewritten in place: `band` is the caller's own
-/// copy of the cached band schedule.
+/// `(region.lo + x, y)` (id `y·mesh_w + region.lo + x`). The ids are
+/// rewritten in place: `band` is the caller's own copy of the cached
+/// band schedule.
+///
+/// Column bands are isometric, so every hop count between two chiplets
+/// is preserved. Hops to DRAM are not: the DRAM ports sit on the
+/// package's west edge, `x + 1` hops from column `x`
+/// ([`npu_noc::DramPorts::hops_to_dram`]), so a band at `region.lo > 0`
+/// pays `region.lo` more hops on every root-layer input read than the
+/// band-local match assumed. The DES charges those hops; the cached
+/// [`TenantPlacement::predicted_pipe`] of the analytic admission screen
+/// does not.
 fn translate_schedule(mut band: Schedule, region: Region, mesh_w: u32, width: u32) -> Schedule {
     let map = |c: ChipletId| {
         let (x, y) = (c.0 % width, c.0 / width);
@@ -551,6 +566,56 @@ mod tests {
             .collect();
         assert_eq!(shifted, placement_chiplets(r));
         assert_eq!(l.predicted_pipe, r.predicted_pipe);
+    }
+
+    #[test]
+    fn translation_keeps_chiplet_hops_but_not_dram_hops() {
+        use npu_sched::flatten_items;
+
+        let model = FittedMaestro::new();
+        let pkg = McmPackage::simba_6x6();
+        let mut sched = CoScheduler::new(pkg.clone(), &model);
+        let (width, region) = (2, Region { lo: 4, hi: 6 });
+        let band_pkg = sched.band_package(width);
+        let (band, _) = sched.band_schedule(&tenant("t", 4, Priority::Standard), width);
+        let full = translate_schedule(band.clone(), region, pkg.mesh().width(), width);
+
+        let hosts = |s: &Schedule| -> Vec<ChipletId> {
+            let models = s.stages.iter().flat_map(|st| &st.models);
+            let shards = models.flat_map(|mp| &mp.layers).flat_map(|lp| &lp.shards);
+            shards.map(|sh| sh.chiplet).collect()
+        };
+        let (local, global) = (hosts(&band), hosts(&full));
+        assert_eq!(local.len(), global.len());
+        for (&a, &ga) in local.iter().zip(&global) {
+            for (&b, &gb) in local.iter().zip(&global) {
+                assert_eq!(band_pkg.hops(a, b), pkg.hops(ga, gb));
+            }
+            // DRAM is `region.lo` hops further away on the full package.
+            assert_eq!(
+                pkg.dram_hops(ga),
+                band_pkg.dram_hops(a) + u64::from(region.lo)
+            );
+        }
+
+        // So only the items that read DRAM (the first stage's roots)
+        // take longer once translated; every other item is bit-identical.
+        let before = flatten_items(&band, &band_pkg, &model, Dtype::Fp16);
+        let after = flatten_items(&full, &pkg, &model, Dtype::Fp16);
+        assert_eq!(before.len(), after.len());
+        let mut dram_readers = 0;
+        for (b, a) in before.iter().zip(&after) {
+            if b.deps.is_empty() {
+                dram_readers += 1;
+                assert!(a.duration > b.duration);
+            } else {
+                assert_eq!(
+                    a.duration.as_secs().to_bits(),
+                    b.duration.as_secs().to_bits()
+                );
+            }
+        }
+        assert!(dram_readers > 0);
     }
 
     /// A keyframe-rate quad-rig tenant: small enough that two of them

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use npu_maestro::ReconfigModel;
 use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimPhase};
-use npu_sched::{occupied_chiplets, rematch_cost_against, RematchOutcome, Schedule};
+use npu_sched::{rematch_cost_against, RematchOutcome, Schedule};
 use npu_tensor::{Dtype, Seconds};
 
 use crate::colocation::{CoScheduler, Colocation};
@@ -240,7 +240,7 @@ pub fn preemption_event(
     let occupied: BTreeSet<_> = colo1
         .placements
         .iter()
-        .flat_map(|p| occupied_chiplets(&p.schedule))
+        .flat_map(|p| p.schedule.chiplets_used())
         .collect();
     let empty = Schedule { stages: Vec::new() };
     let transitions: Vec<RematchOutcome> = colo2

@@ -1510,13 +1510,11 @@ mod tests {
         // c0 feeds c1: a frame reaches c1 only 0.3 s after arrival.
         let items = vec![
             SimItem {
-                name: "s/m/a#0".into(),
                 chiplet: ChipletId(0),
                 duration: Seconds::new(0.3),
                 deps: vec![],
             },
             SimItem {
-                name: "s/m/b#0".into(),
                 chiplet: ChipletId(1),
                 duration: Seconds::new(0.1),
                 deps: vec![0],
@@ -1718,7 +1716,6 @@ mod tests {
     fn duplicate_dependencies_gate_like_distinct_ones() {
         use npu_dnn::models::{fe_bfpn, BifpnConfig, FeConfig};
         let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
-            name: format!("s/m/l{chiplet}#0"),
             chiplet: ChipletId(chiplet),
             duration: Seconds::new(secs),
             deps,

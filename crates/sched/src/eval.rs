@@ -398,8 +398,6 @@ pub(crate) fn fold_nop_by_layer(
 /// on other items of the same frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimItem {
-    /// `stage/model/layer#shard` label.
-    pub name: String,
     /// Executing chiplet.
     pub chiplet: ChipletId,
     /// Service time (compute + input transfer serialization).
@@ -435,7 +433,7 @@ pub fn flatten_items(
                 let parts = lp.parts();
                 let preds = mp.graph.preds(id);
                 let mut this_layer = Vec::with_capacity(lp.shards.len());
-                for (shard_i, shard) in lp.shards.iter().enumerate() {
+                for shard in &lp.shards {
                     let acc = pkg.chiplet(shard.chiplet).accelerator();
                     let cost = model.layer_cost(&shard.layer, acc);
                     let transfer = if preds.is_empty() {
@@ -472,13 +470,6 @@ pub fn flatten_items(
                     };
                     let idx = items.len();
                     items.push(SimItem {
-                        name: format!(
-                            "{}/{}/{}#{}",
-                            stage.kind,
-                            mp.name,
-                            lp.source.name(),
-                            shard_i
-                        ),
                         chiplet: shard.chiplet,
                         duration: cost.latency + transfer.latency,
                         deps,

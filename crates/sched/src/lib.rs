@@ -56,7 +56,7 @@ pub mod validate;
 pub use baseline::{baseline_schedule, Pipelining};
 pub use eval::{evaluate, flatten_items, EvalReport, SimItem, StageReport};
 pub use plan::{LayerPlan, ModelPlan, Schedule, ShardAssignment, StagePlan};
-pub use rematch::{occupied_chiplets, rematch_cost, rematch_cost_against, RematchOutcome};
+pub use rematch::{rematch_cost, rematch_cost_against, RematchOutcome};
 pub use shard::{shard_cap, shard_layer, ShardError};
 pub use throughput_match::{MatchOutcome, MatchStep, MatcherConfig, ThroughputMatcher};
 pub use validate::{validate_schedule, ScheduleError};

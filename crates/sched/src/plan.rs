@@ -182,7 +182,11 @@ impl fmt::Display for Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MatcherConfig, ThroughputMatcher};
     use npu_dnn::models::attention::{fusion_block, FusionConfig};
+    use npu_dnn::PerceptionConfig;
+    use npu_maestro::FittedMaestro;
+    use npu_mcm::McmPackage;
 
     #[test]
     fn single_chiplet_model_plan() {
@@ -211,5 +215,36 @@ mod tests {
         assert!(s.stage(StageKind::SpatialFusion).is_some());
         assert!(s.stage(StageKind::Trunks).is_none());
         assert!(s.to_string().contains("S_FUSE"));
+    }
+
+    /// A schedule copy shares its graphs and every layer name with the
+    /// original instead of copying them.
+    #[test]
+    fn schedule_clones_share_model_data() {
+        let model = FittedMaestro::new();
+        let s = ThroughputMatcher::new(&model, MatcherConfig::default())
+            .match_throughput(
+                &PerceptionConfig::default().build(),
+                &McmPackage::simba_6x6(),
+            )
+            .schedule;
+        let copy = s.clone();
+        fn models(s: &Schedule) -> impl Iterator<Item = &ModelPlan> {
+            s.stages.iter().flat_map(|st| &st.models)
+        }
+        let same_name = |a: &Layer, b: &Layer| a.name().as_ptr() == b.name().as_ptr();
+        let mut shards = 0;
+        for (a, b) in models(&s).zip(models(&copy)) {
+            for (id, layer) in a.graph.iter() {
+                assert!(std::ptr::eq(layer, b.graph.layer(id)));
+                let (la, lb) = (a.layer_plan(id), b.layer_plan(id));
+                assert!(same_name(&la.source, &lb.source));
+                for (sa, sb) in la.shards.iter().zip(&lb.shards) {
+                    assert!(same_name(&sa.layer, &sb.layer));
+                    shards += 1;
+                }
+            }
+        }
+        assert_eq!(shards, s.items());
     }
 }

@@ -143,7 +143,8 @@ pub fn rematch_cost(
 ///
 /// `also_occupied` lists chiplets that are busy in the outgoing package
 /// state beyond `old`'s own footprint — co-tenants' regions in a
-/// multi-tenant colocation, for example. A re-programmed chiplet only
+/// multi-tenant colocation, for example (the union of their
+/// [`Schedule::chiplets_used`]). A re-programmed chiplet only
 /// prestages over the outgoing tail if nothing at all runs on it before
 /// the switch; a chiplet handed over from another tenant stalls exactly
 /// like one re-programmed in place.
@@ -201,15 +202,6 @@ pub fn rematch_cost_against(
         weight_bytes,
         latency,
     }
-}
-
-/// The set of chiplets a schedule occupies (hosts at least one shard).
-///
-/// Feed the union over a colocation's placements to
-/// [`rematch_cost_against`] so a chiplet handed over between tenants is
-/// priced as a stalling reload, not a free prestage.
-pub fn occupied_chiplets(s: &Schedule) -> BTreeSet<ChipletId> {
-    chiplet_programs(s).keys().copied().collect()
 }
 
 /// The program a schedule loads onto each chiplet: its shards as a

@@ -41,6 +41,8 @@ fn schedule_survives_serde_round_trip() {
     let json = serde_json::to_string(&outcome.schedule).expect("serialize");
     let back: Schedule = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back, outcome.schedule);
+    // Shared names and graphs write the same JSON back.
+    assert_eq!(serde_json::to_string(&back).expect("serialize"), json);
     // The deserialized schedule evaluates identically.
     let r = platform.evaluate(&back);
     assert_eq!(r.pipe, outcome.report.pipe);

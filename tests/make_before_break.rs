@@ -17,7 +17,7 @@ use npu_maestro::{FittedMaestro, ReconfigModel};
 use npu_mcm::{ChipletId, McmPackage};
 use npu_pipesim::{simulate_phases, PhaseReport, Readiness, SimPhase};
 use npu_scenario::{match_scenario, Scenario};
-use npu_sched::{occupied_chiplets, rematch_cost_against, Schedule};
+use npu_sched::{rematch_cost_against, Schedule};
 use npu_tensor::Dtype;
 
 /// Diffing any built-in family's schedule against an empty outgoing
@@ -39,7 +39,7 @@ fn full_reprogram_reproduces_the_barrier_bit_for_bit() {
             .iter()
             .map(|scenario| {
                 let outcome = match_scenario(scenario, &pkg, &model);
-                let occupied = occupied_chiplets(&outcome.schedule);
+                let occupied = outcome.schedule.chiplets_used();
                 let cost = rematch_cost_against(
                     &empty,
                     &outcome.schedule,
@@ -97,7 +97,7 @@ fn fixture() -> &'static (McmPackage, FittedMaestro, Schedule, Vec<ChipletId>) {
         let model = FittedMaestro::new();
         let scenario = Scenario::builtin().remove(0);
         let schedule = match_scenario(&scenario, &pkg, &model).schedule;
-        let chiplets: Vec<ChipletId> = occupied_chiplets(&schedule).into_iter().collect();
+        let chiplets: Vec<ChipletId> = schedule.chiplets_used().into_iter().collect();
         (pkg, model, schedule, chiplets)
     })
 }
