@@ -23,49 +23,41 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`tensor`] | unit newtypes, datatypes, shapes, [`float`] total-order helpers |
-//! | [`dnn`] | layer IR, graphs, the perception model zoo |
-//! | [`maestro`] | per-layer dataflow cost models (OS / WS) |
+//! | `npu-tensor` | unit newtypes, datatypes, shapes, [`float`] total-order helpers |
+//! | `npu-dnn` | layer IR, graphs, the perception model zoo |
+//! | `npu-maestro` | per-layer dataflow cost models (OS / WS) |
 //! | [`noc`] | Network-on-Package mesh & transfer costs |
-//! | [`mcm`] | chiplet package presets & heterogeneity |
+//! | `npu-mcm` | chiplet package presets & heterogeneity |
 //! | [`sched`] | sharding, Algorithm 1, baselines, trunk DSE |
-//! | [`pipesim`] | discrete-event validation simulator |
+//! | `npu-pipesim` | discrete-event validation simulator |
 //! | [`scenario`] | driving scenarios & drive timelines: rigs, modes, mode switching |
-//! | [`study`] | unified sweep/DSE query surface (axes, grids, objectives) |
+//! | `npu-study` | unified sweep/DSE query surface (axes, grids, objectives) |
 //! | [`fleet`] | multi-tenant co-scheduling, admission control, fleet-scale DSE |
 //! | [`experiments`] | every paper table & figure, regenerated |
-//! | [`par`] | scoped-thread parallel sweep executor (`par_map`) |
+//! | `npu-par` | scoped-thread parallel sweep executor (`par_map`) |
+//!
+//! The linked crates are re-exported as modules of this facade; the
+//! [`prelude`] gathers the items of the others that the examples use.
 
-pub use npu_dnn as dnn;
 pub use npu_experiments as experiments;
 pub use npu_fleet as fleet;
-pub use npu_maestro as maestro;
-pub use npu_mcm as mcm;
 pub use npu_noc as noc;
-pub use npu_par as par;
-pub use npu_pipesim as pipesim;
 pub use npu_scenario as scenario;
 pub use npu_sched as sched;
-pub use npu_study as study;
-pub use npu_tensor as tensor;
 pub use npu_tensor::float;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use npu_dnn::{Graph, Layer, OpKind, PerceptionConfig, PerceptionPipeline, StageKind};
-    pub use npu_maestro::{Accelerator, CostModel, Dataflow, FittedMaestro, ReconfigModel};
-    pub use npu_mcm::{ChipletId, McmPackage};
-    pub use npu_pipesim::{simulate, simulate_phases, Arrivals, SimConfig, SimReport};
+    pub use npu_dnn::{PerceptionConfig, StageKind};
+    pub use npu_maestro::{FittedMaestro, ReconfigModel};
+    pub use npu_mcm::McmPackage;
     pub use npu_scenario::{
-        drive_sweep, scenario_sweep, simulate_drive, CameraRig, Drive, DriveOutcome, DriveSegment,
-        OperatingMode, Scenario, ScenarioPoint,
+        scenario_sweep, simulate_drive, CameraRig, Drive, DriveSegment, OperatingMode, Scenario,
     };
     pub use npu_sched::{
-        baseline_schedule, evaluate, EvalReport, MatchOutcome, MatcherConfig, Pipelining, Schedule,
-        ThroughputMatcher,
+        baseline_schedule, evaluate, MatcherConfig, Pipelining, Schedule, ThroughputMatcher,
     };
-    pub use npu_study::{Axis, Constraint, Grid, Objective, Render, Study, StudyReport};
-    pub use npu_tensor::{Bytes, Dtype, Joules, MacCount, Seconds};
+    pub use npu_tensor::{Dtype, Seconds};
 
     pub use crate::Platform;
 }

@@ -1,8 +1,8 @@
 //! Fluent graph construction.
 //!
 //! [`GraphBuilder`] tracks the "current" layer so chain-structured models
-//! (the common case in this workload) read top-to-bottom, while branches
-//! and joins remain explicit.
+//! (the common case in this workload) read top-to-bottom, while joins
+//! name their predecessors explicitly.
 //!
 //! # Examples
 //!
@@ -12,24 +12,16 @@
 //! use npu_tensor::TensorShape;
 //!
 //! let mut b = GraphBuilder::new("toy");
-//! b.chain_intrinsic(
-//!     "embed",
-//!     OpKind::Dense { tokens: 64, in_features: 16, out_features: 32 },
-//! );
 //! let trunk = b.chain(
 //!     "conv",
 //!     OpKind::Conv2d { in_ch: 32, out_ch: 32, kernel: (3, 3), stride: 1 },
 //!     TensorShape::nchw(1, 32, 8, 8),
 //! );
-//! let skip = b.branch_from(
-//!     trunk,
-//!     "pool",
-//!     OpKind::Pool { kernel: 2 },
-//!     TensorShape::nchw(1, 32, 4, 4),
-//! );
-//! b.join("up", OpKind::Resample, TensorShape::nchw(1, 32, 8, 8), &[trunk, skip]);
+//! let pool = b.chain("pool", OpKind::Pool { kernel: 2 }, TensorShape::nchw(1, 32, 4, 4));
+//! b.join("up", OpKind::Resample, TensorShape::nchw(1, 32, 8, 8), &[trunk, pool]);
 //! let g = b.build();
-//! assert_eq!(g.len(), 4);
+//! assert_eq!(g.len(), 3);
+//! assert_eq!(g.preds(pool), &[trunk]);
 //! ```
 
 use npu_tensor::TensorShape;
@@ -54,11 +46,6 @@ impl GraphBuilder {
         }
     }
 
-    /// The last layer added, if any.
-    pub fn current(&self) -> Option<LayerId> {
-        self.current
-    }
-
     /// Appends a layer after the current one (or as a source if none) and
     /// makes it current.
     pub fn chain(&mut self, name: impl Into<String>, op: OpKind, out: TensorShape) -> LayerId {
@@ -69,33 +56,6 @@ impl GraphBuilder {
             .expect("current layer always exists in this graph");
         self.current = Some(id);
         id
-    }
-
-    /// [`GraphBuilder::chain`] for token-shaped ops whose output shape is
-    /// implied by the operator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the op has no intrinsic output shape.
-    pub fn chain_intrinsic(&mut self, name: impl Into<String>, op: OpKind) -> LayerId {
-        let out = op
-            .intrinsic_out_shape()
-            .expect("op has no intrinsic output shape; use chain");
-        self.chain(name, op, out)
-    }
-
-    /// Appends a layer branching from an explicit predecessor (leaves the
-    /// current pointer untouched).
-    pub fn branch_from(
-        &mut self,
-        from: LayerId,
-        name: impl Into<String>,
-        op: OpKind,
-        out: TensorShape,
-    ) -> LayerId {
-        self.graph
-            .add(Layer::new(name, op, out), &[from])
-            .expect("predecessor was minted by this builder")
     }
 
     /// Appends a join layer over explicit predecessors and makes it
@@ -128,43 +88,11 @@ mod tests {
     #[test]
     fn chain_links_sequentially() {
         let mut b = GraphBuilder::new("g");
-        let a = b.chain_intrinsic(
-            "a",
-            OpKind::Dense {
-                tokens: 4,
-                in_features: 2,
-                out_features: 2,
-            },
-        );
-        let c = b.chain_intrinsic(
-            "c",
-            OpKind::Dense {
-                tokens: 4,
-                in_features: 2,
-                out_features: 2,
-            },
-        );
+        let a = b.chain("a", OpKind::Eltwise, TensorShape::nchw(1, 2, 2, 2));
+        let c = b.chain("c", OpKind::Eltwise, TensorShape::nchw(1, 2, 2, 2));
         let g = b.build();
         assert_eq!(g.preds(c), &[a]);
         assert_eq!(g.sources(), vec![a]);
         assert_eq!(g.sinks(), vec![c]);
-    }
-
-    #[test]
-    fn branch_preserves_current() {
-        let mut b = GraphBuilder::new("g");
-        let a = b.chain("a", OpKind::Eltwise, TensorShape::nchw(1, 2, 2, 2));
-        b.branch_from(a, "side", OpKind::Eltwise, TensorShape::nchw(1, 2, 2, 2));
-        assert_eq!(b.current(), Some(a));
-        let tail = b.chain("tail", OpKind::Eltwise, TensorShape::nchw(1, 2, 2, 2));
-        let g = b.build();
-        assert_eq!(g.preds(tail), &[a]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no intrinsic output shape")]
-    fn chain_intrinsic_rejects_spatial_ops() {
-        let mut b = GraphBuilder::new("g");
-        b.chain_intrinsic("bad", OpKind::Eltwise);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use npu_tensor::{float, Bytes, Dtype, MacCount};
+use npu_tensor::MacCount;
 
 use crate::layer::Layer;
 
@@ -41,8 +41,6 @@ pub enum GraphError {
         /// Name of the layer being added.
         layer: String,
     },
-    /// The graph has no layers.
-    Empty,
 }
 
 impl fmt::Display for GraphError {
@@ -51,7 +49,6 @@ impl fmt::Display for GraphError {
             GraphError::MissingPredecessor { pred, layer } => {
                 write!(f, "predecessor {pred} of layer `{layer}` does not exist")
             }
-            GraphError::Empty => write!(f, "graph contains no layers"),
         }
     }
 }
@@ -206,72 +203,6 @@ impl Graph {
     pub fn total_macs(&self) -> MacCount {
         self.nodes.iter().map(|n| n.layer.macs()).sum()
     }
-
-    /// Total parameter bytes over all layers.
-    pub fn total_weight_bytes(&self, dtype: Dtype) -> Bytes {
-        self.nodes.iter().map(|n| n.layer.weight_bytes(dtype)).sum()
-    }
-
-    /// Longest path through the graph where each layer is weighted by
-    /// `weight`. Returns the path (topological order) and its total weight.
-    ///
-    /// Used to compute end-to-end latency lower bounds: with per-layer
-    /// latencies as weights, the critical path is the serial fraction of
-    /// the graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Empty`] for an empty graph.
-    pub fn critical_path_by<F>(&self, mut weight: F) -> Result<(Vec<LayerId>, f64), GraphError>
-    where
-        F: FnMut(LayerId, &Layer) -> f64,
-    {
-        if self.nodes.is_empty() {
-            return Err(GraphError::Empty);
-        }
-        let n = self.nodes.len();
-        let mut best = vec![0.0_f64; n];
-        let mut from: Vec<Option<LayerId>> = vec![None; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = LayerId(i as u32);
-            let w = weight(id, &node.layer);
-            let (pred_best, pred_id) = node.preds.iter().map(|&p| (best[p.index()], Some(p))).fold(
-                (0.0_f64, None),
-                |acc, cur| {
-                    if cur.0 > acc.0 {
-                        cur
-                    } else {
-                        acc
-                    }
-                },
-            );
-            best[i] = pred_best + w;
-            from[i] = pred_id;
-        }
-        let (end, _) =
-            float::total_max_by_key(best.iter().enumerate(), |&(_, &w)| w).expect("non-empty");
-        let mut path = Vec::new();
-        let mut cur = Some(LayerId(end as u32));
-        while let Some(id) = cur {
-            path.push(id);
-            cur = from[id.index()];
-        }
-        path.reverse();
-        Ok((path, best[end]))
-    }
-
-    /// Splits the graph into two sub-stages at the given layer: layers with
-    /// id ≤ `at` form the first partition. Returns the two id sets.
-    ///
-    /// This models the paper's FE+BFPN pipeline split ("partitioned into
-    /// two pipelining stages at the fourth convolutional ResNet-18 block",
-    /// §V-B); because ids are topological the cut is always causal for
-    /// chain-structured prefixes.
-    pub fn split_at(&self, at: LayerId) -> (Vec<LayerId>, Vec<LayerId>) {
-        let first = self.ids().filter(|id| *id <= at).collect();
-        let second = self.ids().filter(|id| *id > at).collect();
-        (first, second)
-    }
 }
 
 #[cfg(test)]
@@ -326,35 +257,6 @@ mod tests {
         let g = chain(4);
         assert_eq!(g.find("l2"), Some(LayerId(2)));
         assert_eq!(g.find("nope"), None);
-    }
-
-    #[test]
-    fn critical_path_on_diamond_takes_heavier_arm() {
-        let mut g = Graph::new("g");
-        let a = g.add(dense("a", 1), &[]).unwrap();
-        let heavy = g.add(dense("heavy", 100), &[a]).unwrap();
-        let light = g.add(dense("light", 1), &[a]).unwrap();
-        let d = g.add(dense("d", 1), &[heavy, light]).unwrap();
-        let (path, w) = g.critical_path_by(|_, l| l.macs().as_f64()).unwrap();
-        assert_eq!(path, vec![a, heavy, d]);
-        assert!(w > 100.0 * 64.0);
-    }
-
-    #[test]
-    fn critical_path_empty_graph_errors() {
-        let g = Graph::new("empty");
-        assert_eq!(
-            g.critical_path_by(|_, _| 1.0).unwrap_err(),
-            GraphError::Empty
-        );
-    }
-
-    #[test]
-    fn split_at_partitions_all_ids() {
-        let g = chain(6);
-        let (a, b) = g.split_at(LayerId(2));
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 3);
     }
 
     #[test]
@@ -429,17 +331,6 @@ mod tests {
                     prop_assert!(s > id);
                 }
             }
-        }
-
-        /// The critical path weight is at least the max single-layer weight
-        /// and at most the total weight.
-        #[test]
-        fn critical_path_is_bounded(n in 1usize..30) {
-            let g = chain(n);
-            let (path, w) = g.critical_path_by(|_, l| l.macs().as_f64()).unwrap();
-            let total: f64 = g.iter().map(|(_, l)| l.macs().as_f64()).sum();
-            prop_assert!(w <= total + 1e-9);
-            prop_assert_eq!(path.len(), n); // a chain's critical path is the chain
         }
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * [`OpKind`] / [`Layer`] — a single tensor operator with MAC/byte
 //!   accounting and MAESTRO-style mapping dimensions ([`OpDims`]).
-//! * [`Graph`] — a DAG of layers with topological iteration, validation
-//!   and critical-path queries.
+//! * [`Graph`] — a DAG of layers with topological iteration and
+//!   validation.
 //! * [`models`] — builders for every network in the Tesla Autopilot
 //!   perception pipeline studied by the paper: ResNet-18-depth feature
 //!   extractor, BiFPN, spatial/temporal attention fusion, occupancy
@@ -29,13 +29,11 @@
 //! ```
 
 pub mod builder;
-pub mod dot;
 pub mod graph;
 pub mod layer;
 pub mod models;
 pub mod op;
 pub mod pipeline;
-pub mod stats;
 pub mod validate;
 
 pub use builder::GraphBuilder;
@@ -43,5 +41,4 @@ pub use graph::{Graph, GraphError, LayerId};
 pub use layer::Layer;
 pub use op::{OpClass, OpDims, OpKind};
 pub use pipeline::{PerceptionConfig, PerceptionPipeline, Stage, StageKind};
-pub use stats::WorkloadStats;
 pub use validate::{validate, ValidationError};

@@ -170,7 +170,7 @@ impl fmt::Display for Fig5to8 {
         ));
         t.note(
             "paper's Fig. 5 energy (3.36 J) is inconsistent with its own Table II \
-             total (0.64 J); we calibrate to Table I/II (see EXPERIMENTS.md)",
+             total (0.64 J); we calibrate to Table I/II",
         );
         t.fmt(f)
     }

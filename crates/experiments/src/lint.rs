@@ -165,10 +165,10 @@ mod tests {
         assert_eq!(allows, r.allows.len());
         let findings: usize = r.rules.iter().map(|x| x.findings).sum();
         assert_eq!(findings, r.findings.len());
-        // The audited inventory: 2 order-insensitive hash containers and
-        // no env reads (see the workspace_clean meta-test).
+        // The audited inventory is empty: no hash containers and no env
+        // reads (see the workspace_clean meta-test).
         let d001 = r.rules.iter().find(|x| x.code == "D001").unwrap();
-        assert_eq!(d001.allows, 2);
+        assert_eq!(d001.allows, 0);
         let d005 = r.rules.iter().find(|x| x.code == "D005").unwrap();
         assert_eq!(d005.allows, 0);
     }

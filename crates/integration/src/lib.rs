@@ -13,7 +13,7 @@
 //!   spanning the component crates;
 //! - `tests/par_determinism.rs` — DSE, sweeps and the scenario grid
 //!   bit-identical at any `npu-par` worker count;
-//! - `examples/*.rs` — the six runnable walkthroughs listed in the
+//! - `examples/*.rs` — the seven runnable walkthroughs listed in the
 //!   top-level README (`cargo run --release --example quickstart`, ...).
 //!
 //! The crate body is intentionally empty: everything interesting lives

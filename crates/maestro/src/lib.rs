@@ -45,7 +45,6 @@ pub mod accelerator;
 pub mod calib;
 pub mod cost;
 pub mod energy;
-pub mod mapper;
 pub mod mapping;
 pub mod pe_array;
 pub mod profile;
@@ -55,7 +54,6 @@ pub mod report;
 pub use accelerator::{Accelerator, Dataflow};
 pub use cost::{CostModel, FirstPrinciples, FittedMaestro, LayerCost};
 pub use energy::{breakdown, AccessEnergies, EnergyBreakdown};
-pub use mapper::{best_geometry, geometry_sweep, GeometryPoint};
 pub use pe_array::PeArray;
 pub use profile::DataflowProfile;
 pub use reconfig::ReconfigModel;

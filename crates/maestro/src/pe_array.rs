@@ -29,7 +29,6 @@ pub struct PeArray {
     rows: u64,
     cols: u64,
     frequency: Hertz,
-    macs_per_pe: u64,
 }
 
 impl PeArray {
@@ -44,7 +43,6 @@ impl PeArray {
             rows,
             cols,
             frequency: Hertz::default(),
-            macs_per_pe: 1,
         }
     }
 
@@ -93,11 +91,6 @@ impl PeArray {
     pub fn frequency(&self) -> Hertz {
         self.frequency
     }
-
-    /// Peak MAC throughput in MACs/second.
-    pub fn peak_macs_per_sec(&self) -> f64 {
-        self.pes() as f64 * self.macs_per_pe as f64 * self.frequency.as_hz()
-    }
 }
 
 impl fmt::Display for PeArray {
@@ -117,12 +110,6 @@ mod tests {
         assert_eq!(PeArray::square_ish(2304).dims(), (48, 48));
         assert_eq!(PeArray::square_ish(4608).dims(), (64, 72));
         assert_eq!(PeArray::square_ish(9216).dims(), (96, 96));
-    }
-
-    #[test]
-    fn peak_throughput() {
-        let a = PeArray::square_ish(256);
-        assert_eq!(a.peak_macs_per_sec(), 256.0 * 2e9);
     }
 
     #[test]

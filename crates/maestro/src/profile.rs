@@ -175,33 +175,6 @@ impl DataflowProfile {
         let ratio = pes as f64 / REFERENCE_PES as f64;
         ratio.powf(-self.alpha)
     }
-
-    /// Overrides a stall coefficient (builder style; for sensitivity
-    /// studies).
-    pub fn with_stall(mut self, class: OpClass, stall: f64) -> Self {
-        assert!(stall >= 1.0, "stall multipliers are >= 1");
-        match class {
-            OpClass::Conv => self.stall_conv = stall,
-            OpClass::Deconv => self.stall_deconv = stall,
-            OpClass::Linear => self.stall_linear = stall,
-            OpClass::Attention => self.stall_attention = stall,
-            OpClass::Memory => self.stall_memory = stall,
-        }
-        self
-    }
-
-    /// Overrides an energy coefficient in pJ/MAC (builder style).
-    pub fn with_energy_per_mac_pj(mut self, class: OpClass, pj: f64) -> Self {
-        assert!(pj > 0.0, "energy per MAC must be positive");
-        match class {
-            OpClass::Conv => self.epm_conv_pj = pj,
-            OpClass::Deconv => self.epm_deconv_pj = pj,
-            OpClass::Linear => self.epm_linear_pj = pj,
-            OpClass::Attention => self.epm_attention_pj = pj,
-            OpClass::Memory => self.epm_memory_pj = pj,
-        }
-        self
-    }
 }
 
 #[cfg(test)]
@@ -231,23 +204,5 @@ mod tests {
         // 36x PEs -> ~7% total speedup.
         let speedup = 36.0 * p.scaling_efficiency(9216);
         assert!((1.0..1.15).contains(&speedup), "got {speedup}");
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let p = DataflowProfile::shidiannao_like()
-            .with_stall(OpClass::Conv, 2.0)
-            .with_energy_per_mac_pj(OpClass::Conv, 9.0);
-        assert_eq!(p.stall(OpClass::Conv), 2.0);
-        assert_eq!(
-            p.energy_per_mac(OpClass::Conv),
-            Joules::from_picojoules(9.0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "stall multipliers")]
-    fn stall_below_one_rejected() {
-        let _ = DataflowProfile::shidiannao_like().with_stall(OpClass::Conv, 0.5);
     }
 }

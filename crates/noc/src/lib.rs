@@ -9,8 +9,7 @@
 //!
 //! with transmission latency = feature-map size / bandwidth + hops × hop
 //! latency, and energy = bits × pJ/bit × hops. This crate implements that
-//! model over a 2-D mesh with XY routing, plus per-link traffic
-//! aggregation and package-edge DRAM ports.
+//! model over a 2-D mesh with XY routing, plus package-edge DRAM ports.
 //!
 //! # Examples
 //!
@@ -29,11 +28,9 @@
 pub mod link;
 pub mod package_io;
 pub mod topology;
-pub mod traffic;
 pub mod transfer;
 
 pub use link::LinkParams;
 pub use package_io::DramPorts;
 pub use topology::{Coord, Mesh2d, NodeId};
-pub use traffic::TrafficMatrix;
 pub use transfer::TransferCost;

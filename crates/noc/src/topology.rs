@@ -118,24 +118,6 @@ impl Mesh2d {
         let (ca, cb) = (self.coord(a), self.coord(b));
         (ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)) as u64
     }
-
-    /// The XY route from `a` to `b` (X first, then Y), inclusive of both
-    /// endpoints. A route of `h` hops has `h + 1` nodes.
-    pub fn xy_route(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let (ca, cb) = (self.coord(a), self.coord(b));
-        let mut path = vec![a];
-        let mut x = ca.x;
-        let mut y = ca.y;
-        while x != cb.x {
-            x = if cb.x > x { x + 1 } else { x - 1 };
-            path.push(self.node(x, y));
-        }
-        while y != cb.y {
-            y = if cb.y > y { y + 1 } else { y - 1 };
-            path.push(self.node(x, y));
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -161,41 +143,12 @@ mod tests {
     }
 
     #[test]
-    fn xy_route_goes_x_first() {
-        let m = Mesh2d::new(6, 6);
-        let route = m.xy_route(m.node(0, 0), m.node(2, 1));
-        let coords: Vec<_> = route
-            .iter()
-            .map(|&n| (m.coord(n).x, m.coord(n).y))
-            .collect();
-        assert_eq!(coords, vec![(0, 0), (1, 0), (2, 0), (2, 1)]);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_coords_panic() {
         let _ = Mesh2d::new(6, 6).node(6, 0);
     }
 
     proptest! {
-        /// The XY route length always equals the Manhattan distance,
-        /// the route starts at `a`, ends at `b`, and every consecutive
-        /// pair of route nodes is exactly one mesh hop apart.
-        #[test]
-        fn route_length_is_manhattan(
-            ax in 0u32..6, ay in 0u32..6, bx in 0u32..6, by in 0u32..6
-        ) {
-            let m = Mesh2d::new(6, 6);
-            let (a, b) = (m.node(ax, ay), m.node(bx, by));
-            let route = m.xy_route(a, b);
-            prop_assert_eq!(route.len() as u64, m.manhattan(a, b) + 1);
-            prop_assert_eq!(route[0], a);
-            prop_assert_eq!(*route.last().unwrap(), b);
-            for pair in route.windows(2) {
-                prop_assert_eq!(m.manhattan(pair[0], pair[1]), 1);
-            }
-        }
-
         /// Manhattan distance is symmetric and satisfies the triangle
         /// inequality.
         #[test]

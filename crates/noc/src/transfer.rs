@@ -58,30 +58,6 @@ impl TransferCost {
         }
     }
 
-    /// Scatter/multicast of `bytes` to several destinations: the critical
-    /// latency is set by the farthest destination's store-and-forward
-    /// path, and energy accumulates per destination path.
-    pub fn multicast(bytes: Bytes, hops_to_each: &[u64], link: &LinkParams) -> Self {
-        let far = hops_to_each.iter().copied().max().unwrap_or(0);
-        if far == 0 {
-            return TransferCost {
-                bytes,
-                ..TransferCost::ZERO
-            };
-        }
-        let serialization = Seconds::new(bytes.as_f64() / link.bandwidth_bytes_per_sec);
-        let total_hop_bytes: f64 = hops_to_each
-            .iter()
-            .map(|&h| bytes.bits() as f64 * h as f64)
-            .sum();
-        TransferCost {
-            latency: (serialization + link.hop_latency) * far as f64,
-            energy: link.energy_per_bit * total_hop_bytes,
-            bytes,
-            hops: far,
-        }
-    }
-
     /// Gather of shards into one destination: each remote shard's
     /// store-and-forward time serializes through the destination port
     /// back-to-back (the paper's §IV-D observation that gathers of sharded
@@ -156,18 +132,6 @@ mod tests {
         let c = TransferCost::unicast(Bytes::from_mib(64), 0, &LinkParams::default());
         assert!(c.latency.is_zero());
         assert_eq!(c.energy, Joules::ZERO);
-    }
-
-    #[test]
-    fn multicast_latency_set_by_farthest() {
-        let link = LinkParams::default();
-        let c = TransferCost::multicast(Bytes::new(1000), &[1, 5, 2], &link);
-        assert_eq!(c.hops, 5);
-        let uni = TransferCost::unicast(Bytes::new(1000), 5, &link);
-        assert_eq!(c.latency, uni.latency);
-        // Energy accumulates over all paths: 8 hops total.
-        let expected = link.energy_per_bit * (8000.0 * 8.0);
-        assert!((c.energy.as_joules() - expected.as_joules()).abs() < 1e-18);
     }
 
     #[test]

@@ -312,18 +312,6 @@ impl Arrivals {
         }
     }
 
-    /// Total frames one full pass of the process carries: the segment sum
-    /// for piecewise processes, the trace length for traces, `None` for
-    /// the unbounded synthetic processes. Simulating exactly this many
-    /// frames replays the timeline once without looping.
-    pub fn frames_per_cycle(&self) -> Option<usize> {
-        match self {
-            Arrivals::Piecewise(segments) => Some(segments.iter().map(|s| s.frames).sum()),
-            Arrivals::Trace(trace) => Some(trace.len()),
-            _ => None,
-        }
-    }
-
     /// Mean inter-arrival interval of the process, or `None` for
     /// saturation (all frames at t = 0). The analytic steady-state
     /// prediction of a simulated run is `max(pipe, mean_interval)`:
@@ -561,7 +549,6 @@ mod tests {
                 span: Seconds::new(1.0),
             },
         ]);
-        assert_eq!(a.frames_per_cycle(), Some(5));
         let t = a.times(5);
         assert_eq!(t, vec![0.0, 0.1, 0.2, 0.3, 0.8]);
         // Mean interval = total span / total frames = 1.3 / 5.

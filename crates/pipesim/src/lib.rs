@@ -11,11 +11,14 @@
 //! `validate`), and `npu-scenario` compiles whole driving scenarios down
 //! to these arrival processes.
 //!
-//! Three simulation surfaces are exposed, all thin calls into one
+//! Four simulation surfaces are exposed, all thin calls into one
 //! shared-calendar engine core:
 //!
 //! * [`simulate`] — one schedule serving one arrival process (the
 //!   steady-state workbench);
+//! * [`simulate_with_stats`] — [`simulate`], also returning the
+//!   engine's [`EngineStats`] (frames pushed, peak frames in flight,
+//!   frames flushed at a cutoff);
 //! * [`simulate_phases`] — a time-varying run in which each
 //!   [`SimPhase`] swaps in its own compiled schedule at a phase
 //!   boundary, charging a mapping spin-up window during which arriving

@@ -40,7 +40,7 @@ use npu_pipesim::{
 use npu_sched::rematch::rematch_cost;
 use npu_sched::Schedule;
 use npu_study::{Axis, Grid, Study};
-use npu_tensor::{float, Bytes, Dtype, Seconds};
+use npu_tensor::{Bytes, Dtype, Seconds};
 
 use crate::rig::CameraRig;
 use crate::scenario::{OperatingMode, Scenario};
@@ -371,11 +371,6 @@ impl DriveOutcome {
             self.total_dropped as f64 / self.total_offered as f64
         }
     }
-
-    /// The costliest mode switch, if the drive has any.
-    pub fn worst_transition(&self) -> Option<&TransitionReport> {
-        float::total_max_by_key(self.transitions.iter(), |t| t.rematch_latency.as_secs())
-    }
 }
 
 /// Simulates a drive timeline on one package: match every segment,
@@ -633,7 +628,6 @@ mod tests {
             out.segments.iter().map(|s| s.offered).sum::<usize>()
         );
         assert!(out.drop_rate() < 0.5, "switching must not eat the drive");
-        assert!(out.worst_transition().is_some());
         // Segment staleness: the opening segment serves from its first
         // frame; later segments recover within their own duration.
         for (i, s) in out.segments.iter().enumerate() {

@@ -15,7 +15,7 @@
 //!   (`npu-pipesim`), so both sides of the cross-validation stack see
 //!   exactly the same workload;
 //! * [`scenario_sweep`] — the scenario × package grid runner, fanned out
-//!   on the `npu_core::par` worker pool with deterministic,
+//!   on the `npu-par` worker pool with deterministic,
 //!   input-ordered results;
 //! * [`Drive`] — an ordered timeline of `(Scenario, duration)` segments
 //!   compiled into **one** continuous phased DES run: every mode switch

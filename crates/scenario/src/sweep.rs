@@ -6,7 +6,7 @@
 //! simulator with the scenario's own arrival process and compare the
 //! measured steady interval against the analytic prediction. The grid
 //! is a scenario × package [`Study`]: points fan out
-//! on the `npu_core::par` worker pool, each calling the caller's
+//! on the `npu-par` worker pool, each calling the caller's
 //! deterministic cost model directly; results come back in input order
 //! and are bit-identical to a serial run at any jobs count.
 

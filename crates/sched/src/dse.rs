@@ -15,7 +15,7 @@
 //! lane trunk spreads its per-level context-K/V projections, detection
 //! heads and the light occupancy layers may migrate to WS chiplets.
 //!
-//! Reproduction note (see EXPERIMENTS.md): our brute force finds a
+//! Reproduction note: our brute force finds a
 //! stronger homogeneous-OS reference than the paper's (it isolates the
 //! dominant deconvolution level), so the Het(k) gain appears mainly in
 //! energy/EDP rather than in pipelining latency; the qualitative Table I

@@ -1,20 +1,9 @@
 //! Pluggable scoring and feasibility for study results.
 
-/// Whether an [`Objective`] prefers smaller or larger scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Smaller raw scores are better (latency, energy, EDP, cost).
-    Minimize,
-    /// Larger raw scores are better (throughput, utilization).
-    Maximize,
-}
-
-/// A named scoring function over per-point metrics. Selection always
-/// minimizes the *oriented* score ([`Objective::score`]), so maximizing
-/// objectives negate internally.
+/// A named scoring function over per-point metrics. Selection minimizes
+/// the score, so lower is always better.
 pub struct Objective<M> {
     name: String,
-    direction: Direction,
     score: Box<dyn Fn(&M) -> f64 + Send + Sync>,
 }
 
@@ -26,19 +15,6 @@ impl<M> Objective<M> {
     ) -> Self {
         Objective {
             name: name.into(),
-            direction: Direction::Minimize,
-            score: Box::new(f),
-        }
-    }
-
-    /// An objective preferring larger `f` values.
-    pub fn maximize(
-        name: impl Into<String>,
-        f: impl Fn(&M) -> f64 + Send + Sync + 'static,
-    ) -> Self {
-        Objective {
-            name: name.into(),
-            direction: Direction::Maximize,
             score: Box::new(f),
         }
     }
@@ -48,18 +24,9 @@ impl<M> Objective<M> {
         &self.name
     }
 
-    /// The optimization direction.
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    /// The oriented score: lower is always better.
+    /// The score of `metrics`: lower is better.
     pub fn score(&self, metrics: &M) -> f64 {
-        let raw = (self.score)(metrics);
-        match self.direction {
-            Direction::Minimize => raw,
-            Direction::Maximize => -raw,
-        }
+        (self.score)(metrics)
     }
 }
 
@@ -67,7 +34,6 @@ impl<M> std::fmt::Debug for Objective<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Objective")
             .field("name", &self.name)
-            .field("direction", &self.direction)
             .finish()
     }
 }
@@ -120,16 +86,6 @@ impl<M> std::fmt::Debug for Constraint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn maximize_negates_the_oriented_score() {
-        let min = Objective::minimize("lat", |&x: &f64| x);
-        let max = Objective::maximize("fps", |&x: &f64| x);
-        assert_eq!(min.score(&2.0), 2.0);
-        assert_eq!(max.score(&2.0), -2.0);
-        assert_eq!(min.direction(), Direction::Minimize);
-        assert_eq!(max.name(), "fps");
-    }
 
     #[test]
     fn at_most_is_inclusive() {

@@ -147,11 +147,6 @@ impl<R> StudyReport<R> {
     pub fn table(&self) -> &TextTable {
         &self.table
     }
-
-    /// Consumes the report into its typed result.
-    pub fn into_result(self) -> R {
-        self.result
-    }
 }
 
 impl<R> fmt::Display for StudyReport<R> {
@@ -190,7 +185,7 @@ mod tests {
 
     #[test]
     fn study_report_splits_text_and_json() {
-        #[derive(Serialize, Clone)]
+        #[derive(Serialize)]
         struct R {
             n: u64,
         }
@@ -202,6 +197,5 @@ mod tests {
         assert_eq!(report.json(), "{\n  \"n\": 7\n}");
         assert_eq!(report.result().n, 7);
         assert_eq!(report.table().len(), 1);
-        assert_eq!(report.clone().into_result().n, 7);
     }
 }

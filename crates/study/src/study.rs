@@ -140,8 +140,8 @@ impl<P, M> StudyRun<P, M> {
             .collect()
     }
 
-    /// The first point minimizing the oriented objective score among
-    /// those satisfying every constraint; `None` if nothing is feasible.
+    /// The first point minimizing the objective score among those
+    /// satisfying every constraint; `None` if nothing is feasible.
     /// Ties keep the earliest point (strict `<`), so the selection is
     /// reproducible at any jobs count.
     pub fn select(&self, objective: &Objective<M>, constraints: &[Constraint<M>]) -> Option<usize> {

@@ -118,21 +118,6 @@ impl TensorShape {
         TensorShape::nchw(self.n, c, self.h, self.w)
     }
 
-    /// Returns a copy with the spatial dims scaled by `factor` (used by
-    /// up/down-sampling layers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scaled extents would be zero.
-    pub fn scaled_spatial(&self, num: u64, den: u64) -> Self {
-        TensorShape::nchw(
-            self.n,
-            self.c,
-            (self.h * num).div_euclid(den).max(1),
-            (self.w * num).div_euclid(den).max(1),
-        )
-    }
-
     /// Splits the shape into `parts` roughly equal slices along the token /
     /// height axis, returning the per-part heights. Used by the scheduler's
     /// token-split sharding.
@@ -185,13 +170,6 @@ mod tests {
     #[should_panic(expected = "extents must be positive")]
     fn zero_extent_panics() {
         let _ = TensorShape::nchw(1, 0, 2, 2);
-    }
-
-    #[test]
-    fn scaled_spatial_up_and_down() {
-        let s = TensorShape::nchw(1, 128, 20, 80);
-        assert_eq!(s.scaled_spatial(2, 1), TensorShape::nchw(1, 128, 40, 160));
-        assert_eq!(s.scaled_spatial(1, 2), TensorShape::nchw(1, 128, 10, 40));
     }
 
     #[test]

@@ -18,9 +18,9 @@ fn utilization_and_pipe_beat_all_baselines() {
             assert!(mcm.report.utilization_used > r.report.utilization_used);
         }
     }
-    // Our delivery-limited utilization metric yields a smaller gain than
-    // the paper's 2.8x (see EXPERIMENTS.md); direction and significance
-    // hold.
+    // Our delivery-limited utilization metric puts the 36x256 row at
+    // 26.6% where the paper reports 54.19%, so the gain is 1.44x against
+    // the paper's 2.8x; direction and significance hold.
     assert!(t2.utilization_gain_vs_monolithic() > 1.4);
     // Monolithic utilization matches the paper's 19.11% closely.
     let mono = t2.row("1x9216", "stagewise").unwrap();
