@@ -1,6 +1,7 @@
 //! Benchmarks of the multi-tenant fleet layer's hot paths: one
-//! co-scheduled admission (partition compile + shared-calendar DES
-//! verification), first-fit fleet packing with the failed-shape memo,
+//! co-scheduled admission (partition compile + per-placement DES
+//! verification), first-fit fleet packing with the failed-shape and
+//! verified-placement memos,
 //! and a full preemption event (two DES epochs + rematch accounting).
 //! These bound what `repro fleet` pays per vehicle as fleets grow;
 //! medians are recorded in `BENCH_fleet.json` — append one entry per PR
@@ -20,7 +21,7 @@ fn bench(c: &mut Criterion) {
 
     // One admission: two best-effort miners on the paper's 6x6 geometry
     // (the pair the preemption demo starts from). Covers the D'Hondt
-    // partition, two band matches and one two-tenant DES verification.
+    // partition, two band matches and two single-tenant DES runs.
     let pair = vec![profile("mining").vehicle(1), profile("mining").vehicle(2)];
     c.bench_function("fleet_admit_pair_6x6", |b| {
         b.iter(|| {

@@ -28,7 +28,6 @@
 //! assert_eq!(pipe.stages()[0].replicas(), 8);
 //! ```
 
-pub mod builder;
 pub mod graph;
 pub mod layer;
 pub mod models;
@@ -36,7 +35,6 @@ pub mod op;
 pub mod pipeline;
 pub mod validate;
 
-pub use builder::GraphBuilder;
 pub use graph::{Graph, GraphError, LayerId};
 pub use layer::Layer;
 pub use op::{OpClass, OpDims, OpKind};

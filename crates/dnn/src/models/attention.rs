@@ -5,7 +5,8 @@
 //! feed-forward network. The attention is *windowed* (deformable/local):
 //! each grid cell attends to a bounded set of candidate features — this is
 //! the only reading consistent with the paper's reported attention
-//! latencies, which are far below full quadratic attention (DESIGN.md §1).
+//! latencies, which are far below full quadratic attention
+//! (`npu_maestro::calib::calibration_table` checks them within 5%).
 
 use serde::{Deserialize, Serialize};
 
@@ -52,8 +53,9 @@ impl FusionConfig {
     /// The paper's S_FUSE: 8 cameras × 1600 tokens projected at d=256,
     /// 200×80 BEV grid queries, FFN over the grid.
     ///
-    /// Calibration (DESIGN.md §1): QKV 2.52 GMAC → 78.6 ms, attention
-    /// 0.66 GMAC → 20.5 ms, FFN 8.4 GMAC → 262 ms on one 256-PE OS chiplet.
+    /// Calibration (pinned by `npu_maestro::calib::calibration_table`):
+    /// QKV 2.52 GMAC → 78.6 ms, attention 0.66 GMAC → 20.5 ms, FFN
+    /// 8.4 GMAC → 262 ms on one 256-PE OS chiplet.
     pub fn spatial_default() -> Self {
         FusionConfig {
             name: "s_fuse".to_string(),

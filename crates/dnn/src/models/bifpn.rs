@@ -35,7 +35,8 @@ pub struct BifpnConfig {
 
 impl Default for BifpnConfig {
     /// Calibrated so FE+BFPN lands near the paper's 82.7 ms on one 256-PE
-    /// OS chiplet (see DESIGN.md §1).
+    /// OS chiplet (the `FE+BFPN e2e` row of
+    /// `npu_maestro::calib::calibration_table`).
     fn default() -> Self {
         BifpnConfig {
             ch: 224,

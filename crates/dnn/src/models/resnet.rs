@@ -277,7 +277,7 @@ mod tests {
         let mut g = Graph::new("fe");
         append_backbone(&mut g, "fe", &FeConfig::default());
         let gmacs = g.total_macs().as_gmacs();
-        // Hand count (DESIGN.md): ~11 GMAC for the backbone alone.
+        // Hand count of the default config: ~11 GMAC for the backbone alone.
         assert!((8.0..14.0).contains(&gmacs), "got {gmacs}");
     }
 

@@ -1,4 +1,4 @@
-//! Ablation studies on the design choices DESIGN.md calls out.
+//! Ablation studies on the simulator's three central modelling choices.
 //!
 //! 1. **Scheduler ablation** — Algorithm 1 vs naive longest-processing-
 //!    time balancing: how much of the paper's gain is structure-aware

@@ -12,9 +12,10 @@
 //!
 //! * **Uniform-pool packing** — a seeded [`FleetSpec`] is first-fit
 //!   packed onto instances of each candidate geometry
-//!   ([`pack_fleet`]); every colocation is admission-verified by one
-//!   shared-calendar DES, so an instance only hosts vehicles whose mean
-//!   *and* tail SLOs all hold together.
+//!   ([`pack_fleet`]); every colocation is admission-verified by the
+//!   DES, each co-tenant on its own disjoint band (which makes a run of
+//!   one tenant alone exact), so an instance only hosts vehicles whose
+//!   mean *and* tail SLOs all hold together.
 //! * **Package-mix selection** — a [`Study`] sweeps the geometries
 //!   under `Objective::minimize` fleet chiplets subject to full
 //!   admission and a `Constraint::tail_at_most` cap on the worst

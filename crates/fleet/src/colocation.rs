@@ -7,8 +7,14 @@
 //! first-index tie-break). Each tenant's workload is then matched onto
 //! its band in isolation — a band is an isometric sub-mesh, so the
 //! matched schedule translates chiplet-for-chiplet onto the full
-//! package — and all tenants are verified together in **one**
-//! shared-calendar DES run ([`npu_pipesim::simulate_tenants`]).
+//! package — and each tenant is verified by a DES run of its placement
+//! alone ([`npu_pipesim::simulate_tenants`] on one stream). The bands
+//! are disjoint, so no tenant's stream shares a chiplet with another's,
+//! and the shared-calendar DES gives such a stream the same report, bit
+//! for bit, as running it alone: verifying the tenants one at a time is
+//! exactly verifying them together. A tenant's report therefore depends
+//! only on its scenario and its band, and the co-scheduler simulates
+//! each (band, scenario) placement once.
 //!
 //! Admission is deterministic and two-staged: an analytic feasibility
 //! screen (the matcher's predicted steady interval against each trial
@@ -150,10 +156,10 @@ impl AdmissionOutcome {
     }
 }
 
-/// The co-scheduler: one package, one cost model, and a memo of matched
-/// band schedules so re-partitioning (admission trials, preemption)
-/// never re-runs the matcher for a (workload, band width) pair it has
-/// already compiled.
+/// The co-scheduler: one package, one cost model, and two memos so
+/// re-partitioning (admission trials, preemption) never re-runs the
+/// matcher for a (workload, band width) pair it has already compiled,
+/// nor the DES for a (band, workload) placement it has already verified.
 pub struct CoScheduler<'m> {
     pkg: McmPackage,
     model: &'m dyn CostModel,
@@ -162,6 +168,10 @@ pub struct CoScheduler<'m> {
     /// analytic pipe). Bands of equal width are identical sub-meshes on
     /// a homogeneous package, so the match result is position-free.
     cache: BTreeMap<(u32, String), (Schedule, Seconds)>,
+    /// (band `lo`, band width, scenario fingerprint) → the placement's
+    /// verification report over `verify_frames` frames. Not
+    /// position-free: a band further east reads DRAM over more hops.
+    verified: BTreeMap<(u32, u32, String), PhaseReport>,
 }
 
 impl<'m> CoScheduler<'m> {
@@ -172,12 +182,15 @@ impl<'m> CoScheduler<'m> {
             model,
             verify_frames: VERIFY_FRAMES,
             cache: BTreeMap::new(),
+            verified: BTreeMap::new(),
         }
     }
 
-    /// Overrides the admission verification window.
+    /// Overrides the admission verification window. Reports verified
+    /// over the old window are dropped.
     pub fn with_verify_frames(mut self, frames: usize) -> CoScheduler<'m> {
         self.verify_frames = frames;
+        self.verified.clear();
         self
     }
 
@@ -228,7 +241,7 @@ impl<'m> CoScheduler<'m> {
     /// per (width, scenario). The returned schedule is the caller's own
     /// copy, in band-local chiplet ids.
     fn band_schedule(&mut self, tenant: &Tenant, width: u32) -> (Schedule, Seconds) {
-        let key = (width, format!("{:?}", tenant.scenario));
+        let key = (width, scenario_key(tenant));
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
@@ -262,33 +275,53 @@ impl<'m> CoScheduler<'m> {
         )
     }
 
-    /// Verifies a colocation in one shared-calendar DES run: every
-    /// tenant serves `verify_frames` frames of its own arrival process,
-    /// all regions ready at t = 0.
-    pub fn verify(&self, colo: &Colocation) -> Vec<PhaseReport> {
-        let times: Vec<Vec<f64>> = colo
-            .placements
-            .iter()
-            .map(|p| p.tenant.scenario.arrivals().times(self.verify_frames))
-            .collect();
-        let streams: Vec<SimPhase<'_>> = colo
-            .placements
-            .iter()
-            .zip(times)
-            .map(|(p, times)| SimPhase {
-                schedule: &p.schedule,
-                times,
-                readiness: Readiness::Barrier(0.0),
-                warmup: Some(SimConfig::default_warmup(self.verify_frames)),
-                cutoff: None,
+    /// Verifies a colocation: every tenant serves `verify_frames` frames
+    /// of its own arrival process, its band ready at t = 0. Reports are
+    /// aligned with `colo.placements`.
+    ///
+    /// `colo` must come from [`compile`](Self::compile), whose bands are
+    /// disjoint: a tenant's stream then shares no chiplet with any
+    /// other, and [`npu_pipesim::simulate_tenants`] gives it bit for bit
+    /// the report it gets alone. So each placement is simulated alone,
+    /// once per (band, scenario), and served from a memo afterwards.
+    pub fn verify(&mut self, colo: &Colocation) -> Vec<PhaseReport> {
+        debug_assert!(
+            colo.placements
+                .windows(2)
+                .all(|w| w[0].region.hi <= w[1].region.lo),
+            "verification memo needs the disjoint bands `compile` lays out"
+        );
+        colo.placements.iter().map(|p| self.report(p)).collect()
+    }
+
+    /// One placement's verification report: the memo's, or a DES run of
+    /// the placement alone.
+    fn report(&mut self, p: &TenantPlacement) -> PhaseReport {
+        let key = (p.region.lo, p.region.width(), scenario_key(&p.tenant));
+        let frames = self.verify_frames;
+        let (pkg, model) = (&self.pkg, self.model);
+        self.verified
+            .entry(key)
+            .or_insert_with(|| {
+                let stream = SimPhase {
+                    schedule: &p.schedule,
+                    times: p.tenant.scenario.arrivals().times(frames),
+                    readiness: Readiness::Barrier(0.0),
+                    warmup: Some(SimConfig::default_warmup(frames)),
+                    cutoff: None,
+                };
+                let mut reports = simulate_tenants(&[stream], pkg, model, Dtype::Fp16);
+                reports.pop().expect("one stream, one report")
             })
-            .collect();
-        simulate_tenants(&streams, &self.pkg, self.model, Dtype::Fp16)
+            .clone()
     }
 
     /// Compiles and fully checks one trial colocation: analytic screen
-    /// on every trial tenant first, then the DES verification of every
-    /// tenant's mean and p99 SLO. `tenants` must be in canonical order.
+    /// on every trial tenant first, then the DES verification of each
+    /// tenant's mean and p99 SLO in canonical order, stopping at the
+    /// first violation (the one [`slo_violation`] names), so the
+    /// tenants after it are never simulated. `tenants` must be in
+    /// canonical order.
     pub fn try_colocate(
         &mut self,
         tenants: &[Tenant],
@@ -304,9 +337,13 @@ impl<'m> CoScheduler<'m> {
                 });
             }
         }
-        let reports = self.verify(&colo);
-        if let Some(reason) = slo_violation(&colo, &reports) {
-            return Err(reason);
+        let mut reports = Vec::with_capacity(colo.placements.len());
+        for p in &colo.placements {
+            let report = self.report(p);
+            if let Some(reason) = placement_violation(p, &report) {
+                return Err(reason);
+            }
+            reports.push(report);
         }
         Ok((colo, reports))
     }
@@ -347,25 +384,38 @@ impl<'m> CoScheduler<'m> {
 /// The first SLO violation in a verified colocation, in canonical
 /// tenant order: mean target first, then the p99 bound.
 pub fn slo_violation(colo: &Colocation, reports: &[PhaseReport]) -> Option<RejectReason> {
-    for (p, rep) in colo.placements.iter().zip(reports) {
-        let measured = rep.report.steady_interval;
-        if measured.as_secs() > p.tenant.slo.latency_target.as_secs() {
-            return Some(RejectReason::MeanSloViolated {
-                tenant: p.tenant.name.clone(),
-                measured,
-                target: p.tenant.slo.latency_target,
-            });
-        }
-        let p99 = rep.report.tails.p99;
-        if p99.as_secs() > p.tenant.slo.p99_bound.as_secs() {
-            return Some(RejectReason::TailSloViolated {
-                tenant: p.tenant.name.clone(),
-                p99,
-                bound: p.tenant.slo.p99_bound,
-            });
-        }
+    colo.placements
+        .iter()
+        .zip(reports)
+        .find_map(|(p, rep)| placement_violation(p, rep))
+}
+
+/// One tenant's SLO violation, if any: mean target first, then the p99
+/// bound.
+fn placement_violation(p: &TenantPlacement, rep: &PhaseReport) -> Option<RejectReason> {
+    let measured = rep.report.steady_interval;
+    if measured.as_secs() > p.tenant.slo.latency_target.as_secs() {
+        return Some(RejectReason::MeanSloViolated {
+            tenant: p.tenant.name.clone(),
+            measured,
+            target: p.tenant.slo.latency_target,
+        });
+    }
+    let p99 = rep.report.tails.p99;
+    if p99.as_secs() > p.tenant.slo.p99_bound.as_secs() {
+        return Some(RejectReason::TailSloViolated {
+            tenant: p.tenant.name.clone(),
+            p99,
+            bound: p.tenant.slo.p99_bound,
+        });
     }
     None
+}
+
+/// The scenario fingerprint both memos key on: two tenants with equal
+/// scenarios match, flatten and simulate identically.
+fn scenario_key(tenant: &Tenant) -> String {
+    format!("{:?}", tenant.scenario)
 }
 
 /// Rebases a band-local schedule onto the full mesh: band chiplet
@@ -652,6 +702,161 @@ mod tests {
             assert_eq!(rep.dropped, 0);
             assert_eq!(rep.offered, 32);
         }
+    }
+
+    /// Every number in a report, floats as their bits; busy fractions
+    /// over every chiplet of `pkg`.
+    fn report_bits(rep: &PhaseReport, pkg: &McmPackage) -> Vec<u64> {
+        let r = &rep.report;
+        let floats = [
+            r.steady_interval.as_secs(),
+            r.mean_latency.as_secs(),
+            r.max_latency.as_secs(),
+            r.tails.p50.as_secs(),
+            r.tails.p95.as_secs(),
+            r.tails.p99.as_secs(),
+            r.tails.p999.as_secs(),
+            r.throughput_fps,
+            rep.admitted_from,
+        ];
+        let busy = (0..pkg.len() as u32).map(|c| r.busy_fraction(ChipletId(c)));
+        let counts = [r.measured_frames, rep.offered, rep.dropped, rep.flushed];
+        floats
+            .into_iter()
+            .map(f64::to_bits)
+            .chain(busy.map(|b| b.map_or(u64::MAX, f64::to_bits)))
+            .chain(counts.map(|n| n as u64))
+            .collect()
+    }
+
+    /// All of a colocation's tenants in one shared-calendar DES run.
+    fn shared_calendar_run(sched: &CoScheduler<'_>, colo: &Colocation) -> Vec<PhaseReport> {
+        let frames = sched.verify_frames();
+        let streams: Vec<SimPhase<'_>> = colo
+            .placements
+            .iter()
+            .map(|p| SimPhase {
+                schedule: &p.schedule,
+                times: p.tenant.scenario.arrivals().times(frames),
+                readiness: Readiness::Barrier(0.0),
+                warmup: Some(SimConfig::default_warmup(frames)),
+                cutoff: None,
+            })
+            .collect();
+        simulate_tenants(&streams, sched.package(), sched.model(), Dtype::Fp16)
+    }
+
+    /// Replays `admit`'s trial loop over `candidates`, verifying each
+    /// trial through the memo and by a fresh co-scheduler's
+    /// shared-calendar run of all its tenants, bit for bit. Returns the
+    /// admitted count and the DES rejections.
+    fn replay_admission(pkg: &McmPackage, candidates: &[Tenant]) -> (usize, usize) {
+        let model = FittedMaestro::new();
+        let fresh = || CoScheduler::new(pkg.clone(), &model).with_verify_frames(24);
+        let mut sched = fresh();
+        let mut ordered = candidates.to_vec();
+        canonical_order(&mut ordered);
+        let (mut admitted, mut placements, mut des_rejections) = (Vec::new(), 0, 0);
+        for cand in ordered {
+            let mut trial = admitted.clone();
+            trial.push(cand);
+            canonical_order(&mut trial);
+            let colo = sched.compile(&trial).unwrap();
+            let memo = sched.verify(&colo);
+            let whole = shared_calendar_run(&fresh(), &fresh().compile(&trial).unwrap());
+            assert_eq!(memo.len(), whole.len());
+            for ((m, w), p) in memo.iter().zip(&whole).zip(&colo.placements) {
+                let name = &p.tenant.name;
+                assert_eq!(report_bits(m, pkg), report_bits(w, pkg), "{name}");
+            }
+            placements += colo.placements.len();
+            // Stopping at the first violation names the one the whole
+            // run's `slo_violation` names.
+            match sched.try_colocate(&trial) {
+                Ok(_) => admitted = trial,
+                Err(RejectReason::AnalyticInfeasible { .. }) => {}
+                Err(reason) => {
+                    des_rejections += 1;
+                    assert_eq!(Some(reason), slo_violation(&colo, &whole));
+                }
+            }
+        }
+        assert!(
+            sched.verified.len() < placements,
+            "{} reports for {placements} verified placements: no trial reused one",
+            sched.verified.len()
+        );
+        // The replay admits exactly what `admit` does.
+        let out = fresh().admit(candidates);
+        let placed: Vec<&str> = out
+            .colocation
+            .placements
+            .iter()
+            .map(|p| p.tenant.name.as_str())
+            .collect();
+        let replayed: Vec<&str> = admitted.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(placed, replayed);
+        (admitted.len(), des_rejections)
+    }
+
+    #[test]
+    fn memoized_verification_matches_the_shared_calendar_run() {
+        let catalog = crate::fleet::VehicleProfile::catalog();
+        let vehicles = |name: &str, ids: std::ops::Range<usize>| {
+            let profile = catalog.iter().find(|p| p.name == name).unwrap();
+            ids.map(|i| profile.vehicle(i)).collect::<Vec<_>>()
+        };
+        // Five miners on 8x6: two admit, and the rest fail the screen on
+        // bands whose (offset, width, scenario) earlier trials verified.
+        let (admitted, _) = replay_admission(
+            &crate::fleet::os256_package(8, 6),
+            &vehicles("mining", 1..6),
+        );
+        assert_eq!(admitted, 2);
+        // A delivery van alone on 6x6, then four miners: each trial fails
+        // the van's p99 in the DES.
+        let mut mixed = vehicles("delivery", 1..2);
+        mixed.extend(vehicles("mining", 1..5));
+        let (admitted, des_rejections) =
+            replay_admission(&crate::fleet::os256_package(6, 6), &mixed);
+        assert_eq!((admitted, des_rejections), (1, 4));
+    }
+
+    #[test]
+    fn verification_memo_serves_repeats_and_forgets_old_windows() {
+        let model = FittedMaestro::new();
+        let pkg = crate::fleet::os256_package(6, 6);
+        let mut sched = CoScheduler::new(pkg.clone(), &model).with_verify_frames(32);
+        let mut tenants = vec![
+            quad_tenant("patrol", Priority::Standard),
+            quad_tenant("mapper", Priority::Standard),
+        ];
+        canonical_order(&mut tenants);
+        let colo = sched.compile(&tenants).unwrap();
+        let first = sched.verify(&colo);
+        assert_eq!(sched.verified.len(), 2);
+
+        // A second verify simulates nothing: it returns the memo's
+        // reports, marked here so a fresh run could not produce them.
+        for rep in sched.verified.values_mut() {
+            rep.dropped = usize::MAX;
+        }
+        let again = sched.verify(&colo);
+        assert_eq!(sched.verified.len(), 2);
+        assert!(again.iter().all(|r| r.dropped == usize::MAX));
+        for rep in sched.verified.values_mut() {
+            rep.dropped = 0;
+        }
+        assert_eq!(sched.verify(&colo), first);
+
+        // A new window never serves a report of the old one.
+        let mut sched = sched.with_verify_frames(16);
+        let short = sched.verify(&colo);
+        assert!(short.iter().all(|r| r.offered == 16));
+        let fresh = CoScheduler::new(pkg, &model)
+            .with_verify_frames(16)
+            .verify(&colo);
+        assert_eq!(short, fresh);
     }
 
     #[test]

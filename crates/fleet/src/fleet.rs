@@ -6,8 +6,11 @@
 //! mixed drive modes, mixed priority classes). Vehicles are packed onto
 //! package *instances* by deterministic first-fit in canonical
 //! admission order — each instance runs the full admission pipeline
-//! ([`CoScheduler::try_colocate`]): analytic screen, then one
-//! shared-calendar DES verifying every co-tenant's mean and p99 SLO.
+//! ([`CoScheduler::try_colocate`]): analytic screen, then a DES check
+//! of every co-tenant's mean and p99 SLO. The co-tenants sit on
+//! disjoint bands, so each is simulated alone, exactly as in a shared
+//! run, and a (band, scenario) placement verified by an earlier trial
+//! is not simulated again.
 //! A [`npu_study::Study`] then sweeps package geometries under
 //! `Objective::minimize` fleet chiplet count subject to
 //! `Constraint::tail_at_most` on the worst admitted-tenant p99, and a

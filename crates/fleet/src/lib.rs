@@ -7,9 +7,12 @@
 //! * **Co-scheduling** ([`colocation`]) — partition one package's
 //!   chiplet mesh into per-tenant column bands (priority-weighted
 //!   D'Hondt apportionment), match each [`Tenant`]'s workload onto its
-//!   band with `npu-sched`'s throughput matcher, and verify all tenants
-//!   together in a single shared-calendar DES run
-//!   (`npu_pipesim::simulate_tenants`), one tenant-tagged report each.
+//!   band with `npu-sched`'s throughput matcher, and verify each tenant
+//!   by a DES run of its placement alone (`npu_pipesim::simulate_tenants`
+//!   on one stream). The bands are disjoint, and the shared-calendar DES
+//!   gives a stream that shares no chiplet the same report, bit for bit,
+//!   as running it alone, so this equals one run of all tenants together
+//!   and each (band, scenario) placement is simulated only once.
 //! * **Admission control** ([`CoScheduler::admit`]) — deterministic,
 //!   two-staged (analytic screen, then DES verification of every
 //!   tenant's mean and p99 SLO), with typed [`RejectReason`]s and an
@@ -55,7 +58,7 @@
 //!     ),
 //! ]);
 //! // Both admit, splitting the mesh into two three-column bands, and
-//! // both SLOs were verified in one shared-calendar DES run.
+//! // both SLOs were verified by the DES.
 //! assert_eq!(out.admitted(), 2);
 //! assert!(out.rejected.is_empty());
 //! assert_eq!(out.colocation.placement("patrol").unwrap().region.width(), 3);

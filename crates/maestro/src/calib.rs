@@ -123,7 +123,7 @@ mod tests {
     fn calibration_within_tolerance() {
         for row in calibration_table() {
             let tol = match row.quantity.as_str() {
-                // Directly calibrated via token counts (DESIGN.md §1).
+                // Directly calibrated via the fusion blocks' token counts.
                 "S_FUSE qkv [ms]" | "S_FUSE attn [ms]" | "T_FUSE qkv [ms]" | "T_FUSE attn [ms]" => {
                     0.05
                 }

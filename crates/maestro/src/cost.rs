@@ -67,7 +67,8 @@ pub trait CostModel: Send + Sync {
 /// Latency: `macs / (active_ref / stall × array_scale × f)` where
 /// `active_ref` is the mechanistic mapping occupancy on the 256-PE
 /// reference chiplet, `stall` the fitted per-class serialization factor,
-/// and `array_scale` the fitted large-array scaling (DESIGN.md §1).
+/// and `array_scale` the fitted large-array scaling `(pes/256)^(1-alpha)`
+/// relative to the reference chiplet (see [`DataflowProfile`](crate::DataflowProfile)).
 /// Energy: `macs × energy_per_mac(class)`.
 ///
 /// # Examples

@@ -12,7 +12,8 @@
 //!   which is the behaviour behind the paper's fusion-stage bottlenecks.
 //! * [`profile`] holds the *fitted* per-op-class stall and energy
 //!   coefficients that calibrate the model to the paper's published
-//!   MAESTRO measurements (DESIGN.md §1 documents every constant).
+//!   MAESTRO measurements; each constant's doc names the paper figure it
+//!   fits, and [`calib::calibration_table`] checks the per-layer ones.
 //! * [`cost`] combines both into [`CostModel`] implementations:
 //!   [`FittedMaestro`] (default, paper-calibrated) and
 //!   [`FirstPrinciples`] (an independent roofline model for ablations).

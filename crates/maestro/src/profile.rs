@@ -54,7 +54,8 @@ pub const REFERENCE_PES: u64 = 256;
 impl DataflowProfile {
     /// Shidiannao-like (output-stationary) profile.
     ///
-    /// Fitted constants (DESIGN.md §1):
+    /// Fitted constants (`tests/paper_claims.rs` checks the claims they
+    /// reproduce):
     /// * stalls are 1.0 — OS is compute-bound; the token-column starvation
     ///   is modelled mechanistically by the mapping.
     /// * energy: conv 4.0 pJ/MAC, deconv 3.3, linear/attention 3.4 —
@@ -83,7 +84,8 @@ impl DataflowProfile {
 
     /// NVDLA-like (weight-stationary) profile.
     ///
-    /// Fitted constants (DESIGN.md §1):
+    /// Fitted constants (`tests/paper_claims.rs` checks the claims they
+    /// reproduce):
     /// * conv/deconv stall 6.85 — the paper's §III-A "OS dataflow offers
     ///   6.85× speedups over its WS counterparts".
     /// * linear/attention stall 110 — with the WS mapping keeping the full

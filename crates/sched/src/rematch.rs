@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use npu_dnn::Layer;
+use npu_dnn::{Layer, StageKind};
 use npu_maestro::ReconfigModel;
 use npu_mcm::ChipletId;
 use npu_tensor::{Bytes, Dtype, Seconds};
@@ -204,22 +204,27 @@ pub fn rematch_cost_against(
     }
 }
 
+/// A shard's program label: stage kind, model instance, source layer.
+type ShardLabel<'s> = (StageKind, &'s str, &'s str);
+
 /// The program a schedule loads onto each chiplet: its shards as a
-/// canonically ordered multiset, labelled `stage/model/layer` and paired
-/// with the (sliced) layer so a re-slice of the same layer still reads
-/// as a change. The sort makes the comparison order-insensitive — two
-/// schedules assigning the same shard contents to a chiplet compare
+/// canonically ordered multiset, labelled (stage, model, layer) and
+/// paired with the (sliced) layer so a re-slice of the same layer still
+/// reads as a change. The sort makes the comparison order-insensitive —
+/// two schedules assigning the same shard contents to a chiplet compare
 /// equal no matter how stage iteration or slice indexing lists them, so
-/// only genuine content changes are charged a weight reload.
-fn chiplet_programs(s: &Schedule) -> BTreeMap<ChipletId, Vec<(String, Layer)>> {
-    let mut programs: BTreeMap<ChipletId, Vec<(String, Layer)>> = BTreeMap::new();
+/// only genuine content changes are charged a weight reload. Labels and
+/// layers are borrowed from the schedule, so no shard is formatted or
+/// copied.
+fn chiplet_programs(s: &Schedule) -> BTreeMap<ChipletId, Vec<(ShardLabel<'_>, &Layer)>> {
+    let mut programs: BTreeMap<ChipletId, Vec<(ShardLabel<'_>, &Layer)>> = BTreeMap::new();
     for stage in &s.stages {
         for mp in &stage.models {
             for lp in &mp.layers {
                 for shard in &lp.shards {
                     programs.entry(shard.chiplet).or_default().push((
-                        format!("{}/{}/{}", stage.kind, mp.name, lp.source.name()),
-                        shard.layer.clone(),
+                        (stage.kind, mp.name.as_str(), lp.source.name()),
+                        &shard.layer,
                     ));
                 }
             }
