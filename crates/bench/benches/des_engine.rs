@@ -6,7 +6,9 @@
 //! planned fleet artifact pay per vehicle), plus the event calendar's
 //! worst case: a saturated schedule replicated across a 96-chiplet
 //! package, whose chiplets finish in lockstep so every new completion
-//! lands far behind the earliest pending one. Medians seed
+//! lands far behind the earliest pending one, and four tenants on
+//! disjoint column bands in one `simulate_tenants` call, which the
+//! engine runs as four passes of one stream each. Medians seed
 //! `BENCH_des_engine.json`; append one entry per PR that touches the
 //! engine hot path so regressions stay visible PR-over-PR.
 
@@ -17,10 +19,10 @@ use npu_dnn::StageKind;
 use npu_fleet::os256_package;
 use npu_maestro::{FittedMaestro, ReconfigModel};
 use npu_mcm::{ChipletId, McmPackage};
-use npu_pipesim::{simulate, SimConfig};
+use npu_pipesim::{simulate, simulate_tenants, Readiness, SimConfig, SimPhase};
 use npu_scenario::{match_scenario, simulate_drive, Drive, Scenario};
 use npu_sched::{LayerPlan, ModelPlan, Schedule, StagePlan};
-use npu_tensor::Seconds;
+use npu_tensor::{Dtype, Seconds};
 
 /// Frames in the saturated case: enough that per-frame costs dominate
 /// setup, small enough that one sample stays sub-second.
@@ -35,6 +37,9 @@ const MATCHED_FRAMES: usize = 7_200;
 
 /// Frames in the replicated lockstep case.
 const LOCKSTEP_FRAMES: usize = 2_000;
+
+/// Frames per tenant in the disjoint-tenants case.
+const TENANT_FRAMES: usize = 20_000;
 
 /// A two-chiplet pipelined schedule: qkv on chiplet 0, the rest of the
 /// fusion block on chiplet 1, so more than one frame is in flight.
@@ -65,6 +70,24 @@ fn replicated_schedule(pkg: &McmPackage) -> Schedule {
                 .map(|c| ModelPlan::on_single_chiplet(format!("s{}", c.0), g.clone(), c))
                 .collect(),
             region: pkg.ids().collect(),
+        }],
+    }
+}
+
+/// The fusion block with its layers dealt round-robin over column
+/// `col` of the 6×6 mesh: one tenant's one-column band.
+fn band_schedule(col: u32) -> Schedule {
+    let g = fusion_block(&FusionConfig::spatial_default());
+    let band: Vec<ChipletId> = (0..6).map(|y| ChipletId(y * 6 + col)).collect();
+    let mut mp = ModelPlan::on_single_chiplet(format!("t{col}"), g.clone(), band[0]);
+    for (i, (id, layer)) in g.iter().enumerate() {
+        *mp.layer_plan_mut(id) = LayerPlan::single(layer.clone(), band[i % band.len()]);
+    }
+    Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            models: vec![mp],
+            region: band,
         }],
     }
 }
@@ -138,6 +161,21 @@ fn bench(c: &mut Criterion) {
                 &SimConfig::saturated(LOCKSTEP_FRAMES),
             ))
         })
+    });
+
+    // Four tenants on disjoint one-column bands, saturated, in one
+    // `simulate_tenants` call: what fleet admission and preemption
+    // epochs pay, at a frame count where the engine dominates.
+    let bands: Vec<Schedule> = (0..4).map(band_schedule).collect();
+    let times = SimConfig::saturated(TENANT_FRAMES)
+        .arrivals
+        .times(TENANT_FRAMES);
+    let tenants: Vec<SimPhase<'_>> = bands
+        .iter()
+        .map(|s| SimPhase::new(s, times.clone(), Readiness::Barrier(0.0)))
+        .collect();
+    g.bench_function("disjoint_tenants_6x6", |b| {
+        b.iter(|| black_box(simulate_tenants(&tenants, &pkg, &model, Dtype::Fp16)))
     });
     g.finish();
 }

@@ -10,9 +10,10 @@
 //! package — and each tenant is verified by a DES run of its placement
 //! alone ([`npu_pipesim::simulate_tenants`] on one stream). The bands
 //! are disjoint, so no tenant's stream shares a chiplet with another's,
-//! and the shared-calendar DES gives such a stream the same report, bit
-//! for bit, as running it alone: verifying the tenants one at a time is
-//! exactly verifying them together. A tenant's report therefore depends
+//! and `simulate_tenants` gives such a stream an engine pass of its own,
+//! the same report, bit for bit, as one shared calendar over all the
+//! streams would: verifying the tenants one at a time is exactly
+//! verifying them together. A tenant's report therefore depends
 //! only on its scenario and its band, and the co-scheduler simulates
 //! each (band, scenario) placement once.
 //!
@@ -729,7 +730,11 @@ mod tests {
             .collect()
     }
 
-    /// All of a colocation's tenants in one shared-calendar DES run.
+    /// All of a colocation's tenants in one `simulate_tenants` call.
+    /// The bands are disjoint, so the call runs each tenant in an engine
+    /// pass of its own: this is the grouped path, not an independent
+    /// one-calendar run. The oracle that grouping equals one shared
+    /// calendar is the reference engine in `tests/engine_refactor_pin.rs`.
     fn shared_calendar_run(sched: &CoScheduler<'_>, colo: &Colocation) -> Vec<PhaseReport> {
         let frames = sched.verify_frames();
         let streams: Vec<SimPhase<'_>> = colo
@@ -748,7 +753,7 @@ mod tests {
 
     /// Replays `admit`'s trial loop over `candidates`, verifying each
     /// trial through the memo and by a fresh co-scheduler's
-    /// shared-calendar run of all its tenants, bit for bit. Returns the
+    /// `simulate_tenants` call over all its tenants, bit for bit. Returns the
     /// admitted count and the DES rejections.
     fn replay_admission(pkg: &McmPackage, candidates: &[Tenant]) -> (usize, usize) {
         let model = FittedMaestro::new();

@@ -9,10 +9,11 @@
 //!   D'Hondt apportionment), match each [`Tenant`]'s workload onto its
 //!   band with `npu-sched`'s throughput matcher, and verify each tenant
 //!   by a DES run of its placement alone (`npu_pipesim::simulate_tenants`
-//!   on one stream). The bands are disjoint, and the shared-calendar DES
-//!   gives a stream that shares no chiplet the same report, bit for bit,
-//!   as running it alone, so this equals one run of all tenants together
-//!   and each (band, scenario) placement is simulated only once.
+//!   on one stream). The bands are disjoint, and `simulate_tenants` runs
+//!   streams that share no chiplet in engine passes of their own, bit for
+//!   bit as one shared calendar would, so this equals one call over all
+//!   tenants together and each (band, scenario) placement is simulated
+//!   only once.
 //! * **Admission control** ([`CoScheduler::admit`]) — deterministic,
 //!   two-staged (analytic screen, then DES verification of every
 //!   tenant's mean and p99 SLO), with typed [`RejectReason`]s and an

@@ -9,12 +9,24 @@
 //! - [`simulate`] and [`simulate_with_stats`] run one stream;
 //! - [`simulate_phases`] runs one core pass per phase, so each phase
 //!   starts on an empty package;
-//! - [`simulate_tenants`] runs all its streams in one pass.
+//! - [`simulate_tenants`] runs its streams as if on one calendar: one
+//!   core pass per group of streams linked by shared chiplets.
 //!
 //! Arrivals from all streams merge into one global sequence ordered by
 //! `(time, stream index)`; a frame's rank in it is its global frame
 //! index, so job priority `(global frame, item)` is total and tie-free.
 //! For one stream the global index is the stream's own frame index.
+//!
+//! Streams that share no chiplet, directly or through a chain of other
+//! streams, never touch the same engine state: no queue, no chiplet, no
+//! frame counter. Their event orders interleave on a shared calendar
+//! but never decide each other's, and priorities only compare jobs on
+//! one chiplet, where restricting the merged arrival ranks to a group
+//! keeps their order. So each such group runs in its own pass, with
+//! its streams in input order, bit-identical to the one-calendar run
+//! (pinned against an independent reference engine in
+//! `tests/engine_refactor_pin.rs`), and each pass's calendar and
+//! arrival merge only hold the group's own streams.
 //!
 //! The core keeps no per-frame state. Each chiplet serves an item's jobs
 //! in frame order, so one counter per item — the stream frames it has
@@ -415,7 +427,7 @@ pub fn simulate_phases(
         .collect()
 }
 
-/// Co-simulates K streams on one package through a shared event
+/// Co-simulates K streams on one package as if through a shared event
 /// calendar, returning one tenant-tagged [`PhaseReport`] per stream (in
 /// input order): per-stream steady-state statistics over the frames that
 /// were actually served, plus offered/dropped/flushed counts.
@@ -423,7 +435,11 @@ pub fn simulate_phases(
 /// Streams whose schedules touch the same chiplet contend for it in
 /// global `(frame, item)` priority order, with same-instant arrivals
 /// resolved by input order; streams on disjoint regions are
-/// bit-identical to standalone [`simulate_phases`] runs. Each stream's
+/// bit-identical to standalone [`simulate_phases`] runs. The engine
+/// therefore runs one pass per group of streams linked by shared
+/// chiplets (transitively: if A shares a chiplet with B and B with C,
+/// all three run together), and the result equals one pass over every
+/// stream bit for bit. Each stream's
 /// report exposes busy fractions for the chiplets its own schedule uses
 /// — on a shared chiplet that is the chiplet's *total* utilization over
 /// the stream's observed span, since the silicon does not idle between
@@ -470,8 +486,9 @@ fn flatten_distinct(
 }
 
 /// Validates the streams, drops each one's frames arriving before its
-/// admission gate, and runs the survivors through one engine pass.
-/// Returns each stream's report and peak frames in flight.
+/// admission gate, and runs the survivors through one engine pass per
+/// [`chiplet_groups`] group. Returns each stream's report and peak
+/// frames in flight, in input order.
 fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, usize)> {
     let mut admitted = Vec::with_capacity(streams.len());
     let mut gates = Vec::with_capacity(streams.len());
@@ -500,9 +517,27 @@ fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, 
         });
         gates.push(gate);
     }
-    Engine::new(&admitted)
-        .run()
+    // Frame indices are `u32`, which keeps `Job` small. The bound is
+    // over the whole call, not per pass, so grouping accepts no input
+    // that one pass over every stream would refuse.
+    assert!(
+        admitted.iter().map(|a| a.times.len()).sum::<usize>() < u32::MAX as usize,
+        "too many frames for one simulation call"
+    );
+    let groups = match admitted.len() {
+        1 => vec![vec![0]],
+        _ => chiplet_groups(&admitted),
+    };
+    let mut outcomes: Vec<Option<StreamOutcome>> = admitted.iter().map(|_| None).collect();
+    for group in groups {
+        let members: Vec<Admitted<'_>> = group.iter().map(|&k| admitted[k]).collect();
+        for (k, out) in group.into_iter().zip(Engine::new(&members).run()) {
+            outcomes[k] = Some(out);
+        }
+    }
+    outcomes
         .into_iter()
+        .map(|out| out.expect("every stream is in one group"))
         .zip(streams.iter().zip(&admitted).zip(gates))
         .map(|(out, ((s, a), gate))| {
             let rep = PhaseReport {
@@ -517,8 +552,48 @@ fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, 
         .collect()
 }
 
+/// The connected components of the "shares a chiplet" relation over
+/// `streams`, each listing its stream indices ascending; components are
+/// ordered by their first stream.
+fn chiplet_groups(streams: &[Admitted<'_>]) -> Vec<Vec<usize>> {
+    // Union-find over streams, each root the lowest index of its set.
+    let mut parent: Vec<usize> = (0..streams.len()).collect();
+    fn root(parent: &mut [usize], mut k: usize) -> usize {
+        while parent[k] != k {
+            parent[k] = parent[parent[k]];
+            k = parent[k];
+        }
+        k
+    }
+    let mut uses: Vec<(ChipletId, usize)> = streams
+        .iter()
+        .enumerate()
+        .flat_map(|(k, s)| s.items.iter().map(move |it| (it.chiplet, k)))
+        .collect();
+    uses.sort_unstable();
+    uses.dedup();
+    for w in uses.windows(2) {
+        if w[0].0 == w[1].0 {
+            let (a, b) = (root(&mut parent, w[0].1), root(&mut parent, w[1].1));
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = vec![usize::MAX; streams.len()];
+    for k in 0..streams.len() {
+        let r = root(&mut parent, k);
+        if group_of[r] == usize::MAX {
+            group_of[r] = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[group_of[r]].push(k);
+    }
+    groups
+}
+
 /// One validated stream as the engine sees it: its flattened items and
 /// the arrivals that passed its admission gate.
+#[derive(Clone, Copy)]
 struct Admitted<'a> {
     items: &'a [SimItem],
     times: &'a [f64],
@@ -719,7 +794,7 @@ fn global_frame(streams: &[Stream<'_>], k: usize, f: usize) -> u32 {
         Ordering::Equal => f,
         Ordering::Greater => s.times.partition_point(|&x| x < t),
     };
-    // `Engine::new` bounds the total frame count.
+    // `run_streams` bounds the total frame count.
     streams.iter().enumerate().map(earlier).sum::<usize>() as u32
 }
 
@@ -843,12 +918,9 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// `run_streams` bounds the streams' total frame count below
+    /// `u32::MAX`.
     fn new(streams: &[Admitted<'a>]) -> Engine<'a> {
-        // Frame indices are `u32`, which keeps `Job` small.
-        assert!(
-            streams.iter().map(|s| s.times.len()).sum::<usize>() < u32::MAX as usize,
-            "too many frames for one engine pass"
-        );
         let mut chiplet_ids: Vec<ChipletId> = streams
             .iter()
             .flat_map(|s| s.items.iter().map(|it| it.chiplet))

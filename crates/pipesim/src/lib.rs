@@ -26,10 +26,12 @@
 //!   this). Each phase still runs in its own engine pass on an empty
 //!   package, so an outgoing backlog never delays the incoming phase and
 //!   segment latencies right after a switch are optimistic;
-//! * [`simulate_tenants`] — K [`SimPhase`] streams sharing one event
-//!   calendar, each with its own schedule, arrivals and spin-up window,
-//!   yielding one tenant-tagged report per stream (`npu-fleet`'s
-//!   co-scheduler compiles to this).
+//! * [`simulate_tenants`] — K [`SimPhase`] streams as if sharing one
+//!   event calendar, each with its own schedule, arrivals and spin-up
+//!   window, yielding one tenant-tagged report per stream (`npu-fleet`'s
+//!   co-scheduler compiles to this). Streams linked by shared chiplets
+//!   run in one engine pass; groups that share none run in passes of
+//!   their own, bit-identical to the one-calendar run.
 //!
 //! Recorded camera logs load through [`Arrivals::from_csv_str`] /
 //! [`Arrivals::from_jsonl_str`] (string input only — callers do the

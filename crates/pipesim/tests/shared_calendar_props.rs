@@ -7,7 +7,11 @@
 //! balance (`offered == served + dropped + flushed`, with the served
 //! frames counted in the report itself and the drops recounted from the
 //! barrier), and a stream whose chiplets no other stream touches is
-//! bit-identical to its standalone run.
+//! bit-identical to its standalone run. `simulate_tenants` runs such a
+//! stream in an engine pass of its own, so that last property holds by
+//! construction; `tests/engine_refactor_pin.rs` pins the grouping
+//! against an independent reference running every stream on one
+//! calendar.
 
 use proptest::prelude::*;
 

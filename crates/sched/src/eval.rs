@@ -213,7 +213,9 @@ pub(crate) fn evaluate_stage(
 ) -> StageEval {
     let link = pkg.link();
     let stage = &schedule.stages[si];
-    let mut local_busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+    // Each chiplet's stage-local busy time, indexed by `ChipletId::index`;
+    // `None` where the stage places no shard.
+    let mut local_busy: Vec<Option<Seconds>> = vec![None; pkg.len()];
     let mut compute_energy = Joules::ZERO;
     let mut nop_energy = Joules::ZERO;
     let mut shards: Vec<(ChipletId, Seconds, f64)> = Vec::new();
@@ -265,7 +267,7 @@ pub(crate) fn evaluate_stage(
                 }
 
                 let shard_time = cost.latency + transfer.latency;
-                *local_busy.entry(shard.chiplet).or_insert(Seconds::ZERO) += shard_time;
+                *local_busy[shard.chiplet.index()].get_or_insert(Seconds::ZERO) += shard_time;
                 compute_energy += cost.energy;
                 nop_energy += transfer.energy;
                 let active = cost.active_pes * cost.latency.as_secs();
@@ -298,7 +300,8 @@ pub(crate) fn evaluate_stage(
     // chiplet the stage shares (e.g. 8 FE models on one monolithic
     // accelerator execute back to back).
     let local_max = local_busy
-        .values()
+        .iter()
+        .flatten()
         .copied()
         .fold(Seconds::ZERO, Seconds::max);
     StageEval {
@@ -306,7 +309,7 @@ pub(crate) fn evaluate_stage(
         e2e: stage_path.max(local_max),
         compute_energy,
         nop_energy,
-        chiplets: local_busy.into_keys().collect(),
+        chiplets: used_chiplets(&local_busy).map(|(c, _)| c).collect(),
         shards,
         nop,
         exits,
@@ -318,12 +321,15 @@ pub(crate) fn evaluate_stage(
 /// one serial walk over the schedule would. The Fig. 9 attribution is
 /// left to [`fold_nop_by_layer`]: `nop_by_layer` is empty.
 pub(crate) fn fold_scores(pkg: &McmPackage, stages: &[StageEval]) -> EvalReport {
-    let mut busy: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+    // Each chiplet's busy time, indexed by `ChipletId::index`; `None`
+    // where no shard runs.
+    let mut dense: Vec<Option<Seconds>> = vec![None; pkg.len()];
     let mut active_weighted = 0.0_f64; // PE-seconds
     for &(c, t, active) in stages.iter().flat_map(|s| &s.shards) {
-        *busy.entry(c).or_insert(Seconds::ZERO) += t;
+        *dense[c.index()].get_or_insert(Seconds::ZERO) += t;
         active_weighted += active;
     }
+    let busy: Vec<(ChipletId, Seconds)> = used_chiplets(&dense).collect();
 
     // Stage pipe latencies come from *global* chiplet busy times: a chiplet
     // shared between stages must fit all its work in one frame interval.
@@ -334,7 +340,7 @@ pub(crate) fn fold_scores(pkg: &McmPackage, stages: &[StageEval]) -> EvalReport 
             pipe: s
                 .chiplets
                 .iter()
-                .map(|c| busy[c])
+                .filter_map(|c| dense[c.index()])
                 .fold(Seconds::ZERO, Seconds::max),
             e2e: s.e2e,
             compute_energy: s.compute_energy,
@@ -342,13 +348,16 @@ pub(crate) fn fold_scores(pkg: &McmPackage, stages: &[StageEval]) -> EvalReport 
         })
         .collect();
 
-    let pipe = busy.values().copied().fold(Seconds::ZERO, Seconds::max);
+    let pipe = busy
+        .iter()
+        .map(|&(_, t)| t)
+        .fold(Seconds::ZERO, Seconds::max);
     let e2e: Seconds = per_stage.iter().map(|s| s.e2e).sum();
     let compute_energy: Joules = per_stage.iter().map(|s| s.compute_energy).sum();
     let nop_energy: Joules = per_stage.iter().map(|s| s.nop_energy).sum();
     let used_pes: u64 = busy
-        .keys()
-        .map(|&c| pkg.chiplet(c).accelerator().array().pes())
+        .iter()
+        .map(|&(c, _)| pkg.chiplet(c).accelerator().array().pes())
         .sum();
     let utilization = if pipe.is_zero() {
         0.0
@@ -369,9 +378,17 @@ pub(crate) fn fold_scores(pkg: &McmPackage, stages: &[StageEval]) -> EvalReport 
         utilization,
         utilization_used,
         per_stage,
-        busy: busy.into_iter().collect(),
+        busy,
         nop_by_layer: Vec::new(),
     }
+}
+
+/// The used entries of a dense per-chiplet table, ascending id order.
+fn used_chiplets(dense: &[Option<Seconds>]) -> impl Iterator<Item = (ChipletId, Seconds)> + '_ {
+    dense
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| t.map(|t| (ChipletId(i as u32), t)))
 }
 
 /// The fold's Fig. 9 NoP attribution: each transfer's cost summed per

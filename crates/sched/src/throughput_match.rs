@@ -502,9 +502,12 @@ impl<'m> ThroughputMatcher<'m> {
         }
         let (mi, id, _, parts) = best?;
 
-        // Busy map excluding the target layer's current shards.
-        let mut busy: std::collections::BTreeMap<ChipletId, Seconds> =
-            report.busy.iter().copied().collect();
+        // Busy times excluding the target layer's current shards,
+        // indexed by `ChipletId::index` (zero on an unused chiplet).
+        let mut busy: Vec<Seconds> = vec![Seconds::ZERO; pkg.len()];
+        for &(c, b) in &report.busy {
+            busy[c.index()] = b;
+        }
         {
             let lp = schedule.stages[si].models[mi].layer_plan(id);
             for s in &lp.shards {
@@ -512,9 +515,8 @@ impl<'m> ThroughputMatcher<'m> {
                     .model
                     .layer_cost(&s.layer, pkg.chiplet(s.chiplet).accelerator())
                     .latency;
-                if let Some(b) = busy.get_mut(&s.chiplet) {
-                    *b = Seconds::new((b.as_secs() - t.as_secs()).max(0.0));
-                }
+                let b = &mut busy[s.chiplet.index()];
+                *b = Seconds::new((b.as_secs() - t.as_secs()).max(0.0));
             }
         }
 
@@ -532,7 +534,7 @@ impl<'m> ThroughputMatcher<'m> {
         available.sort();
         available.dedup();
         available.sort_by_key(|c| {
-            let b = busy.get(c).copied().unwrap_or(Seconds::ZERO) + shard_time_est;
+            let b = busy[c.index()] + shard_time_est;
             let bucket = (b.as_millis() / 10.0) as u64;
             (bucket, !region.contains(c), b.as_micros() as u64)
         });

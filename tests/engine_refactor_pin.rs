@@ -15,7 +15,10 @@
 //!
 //! The reference also runs K streams on one calendar with shared
 //! chiplets, and a property test pins `simulate_tenants` against it bit
-//! for bit on random DAG streams with same-instant arrivals.
+//! for bit on random DAG streams with same-instant arrivals. Two more
+//! cases pin the engine's per-group passes (streams linked by shared
+//! chiplets run together, the rest apart) against the reference's one
+//! calendar: streams on two chiplet islands, and a transitive chain.
 
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -648,6 +651,17 @@ type StreamDraw = ((usize, i64, i64), (u64, usize));
 /// Co-simulates the drawn streams on three shared chiplets and checks
 /// each stream's report against the K-stream reference bit for bit.
 fn assert_shared_streams_match_reference(draws: &[StreamDraw]) {
+    let schedules: Vec<Schedule> = draws
+        .iter()
+        .map(|&(_, (seed, _))| generated_schedule(seed))
+        .collect();
+    assert_streams_match_reference(&schedules, draws);
+}
+
+/// Co-simulates `schedules[k]` under the arrivals and warmup of
+/// `draws[k]` and checks each stream's report against the K-stream
+/// reference, which runs every stream on one calendar, bit for bit.
+fn assert_streams_match_reference(schedules: &[Schedule], draws: &[StreamDraw]) {
     // A free NoP: item durations are exactly the model's eighths.
     let pkg = McmPackage::simba_6x6().with_link(LinkParams {
         bandwidth_bytes_per_sec: f64::INFINITY,
@@ -655,10 +669,6 @@ fn assert_shared_streams_match_reference(draws: &[StreamDraw]) {
         ..LinkParams::simba_28nm()
     });
     let model = EighthsModel;
-    let schedules: Vec<Schedule> = draws
-        .iter()
-        .map(|&(_, (seed, _))| generated_schedule(seed))
-        .collect();
     let times: Vec<Vec<f64>> = draws
         .iter()
         .map(|&((frames, offset, interval), _)| {
@@ -733,4 +743,94 @@ fn shared_chiplet_release_onto_a_queued_item_pins_the_reference() {
         ((7, -3, 4), (11951658683618473250, 0)),
         ((2, -2, 4), (7412023205174904577, 1)),
     ]);
+}
+
+/// `schedule` with every chiplet id moved up by `base`.
+fn shifted(mut schedule: Schedule, base: u32) -> Schedule {
+    for stage in &mut schedule.stages {
+        for c in &mut stage.region {
+            c.0 += base;
+        }
+        let layers = stage.models.iter_mut().flat_map(|m| &mut m.layers);
+        for shard in layers.flat_map(|lp| &mut lp.shards) {
+            shard.chiplet.0 += base;
+        }
+    }
+    schedule
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two to five streams of random DAGs, each on one of two chiplet
+    /// islands, island 0 (chiplets `0..3`) or island 1 (chiplets
+    /// `3..6`): streams on one island share its first chiplet, streams
+    /// on different islands share nothing. The engine runs each island's
+    /// streams in a pass of their own, yet every stream's report
+    /// matches the reference running all of them on one calendar bit
+    /// for bit, in input order, however the islands interleave.
+    #[test]
+    fn chiplet_islands_pin_the_one_calendar_reference(
+        draws in proptest::collection::vec(
+            (((1usize..12, -3i64..3, 0i64..5), (0u64..u64::MAX, 0usize..3)), 0u32..2),
+            2..6,
+        ),
+    ) {
+        let schedules: Vec<Schedule> = draws
+            .iter()
+            .map(|&((_, (seed, _)), island)| {
+                shifted(generated_schedule(seed), island * SHARED_CHIPLETS as u32)
+            })
+            .collect();
+        let draws: Vec<StreamDraw> = draws.iter().map(|&(d, _)| d).collect();
+        assert_streams_match_reference(&schedules, &draws);
+    }
+}
+
+/// Two dense layers in a chain, each given as `(chiplet, eighths of a
+/// second)`: `first` runs, then `second`.
+fn chain_schedule(first: (u32, u64), second: (u32, u64)) -> Schedule {
+    let dense = |name: &str, tokens| {
+        Layer::intrinsic(
+            name,
+            OpKind::Dense {
+                tokens,
+                in_features: 8,
+                out_features: 8,
+            },
+        )
+    };
+    let mut g = Graph::new("chain");
+    let a = g.add(dense("a", first.1), &[]).expect("a root");
+    let b = g.add(dense("b", second.1), &[a]).expect("input precedes");
+    let mut mp = ModelPlan::on_single_chiplet("m", g.clone(), ChipletId(first.0));
+    *mp.layer_plan_mut(b) = LayerPlan::single(g.layer(b).clone(), ChipletId(second.0));
+    Schedule {
+        stages: vec![StagePlan {
+            kind: StageKind::SpatialFusion,
+            region: mp.chiplets().into_iter().collect(),
+            models: vec![mp],
+        }],
+    }
+}
+
+/// A transitive chain: A shares chiplet 1 with B and C shares chiplet 2
+/// with B, while A and C share nothing, and B comes last. All three
+/// contend, so they must run as one group; grouping by direct overlap
+/// with the streams before it would run C apart from B.
+#[test]
+fn transitive_chiplet_chain_pins_the_one_calendar_reference() {
+    let schedules = [
+        chain_schedule((0, 2), (1, 3)),
+        chain_schedule((3, 1), (2, 3)),
+        chain_schedule((1, 2), (2, 2)),
+    ];
+    assert_streams_match_reference(
+        &schedules,
+        &[
+            ((8, 0, 2), (0, 1)),
+            ((8, 1, 2), (0, 1)),
+            ((8, 0, 1), (0, 1)),
+        ],
+    );
 }
