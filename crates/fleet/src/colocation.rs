@@ -17,6 +17,15 @@
 //! only on its scenario and its band, and the co-scheduler simulates
 //! each (band, scenario) placement once.
 //!
+//! Re-partitioning (admission trials, preemption) recompiles the same
+//! few scenarios onto the same few bands over and over, so the
+//! co-scheduler keeps three memos, all keyed by the scenario's
+//! fingerprint: each scenario's built perception pipeline and demand,
+//! each (band width, scenario) match, and each (band, scenario)
+//! verification report. A placement's schedule is a view
+//! ([`PlacedSchedule`]) that shares its band's match with the memo and
+//! translates to full-package chiplet ids only where they are read.
+//!
 //! Admission is deterministic and two-staged: an analytic feasibility
 //! screen (the matcher's predicted steady interval against each trial
 //! tenant's mean target) rejects hopeless colocations cheaply, then the
@@ -25,6 +34,8 @@
 //! order, so the outcome is invariant under permutation of the input.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -32,10 +43,11 @@ use npu_maestro::CostModel;
 use npu_mcm::{ChipletId, McmPackage};
 use npu_noc::Mesh2d;
 use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimConfig, SimPhase};
+use npu_scenario::PerceptionPipeline;
 use npu_sched::{MatcherConfig, Schedule, ThroughputMatcher};
 use npu_tensor::{Dtype, Seconds};
 
-use crate::tenant::{canonical_order, RejectReason, Tenant};
+use crate::tenant::{canonical_order, scenario_demand, RejectReason, Tenant};
 
 /// Frames per tenant in the admission DES verification: long enough to
 /// resolve queueing tails on the trimmed window, short enough that
@@ -108,6 +120,52 @@ pub fn apportion_columns(weights: &[f64], total_cols: u32) -> Option<Vec<u32>> {
     Some(cols)
 }
 
+/// A placed schedule as a view: the band-local match, shared with the
+/// co-scheduler's band memo and with every other placement of the same
+/// scenario on a band of the same width, plus the band it sits on.
+///
+/// The co-scheduler's own readers of full-package chiplet ids take an
+/// owned translation where they read them. The view also dereferences
+/// to the full-package schedule, translated once on first use and kept,
+/// for readers that only borrow it.
+#[derive(Debug, Clone)]
+pub struct PlacedSchedule {
+    band: Arc<Schedule>,
+    region: Region,
+    mesh_w: u32,
+    full: OnceLock<Schedule>,
+}
+
+impl PlacedSchedule {
+    /// A new copy of the schedule in full-package chiplet ids (see
+    /// [`translate_schedule`]).
+    pub(crate) fn translated(&self) -> Schedule {
+        translate_schedule(
+            Arc::clone(&self.band),
+            self.region,
+            self.mesh_w,
+            self.region.width(),
+        )
+    }
+}
+
+impl Deref for PlacedSchedule {
+    type Target = Schedule;
+
+    /// The schedule in full-package chiplet ids, translated on first use.
+    fn deref(&self) -> &Schedule {
+        self.full.get_or_init(|| self.translated())
+    }
+}
+
+impl PartialEq for PlacedSchedule {
+    /// Equal views translate to equal schedules; the kept translation is
+    /// a cache and takes no part.
+    fn eq(&self, other: &PlacedSchedule) -> bool {
+        (self.region, self.mesh_w) == (other.region, other.mesh_w) && self.band == other.band
+    }
+}
+
 /// One tenant's compiled placement in a colocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantPlacement {
@@ -115,8 +173,9 @@ pub struct TenantPlacement {
     pub tenant: Tenant,
     /// Its column band.
     pub region: Region,
-    /// Its schedule, in **full-package** chiplet ids.
-    pub schedule: Schedule,
+    /// Its schedule: the band-local match shared with the co-scheduler's
+    /// memo, read in full-package chiplet ids through the view.
+    pub schedule: PlacedSchedule,
     /// The matcher's analytic pipelining latency on the band.
     pub predicted_pipe: Seconds,
 }
@@ -157,18 +216,30 @@ impl AdmissionOutcome {
     }
 }
 
-/// The co-scheduler: one package, one cost model, and two memos so
-/// re-partitioning (admission trials, preemption) never re-runs the
-/// matcher for a (workload, band width) pair it has already compiled,
-/// nor the DES for a (band, workload) placement it has already verified.
+/// One scenario's facts that every trial reads: its built perception
+/// pipeline and its compute demand.
+struct ScenarioEntry {
+    workload: PerceptionPipeline,
+    demand: f64,
+}
+
+/// The co-scheduler: one package, one cost model, and three memos so
+/// re-partitioning (admission trials, preemption) never rebuilds a
+/// scenario's pipeline it has already built, never re-runs the matcher
+/// for a (workload, band width) pair it has already compiled, nor the
+/// DES for a (band, workload) placement it has already verified.
 pub struct CoScheduler<'m> {
     pkg: McmPackage,
     model: &'m dyn CostModel,
     verify_frames: usize,
+    /// Scenario fingerprint → built pipeline and demand: `compile`'s
+    /// apportionment weights and the band matches both read it.
+    scenarios: BTreeMap<String, ScenarioEntry>,
     /// (band width, scenario fingerprint) → (band-local schedule,
     /// analytic pipe). Bands of equal width are identical sub-meshes on
-    /// a homogeneous package, so the match result is position-free.
-    cache: BTreeMap<(u32, String), (Schedule, Seconds)>,
+    /// a homogeneous package, so the match result is position-free, and
+    /// every placement it serves shares the one schedule.
+    cache: BTreeMap<(u32, String), (Arc<Schedule>, Seconds)>,
     /// (band `lo`, band width, scenario fingerprint) → the placement's
     /// verification report over `verify_frames` frames. Not
     /// position-free: a band further east reads DRAM over more hops.
@@ -182,6 +253,7 @@ impl<'m> CoScheduler<'m> {
             pkg,
             model,
             verify_frames: VERIFY_FRAMES,
+            scenarios: BTreeMap::new(),
             cache: BTreeMap::new(),
             verified: BTreeMap::new(),
         }
@@ -216,7 +288,7 @@ impl<'m> CoScheduler<'m> {
     /// more tenants than mesh columns.
     pub fn compile(&mut self, tenants: &[Tenant]) -> Result<Colocation, RejectReason> {
         let mesh = self.pkg.mesh();
-        let weights: Vec<f64> = tenants.iter().map(Tenant::weighted_demand).collect();
+        let weights: Vec<f64> = tenants.iter().map(|t| self.weight(t)).collect();
         let cols = apportion_columns(&weights, mesh.width()).ok_or(RejectReason::NoCapacity {
             tenants: tenants.len(),
             columns: mesh.width(),
@@ -226,35 +298,58 @@ impl<'m> CoScheduler<'m> {
         for (tenant, &width) in tenants.iter().zip(&cols) {
             let region = Region { lo, hi: lo + width };
             lo += width;
-            let (band_schedule, pipe) = self.band_schedule(tenant, width);
-            let schedule = translate_schedule(band_schedule, region, mesh.width(), width);
+            let (band, pipe) = self.band_schedule(tenant, width);
             placements.push(TenantPlacement {
                 tenant: tenant.clone(),
                 region,
-                schedule,
+                schedule: PlacedSchedule {
+                    band,
+                    region,
+                    mesh_w: mesh.width(),
+                    full: OnceLock::new(),
+                },
                 predicted_pipe: pipe,
             });
         }
         Ok(Colocation { placements })
     }
 
+    /// A tenant's scenario entry: built and stored on first use.
+    fn scenario(&mut self, tenant: &Tenant) -> &ScenarioEntry {
+        self.scenarios
+            .entry(scenario_key(tenant))
+            .or_insert_with(|| {
+                let workload = tenant.scenario.workload();
+                let demand = scenario_demand(&tenant.scenario, &workload);
+                ScenarioEntry { workload, demand }
+            })
+    }
+
+    /// A tenant's apportionment weight: [`Tenant::weighted_demand`] on
+    /// the memoized demand.
+    fn weight(&mut self, tenant: &Tenant) -> f64 {
+        self.scenario(tenant).demand * tenant.priority.weight_boost()
+    }
+
     /// Matches a tenant's workload onto a width-`width` band, cached
-    /// per (width, scenario). The returned schedule is the caller's own
-    /// copy, in band-local chiplet ids.
-    fn band_schedule(&mut self, tenant: &Tenant, width: u32) -> (Schedule, Seconds) {
+    /// per (width, scenario). The schedule, in band-local chiplet ids,
+    /// is the memo's own: a hit copies a pointer, not the schedule.
+    fn band_schedule(&mut self, tenant: &Tenant, width: u32) -> (Arc<Schedule>, Seconds) {
         let key = (width, scenario_key(tenant));
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
+        if let Some((band, pipe)) = self.cache.get(&key) {
+            return (Arc::clone(band), *pipe);
         }
+        let (band_pkg, model) = (self.band_package(width), self.model);
         let cfg = MatcherConfig {
             allow_fe_split: true,
             ..MatcherConfig::default()
         };
-        let outcome = ThroughputMatcher::new(self.model, cfg)
-            .match_throughput(&tenant.scenario.workload(), &self.band_package(width));
-        let entry = (outcome.schedule, outcome.report.pipe);
-        self.cache.insert(key, entry.clone());
-        entry
+        let outcome = ThroughputMatcher::new(model, cfg)
+            .match_throughput(&self.scenario(tenant).workload, &band_pkg);
+        let band = Arc::new(outcome.schedule);
+        self.cache
+            .insert(key, (Arc::clone(&band), outcome.report.pipe));
+        (band, outcome.report.pipe)
     }
 
     /// The width-`width` sub-package a band schedule is matched on.
@@ -296,7 +391,7 @@ impl<'m> CoScheduler<'m> {
     }
 
     /// One placement's verification report: the memo's, or a DES run of
-    /// the placement alone.
+    /// the placement alone on its own full-package translation.
     fn report(&mut self, p: &TenantPlacement) -> PhaseReport {
         let key = (p.region.lo, p.region.width(), scenario_key(&p.tenant));
         let frames = self.verify_frames;
@@ -304,8 +399,9 @@ impl<'m> CoScheduler<'m> {
         self.verified
             .entry(key)
             .or_insert_with(|| {
+                let full = p.schedule.translated();
                 let stream = SimPhase {
-                    schedule: &p.schedule,
+                    schedule: &full,
                     times: p.tenant.scenario.arrivals().times(frames),
                     readiness: Readiness::Barrier(0.0),
                     warmup: Some(SimConfig::default_warmup(frames)),
@@ -422,8 +518,8 @@ fn scenario_key(tenant: &Tenant) -> String {
 /// Rebases a band-local schedule onto the full mesh: band chiplet
 /// `(x, y)` (id `y·width + x`) becomes global chiplet
 /// `(region.lo + x, y)` (id `y·mesh_w + region.lo + x`). The ids are
-/// rewritten in place: `band` is the caller's own copy of the cached
-/// band schedule.
+/// rewritten on a new copy of the schedule, or in place when `band` is
+/// its only reference.
 ///
 /// Column bands are isometric, so every hop count between two chiplets
 /// is preserved. Hops to DRAM are not: the DRAM ports sit on the
@@ -433,7 +529,8 @@ fn scenario_key(tenant: &Tenant) -> String {
 /// band-local match assumed. The DES charges those hops; the cached
 /// [`TenantPlacement::predicted_pipe`] of the analytic admission screen
 /// does not.
-fn translate_schedule(mut band: Schedule, region: Region, mesh_w: u32, width: u32) -> Schedule {
+fn translate_schedule(band: Arc<Schedule>, region: Region, mesh_w: u32, width: u32) -> Schedule {
+    let mut band = Arc::unwrap_or_clone(band);
     let map = |c: ChipletId| {
         let (x, y) = (c.0 % width, c.0 / width);
         ChipletId(y * mesh_w + region.lo + x)
@@ -617,6 +714,56 @@ mod tests {
             .collect();
         assert_eq!(shifted, placement_chiplets(r));
         assert_eq!(l.predicted_pipe, r.predicted_pipe);
+
+        // A hit copies nothing: both bands and both compiles share the
+        // one cached match, and each view reads as its translation.
+        assert!(Arc::ptr_eq(&l.schedule.band, &r.schedule.band));
+        assert!(Arc::ptr_eq(
+            &first.placements[0].schedule.band,
+            &l.schedule.band
+        ));
+        for p in &again.placements {
+            let copy = Arc::new(Schedule::clone(&p.schedule.band));
+            let full = translate_schedule(copy, p.region, mesh.width(), p.region.width());
+            assert_eq!(*p.schedule, full, "{}", p.tenant.name);
+            assert_eq!(p.schedule.translated(), full, "{}", p.tenant.name);
+        }
+    }
+
+    #[test]
+    fn apportionment_weights_are_the_tenants_weighted_demand() {
+        let model = FittedMaestro::new();
+        let mut sched = CoScheduler::new(crate::fleet::os256_package(6, 6), &model);
+        for profile in crate::fleet::VehicleProfile::catalog() {
+            for priority in Priority::ALL {
+                let mut t = profile.vehicle(1);
+                t.priority = priority;
+                assert_eq!(
+                    sched.weight(&t).to_bits(),
+                    t.weighted_demand().to_bits(),
+                    "{} at {priority}",
+                    profile.name
+                );
+            }
+        }
+        // The memo keys the whole scenario, not its name: one name on
+        // two rigs is two demands.
+        let named = |cameras| {
+            Tenant::new(
+                "same",
+                Scenario::new(
+                    "same",
+                    CameraRig::new(cameras, (288, 512), 8.0),
+                    OperatingMode::HighwayCruise,
+                ),
+                Priority::Standard,
+            )
+        };
+        let (quad, octa) = (named(4), named(8));
+        let (wq, wo) = (sched.weight(&quad), sched.weight(&octa));
+        assert_ne!(wq.to_bits(), wo.to_bits());
+        assert_eq!(wq.to_bits(), quad.weighted_demand().to_bits());
+        assert_eq!(wo.to_bits(), octa.weighted_demand().to_bits());
     }
 
     #[test]

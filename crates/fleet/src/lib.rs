@@ -72,8 +72,8 @@ pub mod preempt;
 pub mod tenant;
 
 pub use colocation::{
-    apportion_columns, slo_violation, AdmissionOutcome, CoScheduler, Colocation, Region,
-    TenantPlacement, VERIFY_FRAMES,
+    apportion_columns, slo_violation, AdmissionOutcome, CoScheduler, Colocation, PlacedSchedule,
+    Region, TenantPlacement, VERIFY_FRAMES,
 };
 pub use fleet::{
     os256_package, pack_fleet, pack_fleet_mixed, FleetSpec, InstanceSummary, MixedPackOutcome,

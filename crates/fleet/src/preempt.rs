@@ -230,6 +230,15 @@ pub fn preemption_event(
     after_tenants.push(arriving.clone());
     canonical_order(&mut after_tenants);
     let colo2 = sched.compile(&after_tenants)?;
+    // Both colocations in full-package chiplet ids, which the rematch
+    // diffs and the shared-calendar epochs read.
+    let full = |colo: &Colocation| -> Vec<Schedule> {
+        colo.placements
+            .iter()
+            .map(|p| p.schedule.translated())
+            .collect()
+    };
+    let (full1, full2) = (full(&colo1), full(&colo2));
 
     // Per-tenant migration cost: diff its old mapping (empty for the
     // arriver) against its new one, make-before-break. Every chiplet
@@ -237,20 +246,19 @@ pub fn preemption_event(
     // chiplet handed over between tenants stalls like one re-programmed
     // in place; only package-idle silicon prestages over the epoch-1
     // tail.
-    let occupied: BTreeSet<_> = colo1
-        .placements
-        .iter()
-        .flat_map(|p| p.schedule.chiplets_used())
-        .collect();
+    let occupied: BTreeSet<_> = full1.iter().flat_map(Schedule::chiplets_used).collect();
     let empty = Schedule { stages: Vec::new() };
     let transitions: Vec<RematchOutcome> = colo2
         .placements
         .iter()
-        .map(|p| {
+        .zip(&full2)
+        .map(|(p, new)| {
             let old = colo1
-                .placement(&p.tenant.name)
-                .map_or(&empty, |q| &q.schedule);
-            rematch_cost_against(old, &p.schedule, &occupied, reconfig, Dtype::Fp16)
+                .placements
+                .iter()
+                .position(|q| q.tenant.name == p.tenant.name)
+                .map_or(&empty, |i| &full1[i]);
+            rematch_cost_against(old, new, &occupied, reconfig, Dtype::Fp16)
         })
         .collect();
     let diff_of = |name: &str| {
@@ -269,9 +277,10 @@ pub fn preemption_event(
     let epoch1_streams: Vec<SimPhase<'_>> = colo1
         .placements
         .iter()
+        .zip(&full1)
         .zip(all_times.iter().zip(&splits))
-        .map(|(p, (times, &split))| SimPhase {
-            schedule: &p.schedule,
+        .map(|((p, schedule), (times, &split))| SimPhase {
+            schedule,
             times: times[..split].to_vec(),
             readiness: Readiness::Barrier(0.0),
             warmup: None,
@@ -301,12 +310,11 @@ pub fn preemption_event(
             }
         })
         .collect();
-    let epoch2_streams: Vec<SimPhase<'_>> = colo2
-        .placements
+    let epoch2_streams: Vec<SimPhase<'_>> = full2
         .iter()
         .zip(epoch2_times.iter().zip(&transitions))
-        .map(|(p, (times, diff))| SimPhase {
-            schedule: &p.schedule,
+        .map(|(schedule, (times, diff))| SimPhase {
+            schedule,
             times: times.clone(),
             readiness: Readiness::make_before_break(diff, at),
             warmup: None,

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use npu_scenario::Scenario;
+use npu_scenario::{PerceptionPipeline, Scenario};
 use npu_tensor::Seconds;
 
 /// Priority class of a tenant. The derived order is admission order:
@@ -111,16 +111,12 @@ impl Tenant {
     }
 
     /// Compute demand in MAC/s: workload MACs per frame × frame rate.
-    /// This is the apportionment weight for region partitioning.
+    /// This is the apportionment weight for region partitioning. It
+    /// builds the scenario's whole perception pipeline to count its
+    /// MACs; the co-scheduler builds each scenario's pipeline once and
+    /// applies the same formula to it.
     pub fn demand(&self) -> f64 {
-        let macs = self.scenario.workload().total_macs().as_f64();
-        let interval = self
-            .scenario
-            .arrivals()
-            .mean_interval()
-            .map(|s| s.as_secs())
-            .unwrap_or_else(|| self.scenario.rig.frame_interval_secs());
-        macs / interval.max(1e-9)
+        scenario_demand(&self.scenario, &self.scenario.workload())
     }
 
     /// Demand boosted by the priority class — the actual apportionment
@@ -128,6 +124,18 @@ impl Tenant {
     pub fn weighted_demand(&self) -> f64 {
         self.demand() * self.priority.weight_boost()
     }
+}
+
+/// A scenario's compute demand in MAC/s, given its built `workload`:
+/// MACs per frame × frame rate.
+pub(crate) fn scenario_demand(scenario: &Scenario, workload: &PerceptionPipeline) -> f64 {
+    let macs = workload.total_macs().as_f64();
+    let interval = scenario
+        .arrivals()
+        .mean_interval()
+        .map(|s| s.as_secs())
+        .unwrap_or_else(|| scenario.rig.frame_interval_secs());
+    macs / interval.max(1e-9)
 }
 
 /// Why admission control turned a tenant away, carrying the numbers the

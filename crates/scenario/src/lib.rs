@@ -44,6 +44,10 @@ pub mod rig;
 pub mod scenario;
 pub mod sweep;
 
+/// The built workload type [`Scenario::workload`] returns, re-exported so
+/// crates above this one can name it without depending on `npu-dnn`.
+pub use npu_dnn::PerceptionPipeline;
+
 pub use drive::{
     drive_sweep, simulate_drive, Drive, DriveOutcome, DriveSegment, SegmentReport, TransitionReport,
 };
