@@ -1,15 +1,16 @@
-//! Benchmarks Algorithm 1, the throughput matcher, in its three shapes:
-//! base matching on the paper's 6x6 package (Figs. 5-8), a scenario
-//! match on a large uniform OS-256 mesh (one `Study` grid point of the
-//! scenario DSE) and the minimizing mode on the two-NPU 12x6 package
-//! (Fig. 10). Every iteration builds a fresh matcher, as a real match
-//! does. Medians seed `BENCH_matcher.json`; append one entry per PR that
+//! Benchmarks Algorithm 1, the throughput matcher, in four shapes: base
+//! matching on the paper's 6x6 package (Figs. 5-8), a scenario match on
+//! a large uniform OS-256 mesh (one `Study` grid point of the scenario
+//! DSE), the minimizing mode on the two-NPU 12x6 package (Fig. 10), and
+//! the fleet co-scheduler's schedule-only band match of a fleet vehicle
+//! on a two-column OS-256 band. Every iteration builds a fresh matcher,
+//! as a real match does. Medians seed `BENCH_matcher.json`; append one entry per PR that
 //! touches the matcher or `evaluate`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use npu_dnn::PerceptionConfig;
-use npu_fleet::os256_package;
+use npu_fleet::{os256_package, VehicleProfile};
 use npu_maestro::FittedMaestro;
 use npu_mcm::McmPackage;
 use npu_scenario::{match_scenario, Scenario};
@@ -46,6 +47,23 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let matcher = ThroughputMatcher::new(&model, cfg.clone());
             black_box(matcher.minimize(&pipeline, &dual).report.pipe)
+        })
+    });
+
+    // The fleet's most common vehicle on a two-column band of the 6-high
+    // fleet meshes, matched the way `CoScheduler` matches a band.
+    let cruise = VehicleProfile::catalog()
+        .into_iter()
+        .find(|p| p.name == "av-cruise")
+        .expect("catalog av-cruise profile")
+        .vehicle(0)
+        .scenario
+        .workload();
+    let band = os256_package(2, 6);
+    c.bench_function("matcher/band_match_os256_2x6", |b| {
+        b.iter(|| {
+            let matcher = ThroughputMatcher::new(&model, cfg.clone());
+            black_box(matcher.match_schedule(&cruise, &band).1)
         })
     });
 }

@@ -22,16 +22,21 @@
 //! co-scheduler keeps three memos, all keyed by the scenario's
 //! fingerprint: each scenario's built perception pipeline and demand,
 //! each (band width, scenario) match, and each (band, scenario)
-//! verification report. A placement's schedule is a view
-//! ([`PlacedSchedule`]) that shares its band's match with the memo and
-//! translates to full-package chiplet ids only where they are read.
+//! verification report. A band match computes only what admission
+//! reads, the schedule and its analytic pipe
+//! ([`ThroughputMatcher::match_schedule`]). A placement's schedule is a
+//! view ([`PlacedSchedule`]) that shares its band's match with the memo
+//! and translates to full-package chiplet ids only where they are read.
 //!
 //! Admission is deterministic and two-staged: an analytic feasibility
 //! screen (the matcher's predicted steady interval against each trial
 //! tenant's mean target) rejects hopeless colocations cheaply, then the
 //! DES verifies every tenant's mean *and* p99 SLO on the trial
-//! partition. Candidates are processed in canonical (priority, name)
-//! order, so the outcome is invariant under permutation of the input.
+//! partition. The screen runs per tenant, as soon as its band is
+//! matched, and a trial stops at its first failing tenant, before the
+//! tenants after it are matched. Candidates are processed in canonical
+//! (priority, name) order, so the outcome is invariant under
+//! permutation of the input.
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
@@ -228,6 +233,11 @@ struct ScenarioEntry {
 /// scenario's pipeline it has already built, never re-runs the matcher
 /// for a (workload, band width) pair it has already compiled, nor the
 /// DES for a (band, workload) placement it has already verified.
+///
+/// [`compile`](Self::compile) (which preemption calls) matches every
+/// tenant; [`try_colocate`](Self::try_colocate) runs the same placement
+/// loop but screens each tenant as it is placed and matches no tenant
+/// after the first one the screen rejects.
 pub struct CoScheduler<'m> {
     pkg: McmPackage,
     model: &'m dyn CostModel,
@@ -287,6 +297,20 @@ impl<'m> CoScheduler<'m> {
     /// matches every tenant onto its band. Fails only when there are
     /// more tenants than mesh columns.
     pub fn compile(&mut self, tenants: &[Tenant]) -> Result<Colocation, RejectReason> {
+        self.place(tenants, |_| Ok(()))
+    }
+
+    /// The partition-and-place loop of [`compile`](Self::compile) and
+    /// [`try_colocate`](Self::try_colocate): apportions the mesh columns,
+    /// then places the tenants left to right, matching each onto its band
+    /// and handing the placement to `check` before the next tenant is
+    /// matched. The first error `check` returns ends the loop, so no
+    /// tenant after the one it rejects is matched.
+    fn place(
+        &mut self,
+        tenants: &[Tenant],
+        mut check: impl FnMut(&TenantPlacement) -> Result<(), RejectReason>,
+    ) -> Result<Colocation, RejectReason> {
         let mesh = self.pkg.mesh();
         let weights: Vec<f64> = tenants.iter().map(|t| self.weight(t)).collect();
         let cols = apportion_columns(&weights, mesh.width()).ok_or(RejectReason::NoCapacity {
@@ -299,7 +323,7 @@ impl<'m> CoScheduler<'m> {
             let region = Region { lo, hi: lo + width };
             lo += width;
             let (band, pipe) = self.band_schedule(tenant, width);
-            placements.push(TenantPlacement {
+            let placement = TenantPlacement {
                 tenant: tenant.clone(),
                 region,
                 schedule: PlacedSchedule {
@@ -309,7 +333,9 @@ impl<'m> CoScheduler<'m> {
                     full: OnceLock::new(),
                 },
                 predicted_pipe: pipe,
-            });
+            };
+            check(&placement)?;
+            placements.push(placement);
         }
         Ok(Colocation { placements })
     }
@@ -334,6 +360,11 @@ impl<'m> CoScheduler<'m> {
     /// Matches a tenant's workload onto a width-`width` band, cached
     /// per (width, scenario). The schedule, in band-local chiplet ids,
     /// is the memo's own: a hit copies a pointer, not the schedule.
+    ///
+    /// The match is [`ThroughputMatcher::match_schedule`]: admission
+    /// reads only the schedule and its analytic pipe, so the band match
+    /// builds no step trace and no Fig. 9 NoP attribution, and returns
+    /// what `match_throughput` would, bit for bit.
     fn band_schedule(&mut self, tenant: &Tenant, width: u32) -> (Arc<Schedule>, Seconds) {
         let key = (width, scenario_key(tenant));
         if let Some((band, pipe)) = self.cache.get(&key) {
@@ -344,12 +375,11 @@ impl<'m> CoScheduler<'m> {
             allow_fe_split: true,
             ..MatcherConfig::default()
         };
-        let outcome = ThroughputMatcher::new(model, cfg)
-            .match_throughput(&self.scenario(tenant).workload, &band_pkg);
-        let band = Arc::new(outcome.schedule);
-        self.cache
-            .insert(key, (Arc::clone(&band), outcome.report.pipe));
-        (band, outcome.report.pipe)
+        let (schedule, pipe) = ThroughputMatcher::new(model, cfg)
+            .match_schedule(&self.scenario(tenant).workload, &band_pkg);
+        let band = Arc::new(schedule);
+        self.cache.insert(key, (Arc::clone(&band), pipe));
+        (band, pipe)
     }
 
     /// The width-`width` sub-package a band schedule is matched on.
@@ -413,27 +443,21 @@ impl<'m> CoScheduler<'m> {
             .clone()
     }
 
-    /// Compiles and fully checks one trial colocation: analytic screen
-    /// on every trial tenant first, then the DES verification of each
-    /// tenant's mean and p99 SLO in canonical order, stopping at the
-    /// first violation (the one [`slo_violation`] names), so the
-    /// tenants after it are never simulated. `tenants` must be in
-    /// canonical order.
+    /// Compiles and fully checks one trial colocation: the analytic
+    /// screen of each tenant as soon as its band is matched, then the
+    /// DES verification of each tenant's mean and p99 SLO in canonical
+    /// order. Both stop at their first failure: a tenant after the first
+    /// one the screen rejects is never matched, and a tenant after the
+    /// first SLO violation (the one [`slo_violation`] names) is never
+    /// simulated. The screen of a tenant reads only its own placement,
+    /// so this returns the rejection a full [`compile`](Self::compile)
+    /// followed by a screen of every tenant in order would. `tenants`
+    /// must be in canonical order.
     pub fn try_colocate(
         &mut self,
         tenants: &[Tenant],
     ) -> Result<(Colocation, Vec<PhaseReport>), RejectReason> {
-        let colo = self.compile(tenants)?;
-        for p in &colo.placements {
-            let predicted = p.tenant.scenario.predicted_interval(p.predicted_pipe);
-            if predicted.as_secs() > p.tenant.slo.latency_target.as_secs() {
-                return Err(RejectReason::AnalyticInfeasible {
-                    tenant: p.tenant.name.clone(),
-                    predicted,
-                    target: p.tenant.slo.latency_target,
-                });
-            }
-        }
+        let colo = self.place(tenants, analytic_screen)?;
         let mut reports = Vec::with_capacity(colo.placements.len());
         for p in &colo.placements {
             let report = self.report(p);
@@ -476,6 +500,20 @@ impl<'m> CoScheduler<'m> {
             rejected,
         }
     }
+}
+
+/// The analytic admission screen of one placement: the matcher's
+/// predicted steady interval against the tenant's mean target.
+fn analytic_screen(p: &TenantPlacement) -> Result<(), RejectReason> {
+    let predicted = p.tenant.scenario.predicted_interval(p.predicted_pipe);
+    if predicted.as_secs() > p.tenant.slo.latency_target.as_secs() {
+        return Err(RejectReason::AnalyticInfeasible {
+            tenant: p.tenant.name.clone(),
+            predicted,
+            target: p.tenant.slo.latency_target,
+        });
+    }
+    Ok(())
 }
 
 /// The first SLO violation in a verified colocation, in canonical
@@ -764,6 +802,72 @@ mod tests {
         assert_ne!(wq.to_bits(), wo.to_bits());
         assert_eq!(wq.to_bits(), quad.weighted_demand().to_bits());
         assert_eq!(wo.to_bits(), octa.weighted_demand().to_bits());
+    }
+
+    #[test]
+    fn band_matches_equal_full_matches() {
+        let model = FittedMaestro::new();
+        let mut sched = CoScheduler::new(crate::fleet::os256_package(8, 6), &model);
+        let cfg = MatcherConfig {
+            allow_fe_split: true,
+            ..MatcherConfig::default()
+        };
+        for profile in crate::fleet::VehicleProfile::catalog() {
+            let tenant = profile.vehicle(1);
+            let workload = tenant.scenario.workload();
+            for width in 1..=8 {
+                let (band, pipe) = sched.band_schedule(&tenant, width);
+                let full = ThroughputMatcher::new(&model, cfg.clone())
+                    .match_throughput(&workload, &sched.band_package(width));
+                let at = format!("{} on {width} columns", profile.name);
+                assert_eq!(*band, full.schedule, "{at}");
+                assert_eq!(
+                    pipe.as_secs().to_bits(),
+                    full.report.pipe.as_secs().to_bits(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn screen_stops_matching_at_the_first_failing_tenant() {
+        let model = FittedMaestro::new();
+        let pkg = crate::fleet::os256_package(6, 6);
+        let catalog = crate::fleet::VehicleProfile::catalog();
+        let vehicle = |name: &str, i| catalog.iter().find(|p| p.name == name).unwrap().vehicle(i);
+        // Bands of 3, 2 and 1 columns: the ride-hail tenant in the middle
+        // fails the screen, and the delivery van after it has a
+        // (width, scenario) pair of its own.
+        let mut trial = vec![
+            vehicle("av-degraded", 1),
+            vehicle("ride-hail", 2),
+            vehicle("delivery", 3),
+        ];
+        canonical_order(&mut trial);
+
+        // The eager reference: every band matched, then every tenant
+        // screened in order.
+        let mut eager = CoScheduler::new(pkg.clone(), &model);
+        let colo = eager.compile(&trial).unwrap();
+        let failing = colo
+            .placements
+            .iter()
+            .position(|p| analytic_screen(p).is_err())
+            .expect("a tenant fails the screen");
+        assert_eq!(failing, 1, "the rejected tenant has one after it");
+        let expected = analytic_screen(&colo.placements[failing]).unwrap_err();
+        assert!(matches!(expected, RejectReason::AnalyticInfeasible { .. }));
+
+        let mut sched = CoScheduler::new(pkg, &model);
+        assert_eq!(sched.try_colocate(&trial).unwrap_err(), expected);
+        // The band memo holds the matches up to the rejected tenant only.
+        let key = |p: &TenantPlacement| (p.region.width(), scenario_key(&p.tenant));
+        let mut upto: Vec<_> = colo.placements[..=failing].iter().map(key).collect();
+        upto.sort();
+        let held: Vec<_> = sched.cache.keys().cloned().collect();
+        assert_eq!(held, upto);
+        assert_eq!(eager.cache.len(), colo.placements.len());
     }
 
     #[test]

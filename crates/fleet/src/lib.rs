@@ -15,8 +15,9 @@
 //!   tenants together and each (band, scenario) placement is simulated
 //!   only once.
 //! * **Admission control** ([`CoScheduler::admit`]) — deterministic,
-//!   two-staged (analytic screen, then DES verification of every
-//!   tenant's mean and p99 SLO), with typed [`RejectReason`]s and an
+//!   two-staged (an analytic screen of each tenant as its band is
+//!   matched, stopping at the first failure, then DES verification of
+//!   every tenant's mean and p99 SLO), with typed [`RejectReason`]s and an
 //!   outcome invariant under permutation of the candidate list.
 //! * **Priority preemption** ([`preempt`]) — a high-priority arrival
 //!   re-partitions the mesh, shrinking best-effort regions first; every

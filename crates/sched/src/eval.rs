@@ -13,6 +13,7 @@
 //!   pipelining window.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -124,12 +125,35 @@ pub(crate) type LayerRef = (usize, usize, LayerId);
 /// One sink shard of a stage: where the next stage's inputs come from.
 pub(crate) type Exit = (ChipletId, Bytes, LayerRef);
 
+/// Where a stage pass records each NoP transfer's latency and energy
+/// under its producing layer: the terms only [`fold_nop_by_layer`]
+/// reads. A pass whose schedule never gets a Fig. 9 attribution
+/// records into `()`, which keeps nothing.
+pub(crate) trait NopSink: Default {
+    /// Records one transfer.
+    fn record(&mut self, src: LayerRef, latency: Seconds, energy: Joules);
+}
+
+/// Every transfer's NoP cost by producing layer, in evaluation order.
+pub(crate) type NopTerms = Vec<(LayerRef, Seconds, Joules)>;
+
+impl NopSink for NopTerms {
+    fn record(&mut self, src: LayerRef, latency: Seconds, energy: Joules) {
+        self.push((src, latency, energy));
+    }
+}
+
+impl NopSink for () {
+    fn record(&mut self, _: LayerRef, _: Seconds, _: Joules) {}
+}
+
 /// One stage's pass of an [`evaluate`]: everything the stage contributes
 /// to the schedule-wide report, with each term that the fold
 /// ([`fold_scores`], [`fold_nop_by_layer`]) sums across stages kept
-/// separately, in evaluation order.
+/// separately, in evaluation order. `N` keeps the per-transfer NoP
+/// terms of the Fig. 9 attribution, or nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StageEval {
+pub(crate) struct StageEval<N = NopTerms> {
     kind: StageKind,
     /// Stage E2E: critical model path, bounded below by the stage's own
     /// per-chiplet serialization.
@@ -142,7 +166,7 @@ pub(crate) struct StageEval {
     /// active PE-seconds.
     shards: Vec<(ChipletId, Seconds, f64)>,
     /// Per-transfer NoP latency and energy, by producing layer.
-    nop: Vec<(LayerRef, Seconds, Joules)>,
+    nop: N,
     /// Sink shards feeding the next stage.
     pub(crate) exits: Vec<Exit>,
 }
@@ -161,7 +185,8 @@ pub(crate) struct StageEval {
 /// stage it touched (plus the next stage, when the touched stage's exits
 /// moved) before folding again. It folds the Fig. 9 `nop_by_layer`
 /// attribution, which none of its decisions read, only for the final
-/// schedule.
+/// schedule, and a schedule-only match's passes do not record the
+/// per-transfer terms that fold reads at all.
 ///
 /// The split keeps the float accumulation order of one serial walk over
 /// the schedule, so a fold of cached passes equals a from-scratch
@@ -186,13 +211,13 @@ pub fn evaluate(
 }
 
 /// The per-stage passes of a whole schedule, in pipeline order.
-pub(crate) fn evaluate_stages(
+pub(crate) fn evaluate_stages<N: NopSink>(
     schedule: &Schedule,
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
-) -> Vec<StageEval> {
-    let mut stages: Vec<StageEval> = Vec::with_capacity(schedule.stages.len());
+) -> Vec<StageEval<N>> {
+    let mut stages: Vec<StageEval<N>> = Vec::with_capacity(schedule.stages.len());
     for si in 0..schedule.stages.len() {
         let upstream = stages.last().map_or(&[][..], |s| &s.exits[..]);
         let stage = evaluate_stage(schedule, si, upstream, pkg, model, dtype);
@@ -203,14 +228,16 @@ pub(crate) fn evaluate_stages(
 
 /// The per-stage pass: scores stage `si` of `schedule` given the exits
 /// of the stage before it (empty for the first stage = DRAM ingress).
-pub(crate) fn evaluate_stage(
+/// Each transfer's NoP cost goes into the pass's sink `N` as well as
+/// into the stage's sums, which never read the sink.
+pub(crate) fn evaluate_stage<N: NopSink>(
     schedule: &Schedule,
     si: usize,
     upstream: &[Exit],
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
-) -> StageEval {
+) -> StageEval<N> {
     let link = pkg.link();
     let stage = &schedule.stages[si];
     // Each chiplet's stage-local busy time, indexed by `ChipletId::index`;
@@ -219,7 +246,7 @@ pub(crate) fn evaluate_stage(
     let mut compute_energy = Joules::ZERO;
     let mut nop_energy = Joules::ZERO;
     let mut shards: Vec<(ChipletId, Seconds, f64)> = Vec::new();
-    let mut nop: Vec<(LayerRef, Seconds, Joules)> = Vec::new();
+    let mut nop = N::default();
     let mut exits: Vec<Exit> = Vec::new();
     let mut stage_path = Seconds::ZERO;
 
@@ -242,7 +269,7 @@ pub(crate) fn evaluate_stage(
                 let mut transfer = TransferCost::ZERO;
                 let mut charge = |src: LayerRef, bytes: Bytes, hops: u64| {
                     let t = TransferCost::unicast(bytes, hops, link);
-                    nop.push((src, t.latency, t.energy));
+                    nop.record(src, t.latency, t.energy);
                     transfer = transfer + t;
                 };
                 if preds.is_empty() {
@@ -320,7 +347,7 @@ pub(crate) fn evaluate_stage(
 /// order) into its report, adding every schedule-wide term in the order
 /// one serial walk over the schedule would. The Fig. 9 attribution is
 /// left to [`fold_nop_by_layer`]: `nop_by_layer` is empty.
-pub(crate) fn fold_scores(pkg: &McmPackage, stages: &[StageEval]) -> EvalReport {
+pub(crate) fn fold_scores<N>(pkg: &McmPackage, stages: &[StageEval<N>]) -> EvalReport {
     // Each chiplet's busy time, indexed by `ChipletId::index`; `None`
     // where no shard runs.
     let mut dense: Vec<Option<Seconds>> = vec![None; pkg.len()];
@@ -392,21 +419,57 @@ fn used_chiplets(dense: &[Option<Seconds>]) -> impl Iterator<Item = (ChipletId, 
 }
 
 /// The fold's Fig. 9 NoP attribution: each transfer's cost summed per
-/// producing layer name, stage by stage in evaluation order.
+/// producing layer name, stage by stage in evaluation order, in rows
+/// sorted by name. Every layer of the schedule gets its name's dense slot
+/// once, so a transfer adds into its slot by index; each name's sums
+/// still start from zero and take their terms in evaluation order.
 pub(crate) fn fold_nop_by_layer(
     schedule: &Schedule,
     stages: &[StageEval],
 ) -> Vec<(String, Seconds, Joules)> {
-    let mut by_name: BTreeMap<&str, (Seconds, Joules)> = BTreeMap::new();
-    for &((si, mi, id), latency, energy) in stages.iter().flat_map(|s| &s.nop) {
-        let name = schedule.stages[si].models[mi].layer_plan(id).source.name();
-        let entry = by_name.entry(name).or_insert((Seconds::ZERO, Joules::ZERO));
-        entry.0 += latency;
-        entry.1 += energy;
+    // Name → slot. `layers` holds every layer's name and slot in (stage,
+    // model, layer) order, and `first[si][mi]` is where model `mi` of
+    // stage `si` starts in it. Instances of one model have the same
+    // layer names, so a model whose names repeat an earlier model's
+    // copies that model's slots instead of looking each name up.
+    let mut names: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut layers: Vec<(&str, usize)> = Vec::new();
+    let mut distinct: Vec<Range<usize>> = Vec::new();
+    let mut first: Vec<Vec<usize>> = Vec::with_capacity(schedule.stages.len());
+    for stage in &schedule.stages {
+        let mut models = Vec::with_capacity(stage.models.len());
+        for mp in &stage.models {
+            let start = layers.len();
+            models.push(start);
+            let repeat = distinct.iter().find(|r| {
+                let seen = &layers[r.start..r.end];
+                seen.len() == mp.layers.len()
+                    && (seen.iter().zip(&mp.layers))
+                        .all(|(&(name, _), lp)| name == lp.source.name())
+            });
+            if let Some(r) = repeat.cloned() {
+                layers.extend_from_within(r);
+                continue;
+            }
+            for lp in &mp.layers {
+                let next = names.len();
+                let name = lp.source.name();
+                layers.push((name, *names.entry(name).or_insert(next)));
+            }
+            distinct.push(start..layers.len());
+        }
+        first.push(models);
     }
-    by_name
+    let mut sums: Vec<Option<(Seconds, Joules)>> = vec![None; names.len()];
+    for &((si, mi, id), latency, energy) in stages.iter().flat_map(|s| &s.nop) {
+        let (_, slot) = layers[first[si][mi] + id.index()];
+        let sum = sums[slot].get_or_insert((Seconds::ZERO, Joules::ZERO));
+        sum.0 += latency;
+        sum.1 += energy;
+    }
+    names
         .into_iter()
-        .map(|(name, (l, e))| (name.to_string(), l, e))
+        .filter_map(|(name, slot)| sums[slot].map(|(l, e)| (name.to_string(), l, e)))
         .collect()
 }
 

@@ -11,6 +11,8 @@
 //!
 //! * [`ThroughputMatcher::match_throughput`] — match every stage to the
 //!   FE+BFPN base latency (the 6×6 study, Figs. 5–8).
+//!   [`ThroughputMatcher::match_schedule`] runs the same match but keeps
+//!   only its schedule and pipe (the fleet co-scheduler's band match).
 //! * [`ThroughputMatcher::minimize`] — keep attacking the global
 //!   bottleneck while spare chiplets remain, including splitting the
 //!   FE+BFPN into two pipeline sub-stages (the 72-chiplet study, Fig. 10).
@@ -25,7 +27,8 @@ use npu_mcm::{stage_regions, ChipletId, McmPackage};
 use npu_tensor::{float, Dtype, Seconds};
 
 use crate::eval::{
-    evaluate_stage, evaluate_stages, fold_nop_by_layer, fold_scores, EvalReport, StageEval,
+    evaluate_stage, evaluate_stages, fold_nop_by_layer, fold_scores, EvalReport, NopSink, NopTerms,
+    StageEval,
 };
 use crate::plan::{LayerPlan, ModelPlan, Schedule, ShardAssignment, StagePlan};
 use crate::shard::{shard_cap, shard_layer};
@@ -102,6 +105,15 @@ pub struct MatchOutcome {
 }
 
 /// Algorithm 1 implementation.
+///
+/// Every mode runs one matcher core. Beside the schedule and its
+/// scores, the core keeps what its caller asks for: the step trace and
+/// each stage pass's per-transfer NoP terms, from which the final
+/// report's Fig. 9 `nop_by_layer` is folded.
+/// [`match_schedule`](Self::match_schedule) keeps neither. That is
+/// exact: no matcher decision reads the trace or the NoP terms, only
+/// the schedule and the fold's busy times and stage pipes, which every
+/// pass computes whatever it keeps.
 pub struct ThroughputMatcher<'m> {
     /// The caller's model, asked directly: after every sharding step the
     /// matcher re-evaluates the stage it touched (and the next one when
@@ -189,29 +201,54 @@ impl<'m> ThroughputMatcher<'m> {
     /// Runs the base-matching mode: every stage's pipelining latency is
     /// brought within tolerance of the FE+BFPN base latency, then surplus
     /// region chiplets absorb further shards of the longest layers.
+    ///
+    /// The outcome carries the step trace and a full report, including
+    /// the Fig. 9 `nop_by_layer` attribution. A caller that reads only
+    /// the schedule and its pipe calls
+    /// [`match_schedule`](Self::match_schedule) instead.
     pub fn match_throughput(
         &self,
         pipeline: &PerceptionPipeline,
         pkg: &McmPackage,
     ) -> MatchOutcome {
-        let (scored, trace) = self.match_throughput_core(pipeline, pkg, true);
+        let mut trace = Vec::new();
+        let scored = self.match_core(pipeline, pkg, true, &mut trace);
         scored.into_outcome(trace)
     }
 
+    /// [`match_throughput`](Self::match_throughput)'s schedule and its
+    /// analytic pipelining latency, and nothing else: no step trace, and
+    /// the stage passes record no per-transfer NoP terms, so there is no
+    /// Fig. 9 `nop_by_layer` fold. No matcher decision reads either, so
+    /// the two runs take the same steps and the schedule and pipe equal
+    /// `match_throughput`'s `schedule` and `report.pipe` bit for bit.
+    /// The fleet co-scheduler, which matches every (band width,
+    /// scenario) pair its trials meet, needs only these two.
+    pub fn match_schedule(
+        &self,
+        pipeline: &PerceptionPipeline,
+        pkg: &McmPackage,
+    ) -> (Schedule, Seconds) {
+        let scored = self.match_core(pipeline, pkg, true, &mut ());
+        (scored.schedule, scored.report.pipe)
+    }
+
     /// Base matching with surplus absorption optional (the minimizing mode
-    /// replaces absorption with improvement-gated sharding).
-    fn match_throughput_core(
+    /// replaces absorption with improvement-gated sharding), keeping what
+    /// `rec` asks for besides the schedule and its scores.
+    fn match_core<R: Record>(
         &self,
         pipeline: &PerceptionPipeline,
         pkg: &McmPackage,
         absorb: bool,
-    ) -> (Scored, Vec<MatchStep>) {
+        rec: &mut R,
+    ) -> Scored<R::Nop> {
         let mut scored = self.score(self.initial_schedule(pipeline, pkg), pkg);
-        let mut trace = vec![step(
-            "initial quadrant allocation".to_string(),
+        rec.step(
+            || "initial quadrant allocation".to_string(),
             &scored.report,
             pkg,
-        )];
+        );
 
         let mut exhausted: BTreeSet<(usize, usize, LayerId)> = BTreeSet::new();
         for _ in 0..self.cfg.max_steps {
@@ -232,7 +269,7 @@ impl<'m> ThroughputMatcher<'m> {
             };
 
             // Inner loop: shard the longest shardable layer of the stage.
-            let Some(desc) = self.shard_step(
+            let Some(target) = self.shard_step(
                 &mut scored.schedule,
                 &scored.report,
                 pkg,
@@ -243,7 +280,8 @@ impl<'m> ThroughputMatcher<'m> {
                 break; // sharding exhausted everywhere
             };
             self.rescore(&mut scored, pkg, si);
-            trace.push(step(desc, &scored.report, pkg));
+            let desc = || describe(&scored.schedule, si, target);
+            rec.step(desc, &scored.report, pkg);
         }
 
         // Surplus absorption: spend remaining free chiplets on deeper
@@ -263,7 +301,7 @@ impl<'m> ThroughputMatcher<'m> {
                 if free_chiplets(&scored.report, pkg).is_empty() {
                     break;
                 }
-                let Some(desc) = self.shard_step(
+                let Some(target) = self.shard_step(
                     &mut scored.schedule,
                     &scored.report,
                     pkg,
@@ -274,11 +312,12 @@ impl<'m> ThroughputMatcher<'m> {
                     break;
                 };
                 self.rescore(&mut scored, pkg, si);
-                trace.push(step(format!("surplus: {desc}"), &scored.report, pkg));
+                let desc = || format!("surplus: {}", describe(&scored.schedule, si, target));
+                rec.step(desc, &scored.report, pkg);
             }
         }
 
-        (scored, trace)
+        scored
     }
 
     /// Runs the minimizing mode (two-NPU study): first match to base, then
@@ -286,7 +325,8 @@ impl<'m> ThroughputMatcher<'m> {
     /// layer or splitting FE+BFPN into two pipeline sub-stages — while the
     /// pipelining latency improves.
     pub fn minimize(&self, pipeline: &PerceptionPipeline, pkg: &McmPackage) -> MatchOutcome {
-        let (mut scored, mut trace) = self.match_throughput_core(pipeline, pkg, false);
+        let mut trace = Vec::new();
+        let mut scored = self.match_core(pipeline, pkg, false, &mut trace);
 
         for _ in 0..self.cfg.max_steps {
             let old_pipe = scored.report.pipe;
@@ -328,7 +368,7 @@ impl<'m> ThroughputMatcher<'m> {
                 let mut skip: BTreeSet<(usize, usize, LayerId)> = BTreeSet::new();
                 loop {
                     let backup = scored.checkpoint(si);
-                    let Some(desc) = self.shard_step(
+                    let Some(target) = self.shard_step(
                         &mut scored.schedule,
                         &scored.report,
                         pkg,
@@ -340,17 +380,15 @@ impl<'m> ThroughputMatcher<'m> {
                     };
                     self.rescore(&mut scored, pkg, si);
                     if improves(&scored) {
+                        let desc = describe(&scored.schedule, si, target);
                         trace.push(step(desc, &scored.report, pkg));
                         improved = true;
                         break 'stages;
                     }
                     // Revert and mark this target as tried.
-                    let target = last_target(&backup.plan, &scored.schedule.stages[si]);
                     scored.restore(backup);
-                    let Some((mi, target)) = target else {
-                        break;
-                    };
-                    skip.insert((si, mi, target));
+                    let (mi, id, _) = target;
+                    skip.insert((si, mi, id));
                 }
             }
             if !improved {
@@ -362,7 +400,7 @@ impl<'m> ThroughputMatcher<'m> {
     }
 
     /// Scores a schedule from scratch: every stage's pass, then the fold.
-    fn score(&self, schedule: Schedule, pkg: &McmPackage) -> Scored {
+    fn score<N: NopSink>(&self, schedule: Schedule, pkg: &McmPackage) -> Scored<N> {
         let stages = evaluate_stages(&schedule, pkg, self.model, self.cfg.dtype);
         let report = fold_scores(pkg, &stages);
         Scored {
@@ -375,7 +413,7 @@ impl<'m> ThroughputMatcher<'m> {
     /// Re-scores after a change confined to stage `si`: re-runs that
     /// stage's pass, and the next stage's only if `si`'s exits (the next
     /// stage's only input from it) moved, then folds again.
-    fn rescore(&self, scored: &mut Scored, pkg: &McmPackage, si: usize) {
+    fn rescore<N: NopSink>(&self, scored: &mut Scored<N>, pkg: &McmPackage, si: usize) {
         let (model, dtype) = (self.model, self.cfg.dtype);
         let upstream = match si {
             0 => &[][..],
@@ -426,8 +464,8 @@ impl<'m> ThroughputMatcher<'m> {
     /// `schedule`; the step reads its busy map instead of re-scoring a
     /// schedule that has not changed. With `only_sharded`, restricts
     /// targets to layers that are already sharded (the surplus-absorption
-    /// rule). Only stage `si` changes. Returns a step description, or
-    /// `None` if the stage has nothing left to shard.
+    /// rule). Only stage `si` changes. Returns the sharded layer and its
+    /// new shard count, or `None` if the stage has nothing left to shard.
     fn shard_step(
         &self,
         schedule: &mut Schedule,
@@ -436,7 +474,7 @@ impl<'m> ThroughputMatcher<'m> {
         si: usize,
         only_sharded: bool,
         exhausted: &mut BTreeSet<(usize, usize, LayerId)>,
-    ) -> Option<String> {
+    ) -> Option<Target> {
         let kind = schedule.stages[si].kind;
 
         // Candidate (model, layer) pairs that can still be sharded: the
@@ -557,8 +595,7 @@ impl<'m> ThroughputMatcher<'m> {
             source,
             shards: assignments,
         };
-        let name = mp.layer_plan(id).source.name().to_string();
-        Some(format!("shard {kind} {name} -> {parts}"))
+        Some((mi, id, parts))
     }
 
     /// Splits every model of the FE stage `si` into two pipeline
@@ -628,14 +665,53 @@ impl<'m> ThroughputMatcher<'m> {
     }
 }
 
+/// What a match keeps besides its schedule and scores: the full match
+/// (a `Vec<MatchStep>`) keeps its step trace and every stage pass's NoP
+/// terms, for the Fig. 9 fold of the final schedule; the schedule-only
+/// match (`()`) keeps neither.
+trait Record {
+    /// The NoP sink of every stage pass.
+    type Nop: NopSink;
+
+    /// Records a step that left the schedule `report` evaluates;
+    /// `describe` runs only when the step is kept.
+    fn step(&mut self, describe: impl FnOnce() -> String, report: &EvalReport, pkg: &McmPackage);
+}
+
+impl Record for Vec<MatchStep> {
+    type Nop = NopTerms;
+
+    fn step(&mut self, describe: impl FnOnce() -> String, report: &EvalReport, pkg: &McmPackage) {
+        self.push(step(describe(), report, pkg));
+    }
+}
+
+impl Record for () {
+    type Nop = ();
+
+    fn step(&mut self, _: impl FnOnce() -> String, _: &EvalReport, _: &McmPackage) {}
+}
+
+/// A shard step's target: model index, layer and new shard count, within
+/// the stage the step was asked to shard.
+type Target = (usize, LayerId, u64);
+
+/// A shard step's trace description, e.g. `shard T_FUSE t_fuse.ffn -> 6`.
+fn describe(schedule: &Schedule, si: usize, (mi, id, parts): Target) -> String {
+    let stage = &schedule.stages[si];
+    let name = stage.models[mi].layer_plan(id).source.name();
+    format!("shard {} {name} -> {parts}", stage.kind)
+}
+
 /// A schedule kept in step with its per-stage evaluation passes and
 /// their fold (see [`evaluate`](crate::eval::evaluate)). `report` equals
 /// a from-scratch `evaluate` of `schedule` bit for bit, except that its
 /// Fig. 9 `nop_by_layer` stays empty until [`Scored::into_outcome`]: no
 /// matcher decision reads it, so only the final schedule's is folded.
-struct Scored {
+/// `N` is the passes' NoP sink, `()` when nothing will be folded.
+struct Scored<N = NopTerms> {
     schedule: Schedule,
-    stages: Vec<StageEval>,
+    stages: Vec<StageEval<N>>,
     report: EvalReport,
 }
 
@@ -694,19 +770,6 @@ fn free_chiplets(report: &EvalReport, pkg: &McmPackage) -> Vec<ChipletId> {
     pkg.ids()
         .filter(|c| report.busy.binary_search_by_key(c, |&(b, _)| b).is_err())
         .collect()
-}
-
-/// Finds the (model, layer) whose shard count differs between two versions
-/// of a stage plan — used by the minimizing loop to mark tried targets.
-fn last_target(b: &StagePlan, a: &StagePlan) -> Option<(usize, LayerId)> {
-    for (mi, (mb, ma)) in b.models.iter().zip(&a.models).enumerate() {
-        for (id, _) in mb.graph.iter() {
-            if mb.layer_plan(id).parts() != ma.layer_plan(id).parts() {
-                return Some((mi, id));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -897,7 +960,7 @@ mod tests {
                 ..MatcherConfig::default()
             };
             let m = ThroughputMatcher::new(&model, cfg);
-            let (mut scored, _) = m.match_throughput_core(&pipeline, &pkg, false);
+            let mut scored = m.match_core(&pipeline, &pkg, false, &mut Vec::new());
             assert_cache_exact(&m, &scored, &pkg);
             for (pick, keep) in ops {
                 let si = pick % scored.schedule.stages.len();
