@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the simulator's core primitives: per-layer cost
-//! queries, full-graph costing, schedule evaluation and the DES engine.
+//! queries, full-graph costing, schedule evaluation, DES flattening and
+//! the DES engine.
 //! These bound the cost of the schedulers' inner loops.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -11,7 +12,7 @@ use npu_maestro::{graph_cost, Accelerator, CostModel, FittedMaestro};
 use npu_mcm::McmPackage;
 use npu_pipesim::{simulate, SimConfig};
 use npu_sched::sweep::chiplet_count_sweep;
-use npu_sched::{evaluate, MatcherConfig, ThroughputMatcher};
+use npu_sched::{evaluate, flatten_items, MatcherConfig, ThroughputMatcher};
 use npu_tensor::Dtype;
 
 fn bench(c: &mut Criterion) {
@@ -47,6 +48,10 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("evaluate_matched_schedule", |b| {
         b.iter(|| evaluate(&outcome.schedule, &pkg, &model, Dtype::Fp16))
+    });
+
+    c.bench_function("flatten_matched_schedule", |b| {
+        b.iter(|| flatten_items(&outcome.schedule, &pkg, &model, Dtype::Fp16))
     });
 
     let mut g = c.benchmark_group("des");

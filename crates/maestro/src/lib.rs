@@ -18,8 +18,9 @@
 //!   [`FittedMaestro`] (default, paper-calibrated) and
 //!   [`FirstPrinciples`] (an independent roofline model for ablations).
 //!   Both are closed forms (~44 ns a layer), so every consumer — the
-//!   matcher, the sweeps, the DES flattening — calls them directly: a
-//!   hashed, locked cache in front would cost ~400 ns a hit.
+//!   matcher, the sweeps, the evaluator pass that DES flattening reads —
+//!   calls them directly: a hashed, locked cache in front would cost
+//!   ~400 ns a hit.
 //! * [`reconfig`] models mapping-transition spin-up ([`ReconfigModel`]):
 //!   the control-plane and weight-reload latency charged when an online
 //!   mode switch re-programs chiplets (`npu-sched`'s schedule re-matcher

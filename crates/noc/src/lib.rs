@@ -7,9 +7,12 @@
 //! * per-hop latency: 35 ns,
 //! * transmission energy: 2.04 pJ/bit,
 //!
-//! with transmission latency = feature-map size / bandwidth + hops × hop
-//! latency, and energy = bits × pJ/bit × hops. This crate implements that
-//! model over a 2-D mesh with XY routing, plus package-edge DRAM ports.
+//! with store-and-forward transmission latency = hops × (feature-map size
+//! / bandwidth + hop latency), and energy = bits × pJ/bit × hops. This
+//! crate implements that model over a 2-D mesh with XY routing, plus
+//! package-edge DRAM ports. [`TransferCost::unicast`] prices one
+//! point-to-point move; a consumer fed by several producing shards pays
+//! their unicasts summed, so remote shards serialize through its port.
 //!
 //! # Examples
 //!

@@ -1,6 +1,5 @@
 //! Transfer cost computation.
 
-use std::iter::Sum;
 use std::ops::Add;
 
 use serde::{Deserialize, Serialize};
@@ -9,21 +8,19 @@ use npu_tensor::{Bytes, Joules, Seconds};
 
 use crate::link::LinkParams;
 
-/// The cost of moving data over the NoP.
+/// The latency and energy of moving data over the NoP.
 ///
-/// Follows the paper's model (§IV-D): latency is the feature-map
-/// serialization time over the link bandwidth plus per-hop router latency;
-/// energy is bits × per-bit energy × hops.
+/// A consumer's input transfers are priced one [`TransferCost::unicast`]
+/// per producing shard and summed with `+`: remote shards serialize
+/// through the consumer's port back to back (the paper's §IV-D
+/// observation that gathers of sharded outputs raise NoP latency), and
+/// a shard on the consumer's own chiplet adds nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TransferCost {
     /// Transfer latency.
     pub latency: Seconds,
     /// Transfer energy.
     pub energy: Joules,
-    /// Bytes moved (payload, not multiplied by hops).
-    pub bytes: Bytes,
-    /// Worst-case hop count involved.
-    pub hops: u64,
 }
 
 impl TransferCost {
@@ -31,8 +28,6 @@ impl TransferCost {
     pub const ZERO: TransferCost = TransferCost {
         latency: Seconds::ZERO,
         energy: Joules::ZERO,
-        bytes: Bytes::ZERO,
-        hops: 0,
     };
 
     /// Point-to-point transfer of `bytes` over `hops` hops.
@@ -40,53 +35,16 @@ impl TransferCost {
     /// Follows the paper's store-and-forward formulation (§IV-D):
     /// latency is the serialization time *multiplied by the hop count*
     /// plus the per-hop router latency; energy is bits × pJ/bit × hops.
+    /// Producer and consumer on one chiplet (`hops == 0`) move on-chip,
+    /// free at NoP granularity.
     pub fn unicast(bytes: Bytes, hops: u64, link: &LinkParams) -> Self {
         if hops == 0 {
-            // Producer and consumer share a chiplet: on-chip, free at NoP
-            // granularity.
-            return TransferCost {
-                bytes,
-                ..TransferCost::ZERO
-            };
+            return TransferCost::ZERO;
         }
         let serialization = Seconds::new(bytes.as_f64() / link.bandwidth_bytes_per_sec);
         TransferCost {
             latency: (serialization + link.hop_latency) * hops as f64,
             energy: link.energy_per_bit * (bytes.bits() as f64 * hops as f64),
-            bytes,
-            hops,
-        }
-    }
-
-    /// Gather of shards into one destination: each remote shard's
-    /// store-and-forward time serializes through the destination port
-    /// back-to-back (the paper's §IV-D observation that gathers of sharded
-    /// outputs raise NoP latency).
-    pub fn gather(shards: &[(Bytes, u64)], link: &LinkParams) -> Self {
-        let far = shards.iter().map(|&(_, h)| h).max().unwrap_or(0);
-        let all: Bytes = shards.iter().map(|&(b, _)| b).sum();
-        if far == 0 {
-            return TransferCost {
-                bytes: all,
-                ..TransferCost::ZERO
-            };
-        }
-        let latency: Seconds = shards
-            .iter()
-            .map(|&(b, h)| {
-                (Seconds::new(b.as_f64() / link.bandwidth_bytes_per_sec) + link.hop_latency)
-                    * h as f64
-            })
-            .sum();
-        let energy_bits: f64 = shards
-            .iter()
-            .map(|&(b, h)| b.bits() as f64 * h as f64)
-            .sum();
-        TransferCost {
-            latency,
-            energy: link.energy_per_bit * energy_bits,
-            bytes: all,
-            hops: far,
         }
     }
 }
@@ -97,15 +55,7 @@ impl Add for TransferCost {
         TransferCost {
             latency: self.latency + rhs.latency,
             energy: self.energy + rhs.energy,
-            bytes: self.bytes + rhs.bytes,
-            hops: self.hops.max(rhs.hops),
         }
-    }
-}
-
-impl Sum for TransferCost {
-    fn sum<I: Iterator<Item = TransferCost>>(iter: I) -> TransferCost {
-        iter.fold(TransferCost::ZERO, Add::add)
     }
 }
 
@@ -132,23 +82,6 @@ mod tests {
         let c = TransferCost::unicast(Bytes::from_mib(64), 0, &LinkParams::default());
         assert!(c.latency.is_zero());
         assert_eq!(c.energy, Joules::ZERO);
-    }
-
-    #[test]
-    fn gather_serializes_remote_shards_only() {
-        let link = LinkParams::default();
-        let shards = [
-            (Bytes::new(500), 2),
-            (Bytes::new(500), 0),
-            (Bytes::new(500), 4),
-        ];
-        let c = TransferCost::gather(&shards, &link);
-        assert_eq!(c.hops, 4);
-        assert_eq!(c.bytes, Bytes::new(1500));
-        // Remote shards accumulate store-and-forward time: (2+4) hop-loads.
-        let per_hop = 500.0 / link.bandwidth_bytes_per_sec + 35e-9;
-        let expected = 6.0 * per_hop;
-        assert!((c.latency.as_secs() - expected).abs() < 1e-15);
     }
 
     proptest! {

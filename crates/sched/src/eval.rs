@@ -4,13 +4,19 @@
 //!
 //! * **E2E latency** — one frame's path through all stages: per stage the
 //!   maximum over models of the critical path through (sharded) layers,
-//!   including NoP gathers, bounded below by per-chiplet serialization.
+//!   each shard's time including its input transfers, bounded below by
+//!   per-chiplet serialization.
 //! * **Pipelining latency** — the steady-state frame interval: the
 //!   maximum per-chiplet busy time per frame (compute + input transfer
 //!   serialization).
 //! * **Energy** — compute energy plus NoP transmission energy.
 //! * **Utilization** — time-weighted active PEs over all package PEs per
 //!   pipelining window.
+//!
+//! A shard's time is compute plus one §IV-D store-and-forward
+//! [`TransferCost::unicast`] per producing shard, summed. It is priced in
+//! one place, the per-stage pass; [`flatten_items`] hands the DES those
+//! same shard times.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -163,7 +169,7 @@ pub(crate) struct StageEval<N = NopTerms> {
     /// Chiplets hosting the stage's shards, ascending.
     chiplets: Vec<ChipletId>,
     /// Per shard: its chiplet, busy time (compute + input transfer) and
-    /// active PE-seconds.
+    /// active PE-seconds. [`flatten_items`] makes one DES item of each.
     shards: Vec<(ChipletId, Seconds, f64)>,
     /// Per-transfer NoP latency and energy, by producing layer.
     nop: N,
@@ -186,7 +192,9 @@ pub(crate) struct StageEval<N = NopTerms> {
 /// moved) before folding again. It folds the Fig. 9 `nop_by_layer`
 /// attribution, which none of its decisions read, only for the final
 /// schedule, and a schedule-only match's passes do not record the
-/// per-transfer terms that fold reads at all.
+/// per-transfer terms that fold reads at all. [`flatten_items`] reads the
+/// same passes: its DES items are their shards, so the DES serves exactly
+/// the busy times this report sums.
 ///
 /// The split keeps the float accumulation order of one serial walk over
 /// the schedule, so a fold of cached passes equals a from-scratch
@@ -486,86 +494,59 @@ pub struct SimItem {
     pub deps: Vec<usize>,
 }
 
-/// Flattens a schedule into dependency-ordered work items, using the same
-/// cost accounting as [`evaluate`]. Items are indexed in topological order
-/// (dependencies always point to lower indices).
+/// Flattens a schedule into dependency-ordered work items. Items are
+/// indexed in topological order (dependencies always point to lower
+/// indices).
+///
+/// Item *i* is the *i*-th shard of [`evaluate`]'s stage passes (stage →
+/// model → layer → shard order): its chiplet and its duration *are* that
+/// shard's busy time, so each chiplet's item durations sum to its
+/// [`EvalReport::busy`]. This function prices nothing itself; it only
+/// wires the dependencies: a shard waits for every shard of its layer's
+/// predecessors, and a root layer's shards wait for the previous stage's
+/// sink shards.
 pub fn flatten_items(
     schedule: &Schedule,
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
 ) -> Vec<SimItem> {
-    let link = pkg.link();
-    let mut items: Vec<SimItem> = Vec::new();
+    let stages = evaluate_stages::<()>(schedule, pkg, model, dtype);
+    let mut shards = stages.iter().flat_map(|s| &s.shards);
+    let mut items: Vec<SimItem> = Vec::with_capacity(schedule.items());
     // Item indices of the previous stage's sink shards.
     let mut prev_exit_items: Vec<usize> = Vec::new();
-    let mut prev_exits: Vec<(ChipletId, Bytes)> = Vec::new();
 
     for stage in &schedule.stages {
-        let mut exits: Vec<(ChipletId, Bytes)> = Vec::new();
         let mut exit_items: Vec<usize> = Vec::new();
-
         for mp in &stage.models {
             // Per-layer item index ranges for dependency wiring.
-            let mut layer_items: Vec<Vec<usize>> = Vec::with_capacity(mp.graph.len());
+            let mut layer_items: Vec<Range<usize>> = Vec::with_capacity(mp.graph.len());
             for (id, _) in mp.graph.iter() {
-                let lp = mp.layer_plan(id);
-                let parts = lp.parts();
                 let preds = mp.graph.preds(id);
-                let mut this_layer = Vec::with_capacity(lp.shards.len());
-                for shard in &lp.shards {
-                    let acc = pkg.chiplet(shard.chiplet).accelerator();
-                    let cost = model.layer_cost(&shard.layer, acc);
-                    let transfer = if preds.is_empty() {
-                        if prev_exits.is_empty() {
-                            let bytes = slice_bytes(input_bytes_estimate(&lp.source, dtype), parts);
-                            TransferCost::unicast(bytes, pkg.dram_hops(shard.chiplet), link)
-                        } else {
-                            let srcs: Vec<(Bytes, u64)> = prev_exits
-                                .iter()
-                                .map(|&(c, b)| (slice_bytes(b, parts), pkg.hops(c, shard.chiplet)))
-                                .collect();
-                            TransferCost::gather(&srcs, link)
-                        }
-                    } else {
-                        let srcs: Vec<(Bytes, u64)> = preds
-                            .iter()
-                            .flat_map(|&p| mp.layer_plan(p).shards.iter())
-                            .map(|ps| {
-                                (
-                                    slice_bytes(ps.layer.output_bytes(dtype), parts),
-                                    pkg.hops(ps.chiplet, shard.chiplet),
-                                )
-                            })
-                            .collect();
-                        TransferCost::gather(&srcs, link)
-                    };
-                    let deps: Vec<usize> = if preds.is_empty() {
-                        prev_exit_items.clone()
-                    } else {
-                        preds
-                            .iter()
-                            .flat_map(|&p| layer_items[p.index()].iter().copied())
-                            .collect()
-                    };
-                    let idx = items.len();
+                let deps: Vec<usize> = if preds.is_empty() {
+                    prev_exit_items.clone()
+                } else {
+                    preds
+                        .iter()
+                        .flat_map(|&p| layer_items[p.index()].clone())
+                        .collect()
+                };
+                let start = items.len();
+                let n = mp.layer_plan(id).shards.len();
+                for &(chiplet, duration, _) in shards.by_ref().take(n) {
                     items.push(SimItem {
-                        chiplet: shard.chiplet,
-                        duration: cost.latency + transfer.latency,
-                        deps,
+                        chiplet,
+                        duration,
+                        deps: deps.clone(),
                     });
-                    this_layer.push(idx);
                 }
-                layer_items.push(this_layer);
+                layer_items.push(start..items.len());
             }
             for sink in mp.graph.sinks() {
-                for (i, shard) in mp.layer_plan(sink).shards.iter().enumerate() {
-                    exits.push((shard.chiplet, shard.layer.output_bytes(dtype)));
-                    exit_items.push(layer_items[sink.index()][i]);
-                }
+                exit_items.extend(layer_items[sink.index()].clone());
             }
         }
-        prev_exits = exits;
         prev_exit_items = exit_items;
     }
     items
@@ -737,9 +718,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// The default pipeline matched on `simba_6x6`, and its minimized
+    /// match with FE splits on `dual_npu_12x6`.
+    fn matched_cases(model: &FittedMaestro) -> Vec<(Schedule, McmPackage)> {
+        use crate::{MatcherConfig, ThroughputMatcher};
+
+        let full = npu_dnn::PerceptionConfig::default().build();
+        let simba = McmPackage::simba_6x6();
+        let matched =
+            ThroughputMatcher::new(model, MatcherConfig::default()).match_throughput(&full, &simba);
+        let dual = McmPackage::dual_npu_12x6();
+        let cfg = MatcherConfig {
+            allow_fe_split: true,
+            ..MatcherConfig::default()
+        };
+        let minimized = ThroughputMatcher::new(model, cfg).minimize(&full, &dual);
+        vec![(matched.schedule, simba), (minimized.schedule, dual)]
+    }
+
     #[test]
     fn split_evaluate_matches_the_serial_walk() {
-        use crate::{baseline_schedule, MatcherConfig, Pipelining, ThroughputMatcher};
+        use crate::{baseline_schedule, Pipelining};
         use npu_dnn::PerceptionConfig;
 
         let model = FittedMaestro::new();
@@ -761,17 +760,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        let simba = McmPackage::simba_6x6();
-        let matched = ThroughputMatcher::new(&model, MatcherConfig::default())
-            .match_throughput(&full, &simba);
-        cases.push((matched.schedule, simba));
-        let dual = McmPackage::dual_npu_12x6();
-        let cfg = MatcherConfig {
-            allow_fe_split: true,
-            ..MatcherConfig::default()
-        };
-        let minimized = ThroughputMatcher::new(&model, cfg).minimize(&full, &dual);
-        cases.push((minimized.schedule, dual));
+        cases.extend(matched_cases(&model));
 
         for (schedule, pkg) in &cases {
             assert_eq!(
@@ -841,22 +830,139 @@ pub(crate) mod tests {
         assert!(r.nop_energy.as_joules() < 0.05 * r.compute_energy.as_joules());
     }
 
+    /// Each chiplet's item durations, summed in item order, equal its
+    /// `busy` time in the report, bit for bit.
+    fn assert_items_sum_to_busy(items: &[SimItem], report: &EvalReport, what: &str) {
+        let mut sums: BTreeMap<ChipletId, Seconds> = BTreeMap::new();
+        for it in items {
+            *sums.entry(it.chiplet).or_default() += it.duration;
+        }
+        let bits = |(c, t): (ChipletId, Seconds)| (c, t.as_secs().to_bits());
+        let busy: Vec<_> = report.busy.iter().copied().map(bits).collect();
+        assert_eq!(
+            sums.into_iter().map(bits).collect::<Vec<_>>(),
+            busy,
+            "{what}"
+        );
+    }
+
+    /// The DES items are the evaluator's stage-pass shards, bit for bit,
+    /// so each chiplet's item durations sum to its `busy` time; a root
+    /// layer's items wait on exactly the previous stage's sink items.
     #[test]
     fn flatten_matches_schedule_items() {
-        let pkg = McmPackage::simba_6x6();
-        let s = single_stage_schedule(4);
-        let items = flatten_items(&s, &pkg, &FittedMaestro::new(), Dtype::Fp16);
-        assert_eq!(items.len(), s.items());
-        // Dependencies always point backwards (topological order).
-        for (i, item) in items.iter().enumerate() {
-            for &d in &item.deps {
-                assert!(d < i);
+        let model = FittedMaestro::new();
+        for (schedule, pkg) in &matched_cases(&model) {
+            let items = flatten_items(schedule, pkg, &model, Dtype::Fp16);
+            assert_eq!(items.len(), schedule.items(), "{}", pkg.name());
+            let stages: Vec<StageEval> = evaluate_stages(schedule, pkg, &model, Dtype::Fp16);
+            let shards = stages.iter().flat_map(|s| &s.shards);
+            let want: Vec<_> = shards
+                .map(|&(c, t, _)| (c, t.as_secs().to_bits()))
+                .collect();
+            let got: Vec<_> = (items.iter())
+                .map(|it| (it.chiplet, it.duration.as_secs().to_bits()))
+                .collect();
+            assert_eq!(got, want, "{}", pkg.name());
+            let report = evaluate(schedule, pkg, &model, Dtype::Fp16);
+            assert_items_sum_to_busy(&items, &report, pkg.name());
+
+            let mut next = 0;
+            let mut prev_sinks: Vec<usize> = Vec::new();
+            for (k, stage) in schedule.stages.iter().enumerate() {
+                assert_eq!(prev_sinks.is_empty(), k == 0);
+                let mut sinks = Vec::new();
+                for mp in &stage.models {
+                    let mut ranges: Vec<Range<usize>> = Vec::new();
+                    for (id, _) in mp.graph.iter() {
+                        let range = next..next + mp.layer_plan(id).shards.len();
+                        next = range.end;
+                        if mp.graph.preds(id).is_empty() {
+                            for item in &items[range.clone()] {
+                                assert_eq!(item.deps, prev_sinks, "{} stage {k}", pkg.name());
+                            }
+                        }
+                        ranges.push(range);
+                    }
+                    for sink in mp.graph.sinks() {
+                        sinks.extend(ranges[sink.index()].clone());
+                    }
+                }
+                prev_sinks = sinks;
+            }
+            for (i, item) in items.iter().enumerate() {
+                assert!(item.deps.iter().all(|&d| d < i), "topological order");
             }
         }
-        // Total duration equals the single chiplet's busy time.
-        let total: Seconds = items.iter().map(|i| i.duration).sum();
-        let r = evaluate(&s, &pkg, &FittedMaestro::new(), Dtype::Fp16);
-        assert!((total.as_secs() - r.pipe.as_secs()).abs() < 1e-12);
+    }
+
+    /// A consumer whose producer is sharded onto the consumer's own
+    /// chiplet and onto chiplets 2 and 4 hops away pays one
+    /// store-and-forward transfer per remote shard, 2 + 4 = 6 hop-loads,
+    /// and nothing for the local shard: in its DES item and in the
+    /// evaluator's busy times alike.
+    #[test]
+    fn remote_producer_shards_serialize_into_the_consumer() {
+        use crate::plan::{LayerPlan, ShardAssignment};
+        use crate::shard_layer;
+        use npu_dnn::{Graph, Layer, OpKind};
+
+        let dense = |name: &str| {
+            Layer::intrinsic(
+                name,
+                OpKind::Dense {
+                    tokens: 24,
+                    in_features: 16,
+                    out_features: 16,
+                },
+            )
+        };
+        let mut g = Graph::new("gather");
+        let a = g.add(dense("a"), &[]).expect("root");
+        let b = g.add(dense("b"), &[a]).expect("input precedes");
+        let pkg = McmPackage::simba_6x6();
+        let home = ChipletId(0);
+        let producers = [home, ChipletId(2), ChipletId(4)];
+        assert_eq!(producers.map(|c| pkg.hops(c, home)), [0, 2, 4]);
+
+        let parts = shard_layer(g.layer(a), 3).expect("3 token slices");
+        let mut mp = ModelPlan::on_single_chiplet("m", g.clone(), home);
+        *mp.layer_plan_mut(a) = LayerPlan {
+            source: g.layer(a).clone(),
+            shards: (parts.into_iter().zip(producers))
+                .map(|(layer, chiplet)| ShardAssignment { layer, chiplet })
+                .collect(),
+        };
+        let bytes: Vec<Bytes> = (mp.layer_plan(a).shards.iter())
+            .map(|s| s.layer.output_bytes(Dtype::Fp16))
+            .collect();
+        assert!(bytes.iter().all(|&b| b == bytes[0]), "equal slices");
+        let schedule = Schedule {
+            stages: vec![StagePlan {
+                kind: StageKind::SpatialFusion,
+                region: producers.to_vec(),
+                models: vec![mp],
+            }],
+        };
+
+        let model = FittedMaestro::new();
+        let items = flatten_items(&schedule, &pkg, &model, Dtype::Fp16);
+        assert_eq!(items.len(), 4);
+        let consumer = &items[3];
+        assert_eq!(
+            (consumer.chiplet, &consumer.deps[..]),
+            (home, &[0, 1, 2][..])
+        );
+
+        let link = pkg.link();
+        let compute = model.layer_cost(g.layer(b), pkg.chiplet(home).accelerator());
+        let hop_load =
+            bytes[0].as_f64() / link.bandwidth_bytes_per_sec + link.hop_latency.as_secs();
+        let expected = compute.latency.as_secs() + 6.0 * hop_load;
+        assert!((consumer.duration.as_secs() - expected).abs() < 1e-15);
+
+        let report = evaluate(&schedule, &pkg, &model, Dtype::Fp16);
+        assert_items_sum_to_busy(&items, &report, "gather");
     }
 
     #[test]
