@@ -1,8 +1,10 @@
 //! Benchmarks of the multi-tenant fleet layer's hot paths: one
 //! co-scheduled admission (partition compile + per-placement DES
-//! verification), first-fit fleet packing with the failed-shape and
-//! verified-placement memos,
-//! and a full preemption event (two DES epochs + rematch accounting).
+//! verification), first-fit fleet packing onto one configuration and
+//! onto a mixed pool (one loop, each trial shape that failed on a
+//! configuration skipped there afterwards, each verified placement
+//! served from the co-scheduler's memo), and a full preemption event
+//! (two DES epochs + rematch accounting).
 //! These bound what `repro fleet` pays per vehicle as fleets grow;
 //! medians are recorded in `BENCH_fleet.json` — append one entry per PR
 //! that touches the admission or preemption paths.
@@ -10,7 +12,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use npu_fleet::{
-    os256_package, pack_fleet, preemption_event, CoScheduler, FleetSpec, VehicleProfile,
+    os256_package, pack_fleet, pack_fleet_mixed, preemption_event, CoScheduler, FleetSpec,
+    VehicleProfile,
 };
 use npu_maestro::{FittedMaestro, ReconfigModel};
 
@@ -36,6 +39,14 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fleet_pack_16_vehicles_6x6", |b| {
         b.iter(|| {
             black_box(pack_fleet(&fleet.vehicles, &os256_package(6, 6), &model, 16).admitted())
+        })
+    });
+
+    // The same fleet on a mixed 5x5 + 6x6 pool: the first-fit loop
+    // over two cost-ordered configurations, one failure memo each.
+    c.bench_function("fleet_pack_mixed_16_vehicles", |b| {
+        b.iter(|| {
+            black_box(pack_fleet_mixed(&fleet.vehicles, &[(6, 6), (5, 5)], &model, 16).admitted)
         })
     });
 

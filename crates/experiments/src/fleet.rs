@@ -73,8 +73,12 @@ pub struct ProfileCount {
     pub count: usize,
 }
 
-/// Rejections of one profile on one configuration, grouped: vehicles
-/// are profile clones, so every clone fails with the same typed reason.
+/// Rejections of one profile on one configuration, grouped by rendered
+/// reason. Vehicles are profile clones, and [`pack_fleet`] memoizes a
+/// failed shape's reason, so every later clone carries the reason of the
+/// profile's first rejected clone — naming that clone (e.g. all rejected
+/// `av-cruise` vehicles cite `av-cruise-000`) — and the clones fall into
+/// one group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RejectSummary {
     /// Profile name.
@@ -83,7 +87,7 @@ pub struct RejectSummary {
     pub priority: String,
     /// Vehicles of this profile rejected.
     pub count: usize,
-    /// The rendered [`npu_fleet::RejectReason`].
+    /// The rendered [`npu_fleet::RejectReason`], shared by the group.
     pub reason: String,
 }
 

@@ -52,7 +52,7 @@ use npu_scenario::PerceptionPipeline;
 use npu_sched::{MatcherConfig, Schedule, ThroughputMatcher};
 use npu_tensor::{Dtype, Seconds};
 
-use crate::tenant::{canonical_order, scenario_demand, RejectReason, Tenant};
+use crate::tenant::{canonical_order, scenario_demand, scenario_key, RejectReason, Tenant};
 
 /// Frames per tenant in the admission DES verification: long enough to
 /// resolve queueing tails on the trimmed window, short enough that
@@ -545,12 +545,6 @@ fn placement_violation(p: &TenantPlacement, rep: &PhaseReport) -> Option<RejectR
         });
     }
     None
-}
-
-/// The scenario fingerprint both memos key on: two tenants with equal
-/// scenarios match, flatten and simulate identically.
-fn scenario_key(tenant: &Tenant) -> String {
-    format!("{:?}", tenant.scenario)
 }
 
 /// Rebases a band-local schedule onto the full mesh: band chiplet

@@ -4,18 +4,23 @@
 //! A fleet is hundreds of vehicles, each a [`Tenant`] sampled
 //! deterministically from a seeded profile distribution (mixed rigs,
 //! mixed drive modes, mixed priority classes). Vehicles are packed onto
-//! package *instances* by deterministic first-fit in canonical
-//! admission order — each instance runs the full admission pipeline
+//! package *instances* by one deterministic first-fit loop in canonical
+//! admission order, over configurations in ascending cost:
+//! [`pack_fleet`] is its one-configuration case, [`pack_fleet_mixed`]
+//! its cost-ordered pool. Each trial runs the full admission pipeline
 //! ([`CoScheduler::try_colocate`]): analytic screen, then a DES check
 //! of every co-tenant's mean and p99 SLO. The co-tenants sit on
 //! disjoint bands, so each is simulated alone, exactly as in a shared
 //! run, and a (band, scenario) placement verified by an earlier trial
-//! is not simulated again.
+//! is not simulated again; a trial shape that failed on a configuration
+//! is not tried there again.
 //! A [`npu_study::Study`] then sweeps package geometries under
 //! `Objective::minimize` fleet chiplet count subject to
 //! `Constraint::tail_at_most` on the worst admitted-tenant p99, and a
 //! mixed-pool pass checks whether combining configurations beats the
 //! best uniform fleet.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +35,7 @@ use npu_scenario::{CameraRig, OperatingMode, Scenario};
 use npu_study::{Percentile, TailLatency};
 
 use crate::colocation::{CoScheduler, Colocation};
-use crate::tenant::{canonical_order, Priority, RejectReason, Tenant};
+use crate::tenant::{canonical_order, scenario_key, Priority, RejectReason, Tenant};
 
 /// One vehicle archetype in the fleet distribution: a rig × operating
 /// mode (one leg of a drive timeline) with a priority class and a
@@ -263,7 +268,11 @@ pub struct RejectedVehicle {
     pub name: String,
     /// Priority label.
     pub priority: String,
-    /// Why its solo admission failed.
+    /// Why solo admission of its shape failed: the reason memoized for
+    /// the first vehicle of that (priority, scenario) shape, so a later
+    /// clone's reason names the first clone, not itself (all 42 rejected
+    /// `av-cruise` vehicles of `repro fleet`'s 4x4 pool cite
+    /// `av-cruise-000`).
     pub reason: RejectReason,
 }
 
@@ -344,90 +353,115 @@ impl TailLatency for PackingOutcome {
     }
 }
 
-/// A trial's shape: the (priority, scenario) multiset in canonical
-/// order. Vehicles are profile clones, so admission verdicts are a
-/// function of shape alone; shapes key the failure memo in the packers.
+/// A trial's shape: the (priority, scenario fingerprint) multiset in
+/// canonical order. Vehicles are profile clones, so admission verdicts
+/// are a function of shape alone; shapes key [`first_fit`]'s failure
+/// memo.
 fn trial_shape(tenants: &[Tenant]) -> String {
     let parts: Vec<String> = tenants
         .iter()
-        .map(|t| format!("{:?}#{:?}", t.priority, t.scenario))
+        .map(|t| format!("{:?}#{}", t.priority, scenario_key(t)))
         .collect();
     parts.join("|")
 }
 
-/// Packs a fleet onto instances of one package configuration by
-/// deterministic first-fit: vehicles in canonical (priority, name)
-/// order, each probing existing instances in creation order and opening
-/// a new instance when none admits it. A vehicle whose **solo**
-/// admission on a fresh instance fails is rejected with that reason.
+/// One open package instance during first-fit packing.
+struct Instance {
+    /// Index of the instance's configuration in the packer's schedulers.
+    config: usize,
+    /// Admitted vehicles, in canonical order.
+    tenants: Vec<Tenant>,
+    colo: Colocation,
+    reports: Vec<PhaseReport>,
+}
+
+/// Deterministic first-fit over the configurations in `scheds`, given
+/// cheapest first: vehicles in canonical (priority, name) order each
+/// probe the open instances by (configuration, creation) order, and a
+/// vehicle no open instance admits opens an instance of the first
+/// configuration that serves it alone. A vehicle no configuration
+/// serves alone is rejected with the last configuration's reason.
+///
+/// Trial outcomes depend only on the trial's shape (see
+/// [`trial_shape`]), not on vehicle names: a fleet is many clones of
+/// few profiles, so memoizing failed shapes per configuration collapses
+/// the probe cost from one DES per (vehicle, instance) pair to one per
+/// distinct shape. A memo hit returns the reason memoized for the first
+/// trial of that shape, which names that trial's vehicles.
+fn first_fit(
+    fleet: &[Tenant],
+    scheds: &mut [CoScheduler<'_>],
+) -> (Vec<Instance>, Vec<(Tenant, RejectReason)>) {
+    let configs = scheds.len();
+    let mut failed: Vec<BTreeMap<String, RejectReason>> = vec![BTreeMap::new(); configs];
+    let mut trial = |config: usize, tenants: &[Tenant]| {
+        let key = trial_shape(tenants);
+        if let Some(reason) = failed[config].get(&key) {
+            return Err(reason.clone());
+        }
+        scheds[config].try_colocate(tenants).inspect_err(|reason| {
+            failed[config].insert(key, reason.clone());
+        })
+    };
+    let mut ordered = fleet.to_vec();
+    canonical_order(&mut ordered);
+    let mut instances: Vec<Instance> = Vec::new();
+    let mut rejected = Vec::new();
+    for vehicle in ordered {
+        let mut probe: Vec<usize> = (0..instances.len()).collect();
+        probe.sort_by_key(|&i| (instances[i].config, i));
+        let placed = probe.into_iter().find_map(|i| {
+            let mut tenants = instances[i].tenants.clone();
+            tenants.push(vehicle.clone());
+            canonical_order(&mut tenants);
+            let (colo, reports) = trial(instances[i].config, &tenants).ok()?;
+            Some((i, tenants, colo, reports))
+        });
+        if let Some((i, tenants, colo, reports)) = placed {
+            let grown = &mut instances[i];
+            (grown.tenants, grown.colo, grown.reports) = (tenants, colo, reports);
+            continue;
+        }
+        // An empty pool has no column to offer.
+        let mut verdict = Err(RejectReason::NoCapacity {
+            tenants: 1,
+            columns: 0,
+        });
+        for config in 0..configs {
+            verdict = trial(config, std::slice::from_ref(&vehicle)).map(|ok| (config, ok));
+            if verdict.is_ok() {
+                break;
+            }
+        }
+        match verdict {
+            Ok((config, (colo, reports))) => instances.push(Instance {
+                config,
+                tenants: vec![vehicle],
+                colo,
+                reports,
+            }),
+            Err(reason) => rejected.push((vehicle, reason)),
+        }
+    }
+    (instances, rejected)
+}
+
+/// Packs a fleet onto instances of one package configuration: the
+/// one-configuration case of the first-fit loop [`pack_fleet_mixed`]
+/// also runs. Vehicles in canonical (priority, name) order each probe
+/// the existing instances in creation order, and a vehicle none admits
+/// opens a new instance. A vehicle whose **solo** admission on a fresh
+/// instance fails is rejected with the reason memoized for its shape,
+/// which names the first clone of that shape (see
+/// [`RejectedVehicle::reason`]).
 pub fn pack_fleet(
     fleet: &[Tenant],
     pkg: &McmPackage,
     model: &dyn CostModel,
     verify_frames: usize,
 ) -> PackingOutcome {
-    struct Open {
-        tenants: Vec<Tenant>,
-        colo: Colocation,
-        reports: Vec<PhaseReport>,
-    }
-    let mut sched = CoScheduler::new(pkg.clone(), model).with_verify_frames(verify_frames);
-    let mut ordered = fleet.to_vec();
-    canonical_order(&mut ordered);
-    let mut instances: Vec<Open> = Vec::new();
-    let mut rejected = Vec::new();
-    // Trial outcomes depend only on the multiset of (priority,
-    // scenario) shapes in the trial, not on vehicle names — a fleet is
-    // many clones of few profiles, so memoizing failed shapes collapses
-    // the probe cost from one DES per (vehicle, instance) pair to one
-    // per distinct shape.
-    let mut failed: std::collections::BTreeMap<String, RejectReason> = Default::default();
-    for vehicle in &ordered {
-        let mut placed = false;
-        for inst in &mut instances {
-            let mut trial = inst.tenants.clone();
-            trial.push(vehicle.clone());
-            canonical_order(&mut trial);
-            let key = trial_shape(&trial);
-            if failed.contains_key(&key) {
-                continue;
-            }
-            match sched.try_colocate(&trial) {
-                Ok((colo, reports)) => {
-                    inst.tenants = trial;
-                    inst.colo = colo;
-                    inst.reports = reports;
-                    placed = true;
-                    break;
-                }
-                Err(reason) => {
-                    failed.insert(key, reason);
-                }
-            }
-        }
-        if !placed {
-            let solo = std::slice::from_ref(vehicle);
-            let key = trial_shape(solo);
-            let verdict = match failed.get(&key) {
-                Some(reason) => Err(reason.clone()),
-                None => sched.try_colocate(solo).inspect_err(|reason| {
-                    failed.insert(key, reason.clone());
-                }),
-            };
-            match verdict {
-                Ok((colo, reports)) => instances.push(Open {
-                    tenants: vec![vehicle.clone()],
-                    colo,
-                    reports,
-                }),
-                Err(reason) => rejected.push(RejectedVehicle {
-                    name: vehicle.name.clone(),
-                    priority: vehicle.priority.label().to_string(),
-                    reason,
-                }),
-            }
-        }
-    }
+    let mut scheds = [CoScheduler::new(pkg.clone(), model).with_verify_frames(verify_frames)];
+    let (instances, rejected) = first_fit(fleet, &mut scheds);
     PackingOutcome {
         config: pkg.name().to_string(),
         chiplets_per_instance: pkg.len() as u64,
@@ -435,7 +469,14 @@ pub fn pack_fleet(
             .iter()
             .map(|i| InstanceSummary::from_colocation(&i.colo, &i.reports))
             .collect(),
-        rejected,
+        rejected: rejected
+            .into_iter()
+            .map(|(vehicle, reason)| RejectedVehicle {
+                priority: vehicle.priority.label().to_string(),
+                name: vehicle.name,
+                reason,
+            })
+            .collect(),
     }
 }
 
@@ -454,103 +495,42 @@ pub struct MixedPackOutcome {
     pub rejected: usize,
 }
 
-/// Packs a fleet onto a mixed pool: vehicles in canonical order probe
-/// every open instance cheapest-config-first, and a vehicle no open
-/// instance admits opens a fresh instance of the **cheapest**
-/// configuration that can serve it alone. Deterministic: config order
-/// is (chiplet count, input order), instance order is creation order
-/// within config cost.
+/// Packs a fleet onto a mixed pool by the first-fit loop of
+/// [`pack_fleet`], over the geometries' [`os256_package`]s in ascending
+/// chiplet count (ties in input order): vehicles probe every open
+/// instance cheapest-config first, then in creation order, and a vehicle
+/// no open instance admits opens a fresh instance of the **cheapest**
+/// configuration that can serve it alone.
 pub fn pack_fleet_mixed(
     fleet: &[Tenant],
     geometries: &[(u32, u32)],
     model: &dyn CostModel,
     verify_frames: usize,
 ) -> MixedPackOutcome {
-    struct Open {
-        config: usize,
-        tenants: Vec<Tenant>,
-    }
-    let mut order: Vec<usize> = (0..geometries.len()).collect();
-    order.sort_by_key(|&i| (geometries[i].0 * geometries[i].1, i));
-    let mut scheds: Vec<CoScheduler<'_>> = order
+    let mut geometries = geometries.to_vec();
+    geometries.sort_by_key(|&(w, h)| w * h);
+    let mut scheds: Vec<CoScheduler<'_>> = geometries
         .iter()
-        .map(|&i| {
-            let (w, h) = geometries[i];
+        .map(|&(w, h)| {
             CoScheduler::new(os256_package(w, h), model).with_verify_frames(verify_frames)
         })
         .collect();
-
-    let mut ordered = fleet.to_vec();
-    canonical_order(&mut ordered);
-    let mut instances: Vec<Open> = Vec::new();
-    let mut admitted = 0usize;
-    let mut rejected = 0usize;
-    // Per-config failed-shape memos (see `trial_shape`).
-    let mut failed: Vec<std::collections::BTreeSet<String>> =
-        vec![Default::default(); scheds.len()];
-    for vehicle in &ordered {
-        // Probe open instances, cheapest configuration first, then
-        // creation order.
-        let mut probe: Vec<usize> = (0..instances.len()).collect();
-        probe.sort_by_key(|&i| (instances[i].config, i));
-        let mut placed = false;
-        for i in probe {
-            let cfg = instances[i].config;
-            let mut trial = instances[i].tenants.clone();
-            trial.push(vehicle.clone());
-            canonical_order(&mut trial);
-            let key = trial_shape(&trial);
-            if failed[cfg].contains(&key) {
-                continue;
-            }
-            if scheds[cfg].try_colocate(&trial).is_ok() {
-                instances[i].tenants = trial;
-                placed = true;
-                break;
-            }
-            failed[cfg].insert(key);
-        }
-        if !placed {
-            // Open the cheapest configuration that serves it alone.
-            let solo = std::slice::from_ref(vehicle);
-            let key = trial_shape(solo);
-            for cfg in 0..scheds.len() {
-                if failed[cfg].contains(&key) {
-                    continue;
-                }
-                if scheds[cfg].try_colocate(solo).is_ok() {
-                    instances.push(Open {
-                        config: cfg,
-                        tenants: vec![vehicle.clone()],
-                    });
-                    placed = true;
-                    break;
-                }
-                failed[cfg].insert(key.clone());
-            }
-        }
-        if placed {
-            admitted += 1;
-        } else {
-            rejected += 1;
-        }
-    }
+    let (instances, rejected) = first_fit(fleet, &mut scheds);
 
     let mut mix = Vec::new();
     let mut total_chiplets = 0u64;
-    for (cfg, &gi) in order.iter().enumerate() {
-        let count = instances.iter().filter(|i| i.config == cfg).count();
-        let (w, h) = geometries[gi];
-        total_chiplets += count as u64 * u64::from(w * h);
+    for (config, sched) in scheds.iter().enumerate() {
+        let count = instances.iter().filter(|i| i.config == config).count();
+        total_chiplets += count as u64 * sched.package().len() as u64;
         if count > 0 {
-            mix.push((format!("os256-{w}x{h}"), count));
+            mix.push((sched.package().name().to_string(), count));
         }
     }
     MixedPackOutcome {
         mix,
         total_chiplets,
-        admitted,
-        rejected,
+        admitted: instances.iter().map(|i| i.tenants.len()).sum(),
+        rejected: rejected.len(),
     }
 }
 
@@ -640,5 +620,23 @@ mod tests {
             .max()
             .unwrap();
         assert!(mixed.admitted >= uniform_best);
+    }
+
+    #[test]
+    fn a_one_geometry_pool_packs_like_pack_fleet() {
+        let model = FittedMaestro::new();
+        let fleet = FleetSpec::sample(10, 2025);
+        for (w, h) in [(6, 6), (4, 4)] {
+            let uniform = pack_fleet(&fleet.vehicles, &os256_package(w, h), &model, 16);
+            let mixed = pack_fleet_mixed(&fleet.vehicles, &[(w, h)], &model, 16);
+            assert_eq!(mixed.admitted, uniform.admitted(), "{w}x{h}");
+            assert_eq!(mixed.rejected, uniform.rejected.len(), "{w}x{h}");
+            assert_eq!(mixed.total_chiplets, uniform.total_chiplets(), "{w}x{h}");
+            assert_eq!(
+                mixed.mix,
+                [(uniform.config.clone(), uniform.instance_count())],
+                "{w}x{h}"
+            );
+        }
     }
 }

@@ -24,10 +24,13 @@
 //!   migrating tenant is charged `npu_sched::rematch_cost` transition
 //!   latency and drops the frames that arrive during its spin-up.
 //! * **Fleet DSE** ([`fleet`]) — pack a seeded fleet of hundreds of
-//!   vehicles onto package instances by deterministic first-fit, sweep
-//!   package geometries with a `npu_study::Study` (minimize fleet
-//!   silicon subject to a worst-tenant tail constraint), and compare
-//!   against a mixed-configuration pool.
+//!   vehicles onto package instances by one deterministic first-fit
+//!   loop, sweep package geometries with a `npu_study::Study` (minimize
+//!   fleet silicon subject to a worst-tenant tail constraint), and
+//!   compare against a mixed-configuration pool. [`pack_fleet`] is the
+//!   loop's one-configuration case and [`pack_fleet_mixed`] its
+//!   cost-ordered pool; both memoize failed trial shapes per
+//!   configuration.
 //!
 //! # Examples
 //!

@@ -13,7 +13,14 @@
 //! re-programmed in place (or handed over from a co-tenant) stall. A
 //! tenant whose whole region quiesces (a full-barrier migration) also
 //! flushes its epoch-1 in-flight frames at the event. Epoch 2 then runs
-//! the new colocation, arriving tenant included, on the same calendar.
+//! the new colocation, arriving tenant included.
+//!
+//! The two epochs are two separate [`simulate_tenants`] calls, each
+//! starting on an empty package, as in [`npu_pipesim::simulate_phases`]:
+//! an outgoing epoch-1 backlog never contends with the epoch-2 frames,
+//! so latencies right after the event are optimistic. Running both
+//! epochs in one engine pass is ROADMAP.md's open item 1 (cross-phase
+//! contention).
 //! Frame accounting balances exactly: per tenant,
 //! `offered = served + dropped + flushed` across both epochs.
 

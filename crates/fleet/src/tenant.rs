@@ -138,6 +138,13 @@ pub(crate) fn scenario_demand(scenario: &Scenario, workload: &PerceptionPipeline
     macs / interval.max(1e-9)
 }
 
+/// The scenario fingerprint: two tenants with equal scenarios match,
+/// flatten and simulate identically, and scenarios are equal exactly
+/// when their `{:?}` renderings are. Every memo in this crate keys on it.
+pub(crate) fn scenario_key(tenant: &Tenant) -> String {
+    format!("{:?}", tenant.scenario)
+}
+
 /// Why admission control turned a tenant away, carrying the numbers the
 /// decision was made on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -169,8 +169,9 @@ pub(crate) struct StageEval<N = NopTerms> {
     /// Chiplets hosting the stage's shards, ascending.
     chiplets: Vec<ChipletId>,
     /// Per shard: its chiplet, busy time (compute + input transfer) and
-    /// active PE-seconds. [`flatten_items`] makes one DES item of each.
-    shards: Vec<(ChipletId, Seconds, f64)>,
+    /// active PE-seconds. [`flatten_items`] makes one DES item of each,
+    /// and the occupancy chart labels each chiplet by its largest.
+    pub(crate) shards: Vec<(ChipletId, Seconds, f64)>,
     /// Per-transfer NoP latency and energy, by producing layer.
     nop: N,
     /// Sink shards feeding the next stage.

@@ -12,11 +12,13 @@ use npu_maestro::CostModel;
 use npu_mcm::{ChipletId, McmPackage};
 use npu_tensor::{Dtype, Seconds};
 
-use crate::eval::evaluate;
+use crate::eval::{evaluate_stages, fold_scores};
 use crate::plan::Schedule;
 
 /// Renders the per-chiplet occupancy chart with `width` characters per
-/// full pipelining window.
+/// full pipelining window. A chiplet's label is the layer of its largest
+/// shard by stage-pass busy time (compute plus input transfer), the same
+/// times its bar sums.
 pub fn render(
     schedule: &Schedule,
     pkg: &McmPackage,
@@ -24,20 +26,21 @@ pub fn render(
     width: usize,
 ) -> String {
     let width = width.max(10);
-    let report = evaluate(schedule, pkg, model, Dtype::Fp16);
+    let stages = evaluate_stages::<()>(schedule, pkg, model, Dtype::Fp16);
+    let report = fold_scores(pkg, &stages);
     let window = report.pipe;
 
-    // Dominant workload label per chiplet.
+    // Dominant workload label per chiplet. The stage passes list their
+    // shards in stage → model → layer (graph order) → shard order.
+    let mut shards = stages.iter().flat_map(|s| &s.shards);
     let mut labels: BTreeMap<ChipletId, (String, Seconds)> = BTreeMap::new();
     for stage in &schedule.stages {
         for mp in &stage.models {
-            for lp in &mp.layers {
-                for shard in &lp.shards {
-                    let t = model
-                        .layer_cost(&shard.layer, pkg.chiplet(shard.chiplet).accelerator())
-                        .latency;
+            for (id, _) in mp.graph.iter() {
+                let lp = mp.layer_plan(id);
+                for &(chiplet, t, _) in shards.by_ref().take(lp.shards.len()) {
                     let entry = labels
-                        .entry(shard.chiplet)
+                        .entry(chiplet)
                         .or_insert((String::new(), Seconds::ZERO));
                     if t > entry.1 {
                         *entry = (format!("{}/{}", mp.name, lp.source.name()), t);
