@@ -27,7 +27,7 @@ use crate::op::{OpClass, OpDims, OpKind};
 ///
 /// The name is shared, not owned: cloning a layer (and every schedule
 /// that holds one) bumps a reference count instead of copying the bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Layer {
     name: Arc<str>,
     op: OpKind,

@@ -23,7 +23,7 @@ use npu_tensor::{Bytes, Dtype, MacCount, TensorShape};
 /// let out = qkv.intrinsic_out_shape().unwrap();
 /// assert_eq!(qkv.macs(out).as_u64(), 12_800 * 256 * 768);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum OpKind {
     /// Standard 2-D convolution. `kernel` is `(r, s)`, `stride` applies to
     /// both spatial dims. MACs are counted over the *output* feature map.

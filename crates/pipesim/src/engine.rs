@@ -462,15 +462,16 @@ pub fn simulate_tenants(
         .collect()
 }
 
-/// Flattened items of each distinct schedule, keyed by the schedule's
-/// address.
-type FlatItems = BTreeMap<*const Schedule, Vec<SimItem>>;
+/// Flattened items of each distinct schedule and their closed programs,
+/// keyed by the schedule's address.
+type FlatItems = BTreeMap<*const Schedule, (Vec<SimItem>, Programs)>;
 
-/// Flattens each distinct schedule once: flattening walks every layer
-/// shard through the cost model, and drives re-enter the same compiled
-/// schedule for many phases. Keying on the reference's address is sound
-/// because every stream borrows its schedule for the whole call, so two
-/// equal pointers are the same live `Schedule`.
+/// Flattens each distinct schedule once, and finds its closed programs
+/// once: flattening walks every layer shard through the cost model, and
+/// drives re-enter the same compiled schedule for many phases. Keying on
+/// the reference's address is sound because every stream borrows its
+/// schedule for the whole call, so two equal pointers are the same live
+/// `Schedule`.
 fn flatten_distinct(
     streams: &[SimPhase<'_>],
     pkg: &McmPackage,
@@ -480,9 +481,184 @@ fn flatten_distinct(
     let mut flat = FlatItems::new();
     for s in streams {
         flat.entry(s.schedule as *const Schedule)
-            .or_insert_with(|| flatten_items(s.schedule, pkg, model, dtype));
+            .or_insert_with(|| {
+                let items = flatten_items(s.schedule, pkg, model, dtype);
+                let programs = Programs::new(&items);
+                (items, programs)
+            });
     }
     flat
+}
+
+/// An absent item in the [`Programs`] tables.
+const NONE: u32 = u32::MAX;
+
+/// The closed per-chiplet programs of one flattened schedule, in
+/// schedule-local item indices.
+///
+/// A chiplet hosts a *closed program* when every item on it depends only
+/// on items of the same chiplet — each camera's FE+BiFPN backbone on its
+/// own chiplet, for example, or two cameras' backbones on one. Its
+/// lowest item is then a root (no dependencies), the program's *entry*;
+/// more roots may follow. A frame's items on such a chiplet run back to
+/// back in ascending index order (see [`Engine`]), and that order is cut
+/// into *segments*: each ends at an item with a dependent on another
+/// chiplet, or with no dependent at all. A segment's inner items feed
+/// only their own chiplet, so the engine runs each segment as one job.
+///
+/// Items off closed programs keep the identity entries: no `next`, no
+/// `then`, their own `head`. A schedule with no closed program has
+/// empty tables.
+#[derive(Debug, Default)]
+struct Programs {
+    /// Chiplets hosting a closed program with a segment of two or more
+    /// items, ascending: the ones worth running segment by segment.
+    chiplets: Vec<ChipletId>,
+    /// The next item of each item's segment; `NONE` at a segment exit.
+    next: Vec<u32>,
+    /// The first item of each item's segment.
+    head: Vec<u32>,
+    /// For a segment exit that is not its program's last: the next
+    /// segment's head, which the exit's completion starts; `NONE`
+    /// otherwise.
+    then: Vec<u32>,
+    /// For an exit with a `then`: how many of its distinct dependents on
+    /// other chiplets, in ascending order, an item-by-item run releases
+    /// before it starts the next item on the chiplet.
+    launch: Vec<u32>,
+    /// For the exit of a segment of two or more items: an id such that
+    /// exits with equal ids run the same sub-durations bit for bit
+    /// (twins, see [`Engine`]); `NONE` otherwise.
+    shape: Vec<u32>,
+}
+
+impl Programs {
+    /// Finds the closed programs of `items` (dependencies point to lower
+    /// indices) in O(items + dependencies), apart from sorting the
+    /// distinct chiplets and the multi-item segments by shape.
+    fn new(items: &[SimItem]) -> Programs {
+        let n = items.len();
+        let mut ids: Vec<ChipletId> = items.iter().map(|it| it.chiplet).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let chiplet: Vec<usize> = items
+            .iter()
+            .map(|it| ids.binary_search(&it.chiplet).expect("a listed chiplet"))
+            .collect();
+        let mut closed = vec![true; ids.len()];
+        let mut feeds_off = vec![false; n];
+        let mut feeds_any = vec![false; n];
+        for (i, it) in items.iter().enumerate() {
+            let c = chiplet[i];
+            for &d in &it.deps {
+                feeds_any[d] = true;
+                if chiplet[d] != c {
+                    feeds_off[d] = true;
+                    closed[c] = false;
+                }
+            }
+        }
+        if !closed.contains(&true) {
+            return Programs::default();
+        }
+        let exits = |i: usize| feeds_off[i] || !feeds_any[i];
+
+        // Chain each closed chiplet's items in index order.
+        let mut next = vec![NONE; n];
+        let mut head: Vec<u32> = (0..n as u32).collect();
+        let mut then = vec![NONE; n];
+        let mut prev = vec![NONE; ids.len()];
+        for i in 0..n {
+            let c = chiplet[i];
+            if !closed[c] {
+                continue;
+            }
+            let p = prev[c] as usize;
+            if prev[c] != NONE {
+                if exits(p) {
+                    then[p] = i as u32;
+                } else {
+                    next[p] = i as u32;
+                    head[i] = head[p];
+                }
+            }
+            prev[c] = i as u32;
+        }
+
+        // An exit's completion makes ready each on-chiplet dependent
+        // whose highest dependency it is; unfused, the first of them
+        // (ascending) starts the chiplet's next item.
+        let mut ready_by = vec![NONE; n];
+        for (z, it) in items.iter().enumerate() {
+            if let Some(&p) = it.deps.iter().max().filter(|_| closed[chiplet[z]]) {
+                if then[p] != NONE && ready_by[p] == NONE {
+                    ready_by[p] = z as u32;
+                }
+            }
+        }
+        let mut launch = vec![0u32; n];
+        // The last dependent counted for each item: a dependency listed
+        // twice is one edge.
+        let mut counted = vec![NONE; n];
+        for (i, it) in items.iter().enumerate() {
+            for &d in &it.deps {
+                if then[d] != NONE && chiplet[d] != chiplet[i] && counted[d] != i as u32 {
+                    counted[d] = i as u32;
+                    launch[d] += u32::from((i as u32) < ready_by[d]);
+                }
+            }
+        }
+
+        // Twins: multi-item segments with the same sub-durations, found
+        // by sorting a hash of them and confirming each against the
+        // first of its hash run. A collision is not a twin.
+        let (head_of, next_of) = (&head, &next);
+        let bits = |x: usize| {
+            let mut i = head_of[x];
+            std::iter::from_fn(move || {
+                let item = (i != NONE).then_some(i as usize)?;
+                i = next_of[item];
+                Some(items[item].duration.as_secs().to_bits())
+            })
+        };
+        let mut hashed: Vec<(u64, u32)> = (0..n)
+            .filter(|&x| next[x] == NONE && head[x] != x as u32)
+            .map(|x| {
+                let fnv1a = bits(x).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                (fnv1a, x as u32)
+            })
+            .collect();
+        hashed.sort_unstable();
+        let mut shape = vec![NONE; n];
+        for run in hashed.chunk_by(|a, b| a.0 == b.0) {
+            let first = run[0].1;
+            for &(_, x) in run {
+                let twin = bits(x as usize).eq(bits(first as usize));
+                shape[x as usize] = if twin { first } else { x };
+            }
+        }
+
+        // A program of one-item segments runs as it would item by item.
+        let mut multi = vec![false; ids.len()];
+        for (i, &c) in chiplet.iter().enumerate() {
+            multi[c] |= next[i] != NONE;
+        }
+        Programs {
+            chiplets: ids
+                .iter()
+                .zip(&multi)
+                .filter(|(_, &multi)| multi)
+                .map(|(&c, _)| c)
+                .collect(),
+            next,
+            head,
+            then,
+            launch,
+            shape,
+        }
+    }
 }
 
 /// Validates the streams, drops each one's frames arriving before its
@@ -493,7 +669,7 @@ fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, 
     let mut admitted = Vec::with_capacity(streams.len());
     let mut gates = Vec::with_capacity(streams.len());
     for s in streams {
-        let items = &flat[&(s.schedule as *const Schedule)];
+        let (items, programs) = &flat[&(s.schedule as *const Schedule)];
         assert!(!items.is_empty(), "cannot simulate an empty schedule");
         assert!(
             s.times.windows(2).all(|w| w[0] <= w[1]) && s.times.iter().all(|t| t.is_finite()),
@@ -511,6 +687,7 @@ fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, 
             .unwrap_or_else(|| SimConfig::default_warmup(times.len()));
         admitted.push(Admitted {
             items,
+            programs,
             times,
             warmup,
             cutoff: s.cutoff,
@@ -531,7 +708,7 @@ fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, 
     let mut outcomes: Vec<Option<StreamOutcome>> = admitted.iter().map(|_| None).collect();
     for group in groups {
         let members: Vec<Admitted<'_>> = group.iter().map(|&k| admitted[k]).collect();
-        for (k, out) in group.into_iter().zip(Engine::new(&members).run()) {
+        for (k, out) in group.into_iter().zip(run_pass(&members).0) {
             outcomes[k] = Some(out);
         }
     }
@@ -591,11 +768,27 @@ fn chiplet_groups(streams: &[Admitted<'_>]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// One validated stream as the engine sees it: its flattened items and
-/// the arrivals that passed its admission gate.
+/// One engine pass over `streams`, run segment by segment on their
+/// closed programs. If the fused run meets a tie it cannot order as the
+/// item-by-item run would, the pass is run again item by item; the flag
+/// says whether it was.
+fn run_pass(streams: &[Admitted<'_>]) -> (Vec<StreamOutcome>, bool) {
+    match Engine::new(streams, true).run() {
+        Some(out) => (out, false),
+        None => {
+            let out = Engine::new(streams, false).run();
+            (out.expect("an item-by-item pass meets no tie"), true)
+        }
+    }
+}
+
+/// One validated stream as the engine sees it: its flattened items,
+/// their closed programs and the arrivals that passed its admission
+/// gate.
 #[derive(Clone, Copy)]
 struct Admitted<'a> {
     items: &'a [SimItem],
+    programs: &'a Programs,
     times: &'a [f64],
     warmup: usize,
     cutoff: Option<f64>,
@@ -682,17 +875,35 @@ struct Scheduled {
     /// a NaN timestamp), then by insertion order for determinism. The
     /// time decodes back from it bit for bit.
     key: u128,
-    /// The completing job, `frame | item << 32 | local << 64`; its
-    /// chiplet is `chiplet_of[item]`.
+    /// The completing job and what it completes,
+    /// `frame | item << 32 | local << 64 | segment << 96`; its chiplet is
+    /// `chiplet_of[item]`, and `segment` holds the [`PROGRAM`],
+    /// [`MULTI`] and [`THEN`] bits of the segment the job ran.
     job: u128,
 }
 
+/// A segment bit: the job ran a segment of a closed program, so its
+/// start walked the segment and checked that each item advanced the
+/// clock.
+const PROGRAM: u8 = 1;
+/// A segment bit: the job ran two or more items.
+const MULTI: u8 = 2;
+/// A segment bit: the exit's completion starts the next segment.
+const THEN: u8 = 4;
+
 impl Scheduled {
-    fn new(time: f64, seq: u64, job: Job) -> Scheduled {
+    fn new(time: f64, seq: u64, job: Job, segment: u8) -> Scheduled {
         Scheduled {
             key: (time_ord(time) as u128) << 64 | seq as u128,
-            job: job.frame as u128 | (job.item as u128) << 32 | (job.local as u128) << 64,
+            job: job.frame as u128
+                | (job.item as u128) << 32
+                | (job.local as u128) << 64
+                | (segment as u128) << 96,
         }
+    }
+
+    fn segment(&self) -> u8 {
+        (self.job >> 96) as u8
     }
 
     fn time(&self) -> f64 {
@@ -870,6 +1081,47 @@ struct Stream<'a> {
 ///   whose frame it serves); each stream's report carries the busy
 ///   fractions of the chiplets **its** schedule uses, normalized by that
 ///   stream's own observed span.
+/// - **A closed program runs one job per segment.** On a chiplet that
+///   hosts a closed program (see [`Programs`]) and that no other stream
+///   of the pass uses, frame `f`'s items run back to back in ascending
+///   index order: whenever one of them completes, the chiplet's lowest
+///   unfinished frame-`f` item is ready (its dependencies are lower
+///   items of the chiplet, or it is a root of a frame that has
+///   arrived), and it beats the only other jobs the chiplet can hold,
+///   later frames' roots. So the engine starts each segment as one job,
+///   an arrival queues only the program's entry, and the result is the
+///   item-by-item run's bit for bit:
+///   - The job's end is `((s + d1) + d2) + …`, the instants the items
+///     would end at one by one, and `busy_time` adds each `d` in order.
+///   - An inner item feeds only its own chiplet, so no other event
+///     reads its state, and no event other than an arrival touches the
+///     chiplet. The exit's completion releases its dependents on other
+///     chiplets in ascending order, and starts the next segment at the
+///     point of that order where the item-by-item run starts the next
+///     item: at the first dependent on the chiplet that the exit makes
+///     ready, else after the others.
+///   - The run differs only at ties, which the engine detects instead
+///     of ordering. **H1**: a frame arrives at an inner boundary of the
+///     chiplet's running segment, or at the end of one that is not the
+///     frame's last; item by item, the chiplet is free at that instant
+///     and starts a waiting root first. **H2**: a segment of two
+///     or more items ends at the instant of another pending completion;
+///     its event took its sequence number when its first item started,
+///     so an event started since then, before the last item, sorts after
+///     it. The one exempt tie is a twin: a segment of the same shape in
+///     the same stream. The twin that started first starts each of its
+///     items first item by item too, so its last item ends first, as its
+///     event does. A sub-duration that does not advance the clock counts
+///     as a tie too.
+///   - On the first tie the pass stops and runs again item by item, the
+///     same engine with no program fused, so the result stays exact.
+///     The builtin families meet no tie on the 6×6 package; random
+///     dyadic programs and arrivals meet them often, and a property test
+///     pins both runs against each other bit for bit.
+///
+///   The matched highway-cruise schedule on `simba_6x6` flattens to 721
+///   items, 640 of them on its 8 FE chiplets, 2 segments each: about
+///   100 jobs per frame.
 struct Engine<'a> {
     // Global item tables (immutable during the run).
     /// Sorted distinct chiplets hosting work; dense index = position.
@@ -888,6 +1140,17 @@ struct Engine<'a> {
     /// item order (edges never leave a stream).
     dependents_at: Vec<u32>,
     dependents: Vec<u32>,
+    // Closed programs (see [`Programs`]), in global item indices, on
+    // the chiplets this pass runs segment by segment; the identity
+    // entries everywhere else.
+    next: Vec<u32>,
+    then: Vec<u32>,
+    /// The [`PROGRAM`], [`MULTI`] and [`THEN`] bits of the segment each
+    /// item heads; 0 for an item that is a job of its own.
+    segment: Vec<u8>,
+    launch: Vec<u32>,
+    /// Offset by stream: twins are recognised within one stream only.
+    shape: Vec<u32>,
 
     streams: Vec<Stream<'a>>,
     /// Stream frames each item has completed.
@@ -915,12 +1178,22 @@ struct Engine<'a> {
     queues: Vec<BinaryHeap<Job>>,
     busy_until: Vec<f64>,
     busy_time: Vec<f64>,
+    /// Start instant and head of each chiplet's latest closed-program
+    /// segment.
+    seg_start: Vec<f64>,
+    seg_head: Vec<u32>,
+    /// Set by the first tie the segment-by-segment run cannot order as
+    /// the item-by-item run would; the pass then stops.
+    tie: bool,
 }
 
 impl<'a> Engine<'a> {
     /// `run_streams` bounds the streams' total frame count below
     /// `u32::MAX`.
-    fn new(streams: &[Admitted<'a>]) -> Engine<'a> {
+    ///
+    /// `fuse` runs closed programs segment by segment; without it every
+    /// item is a job of its own.
+    fn new(streams: &[Admitted<'a>], fuse: bool) -> Engine<'a> {
         let mut chiplet_ids: Vec<ChipletId> = streams
             .iter()
             .flat_map(|s| s.items.iter().map(|it| it.chiplet))
@@ -983,6 +1256,45 @@ impl<'a> Engine<'a> {
         // A stable sort by dependency keeps each item's dependents in
         // ascending order.
         edges.sort_by_key(|&(d, _)| d);
+        let mut feeds = vec![false; n_items];
+        for &(d, _) in &edges {
+            feeds[d as usize] = true;
+        }
+        for (i, _) in feeds.iter().enumerate().filter(|(_, &feeds)| !feeds) {
+            states[stream_of[i] as usize].sinks.push(i as u32);
+        }
+
+        // A closed program is run segment by segment only on a chiplet
+        // no other stream of the pass uses.
+        let n_chiplets = chiplet_ids.len();
+        let mut users = vec![0u32; n_chiplets];
+        for s in &states {
+            for &c in &s.chiplets {
+                users[c] += 1;
+            }
+        }
+        let mut fused = vec![false; n_chiplets];
+        for s in streams.iter().filter(|_| fuse) {
+            for &c in &s.programs.chiplets {
+                let c = dense(c) as usize;
+                fused[c] = users[c] == 1;
+            }
+        }
+        // An arrival queues only a program's entry; its later roots start
+        // in program order like its other items.
+        let mut entered = vec![false; n_chiplets];
+        for s in &mut states {
+            s.roots.retain(|&r| {
+                let c = chiplet_of[r as usize] as usize;
+                !fused[c] || !std::mem::replace(&mut entered[c], true)
+            });
+        }
+        // A segment's inner edges stay on its chiplet: the segment's
+        // job walks them, and no completion releases them.
+        edges.retain(|&(d, i)| {
+            let c = chiplet_of[d as usize];
+            !(fused[c as usize] && chiplet_of[i as usize] == c)
+        });
         let dependents: Vec<u32> = edges.iter().map(|&(_, i)| i).collect();
         let mut dependents_at = vec![0u32; n_items + 1];
         for &(d, _) in &edges {
@@ -991,13 +1303,34 @@ impl<'a> Engine<'a> {
         for i in 0..n_items {
             dependents_at[i + 1] += dependents_at[i];
         }
-        for i in 0..n_items {
-            if dependents_at[i] == dependents_at[i + 1] {
-                states[stream_of[i] as usize].sinks.push(i as u32);
+
+        let mut next = vec![NONE; n_items];
+        let mut then = vec![NONE; n_items];
+        let mut segment = vec![0u8; n_items];
+        let mut launch = vec![0; n_items];
+        let mut shape = vec![NONE; n_items];
+        let mut offset = 0;
+        for s in streams {
+            let p = s.programs;
+            let global = |i: u32| if i == NONE { NONE } else { i + offset as u32 };
+            for i in 0..s.items.len() {
+                let g = offset + i;
+                if fused[chiplet_of[g] as usize] {
+                    next[g] = global(p.next[i]);
+                    then[g] = global(p.then[i]);
+                    if p.next[i] == NONE {
+                        let h = p.head[i] as usize;
+                        segment[offset + h] = PROGRAM
+                            | if h == i { 0 } else { MULTI }
+                            | if p.then[i] == NONE { 0 } else { THEN };
+                    }
+                    launch[g] = p.launch[i];
+                    shape[g] = global(p.shape[i]);
+                }
             }
+            offset += s.items.len();
         }
 
-        let n_chiplets = chiplet_ids.len();
         let mut engine = Engine {
             chiplet_of,
             durations,
@@ -1006,6 +1339,11 @@ impl<'a> Engine<'a> {
             deps,
             dependents_at,
             dependents,
+            next,
+            then,
+            segment,
+            launch,
+            shape,
             streams: states,
             done: vec![0; n_items],
             waiting: vec![0; n_items],
@@ -1018,14 +1356,19 @@ impl<'a> Engine<'a> {
             // Free at any instant: arrival times may be negative.
             busy_until: vec![f64::NEG_INFINITY; n_chiplets],
             busy_time: vec![0.0; n_chiplets],
+            seg_start: vec![0.0; n_chiplets],
+            seg_head: vec![NONE; n_chiplets],
+            tie: false,
             chiplet_ids,
         };
         engine.next_arrival = engine.peek_arrival();
         engine
     }
 
-    fn run(mut self) -> Vec<StreamOutcome> {
-        loop {
+    /// Runs the pass to its end; `None` if it met a tie it cannot order
+    /// as the item-by-item run would.
+    fn run(mut self) -> Option<Vec<StreamOutcome>> {
+        while !self.tie {
             // Interleave the arrival cursors with the completion calendar
             // in time order; `<=` lets arrivals win ties.
             let arrival_due = match (self.next_arrival, self.calendar.peek()) {
@@ -1040,6 +1383,9 @@ impl<'a> Engine<'a> {
                 self.process_completion();
             }
         }
+        if self.tie {
+            return None;
+        }
         debug_assert!(
             self.streams
                 .iter()
@@ -1052,7 +1398,8 @@ impl<'a> Engine<'a> {
         );
 
         let (chiplet_ids, busy_time) = (&self.chiplet_ids, &self.busy_time);
-        self.streams
+        let outcomes = self
+            .streams
             .into_iter()
             .map(|s| {
                 // The stream's view of the silicon: total busy seconds of
@@ -1069,7 +1416,8 @@ impl<'a> Engine<'a> {
                     report: s.report.finish(&busy),
                 }
             })
-            .collect()
+            .collect();
+        Some(outcomes)
     }
 
     /// The earliest pending arrival over all streams, by `(time, stream)`.
@@ -1107,10 +1455,32 @@ impl<'a> Engine<'a> {
         }
         self.arrivals += 1;
         for i in 0..self.streams[k].roots.len() {
-            let item = self.streams[k].roots[i] as usize;
-            self.dispatch(self.chiplet_of[item] as usize, now);
+            let root = self.streams[k].roots[i] as usize;
+            let c = self.chiplet_of[root] as usize;
+            // A program's entry heads its first segment.
+            if self.segment[root] != 0 && self.busy_until[c] > now && self.splits_segment(c, now) {
+                self.tie = true;
+            }
+            self.dispatch(c, now);
         }
         self.next_arrival = self.peek_arrival();
+    }
+
+    /// Whether `now` is an inner boundary of busy chiplet `c`'s running
+    /// segment: the instant one of its items ends and, item by item, the
+    /// chiplet would be free to start an arriving frame first. Inner
+    /// boundaries of an earlier segment all lie before `now`.
+    fn splits_segment(&self, c: usize, now: f64) -> bool {
+        let mut item = self.seg_head[c];
+        let mut t = self.seg_start[c];
+        while item != NONE && self.next[item as usize] != NONE {
+            t += self.durations[item as usize];
+            if t >= now {
+                return t == now;
+            }
+            item = self.next[item as usize];
+        }
+        false
     }
 
     /// Queues `job` on its chiplet: the lowest ready job of an item that
@@ -1141,7 +1511,7 @@ impl<'a> Engine<'a> {
         let Some(job) = self.queues[c].pop() else {
             return;
         };
-        self.start(c, job, now);
+        self.start_any(c, job, now);
         let item = job.item as usize;
         let k = self.stream_of[item] as usize;
         let f = job.local as usize;
@@ -1189,8 +1559,10 @@ impl<'a> Engine<'a> {
         let c = self.chiplet_of[job.item as usize] as usize;
         if self.busy_until[c] <= now && self.queues[c].peek().is_none_or(|h| job.key() < h.key()) {
             // The dependency that released it has not completed the next
-            // frame, so the item has no other ready job.
+            // frame, so the item has no other ready job. It heads no
+            // segment: a closed program's items are never released.
             debug_assert!(!self.is_ready(job.item as usize, job.local as usize + 1));
+            debug_assert_eq!(self.segment[job.item as usize], 0);
             self.start(c, job, now);
         } else {
             self.enqueue(job);
@@ -1198,12 +1570,59 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Starts `job`, one item, on free chiplet `c`.
     fn start(&mut self, c: usize, job: Job, now: f64) {
         let dur = self.durations[job.item as usize];
-        self.busy_until[c] = now + dur;
         self.busy_time[c] += dur;
+        self.schedule(c, now + dur, job, 0);
+    }
+
+    /// Starts `job` on free chiplet `c`: one item, or the whole segment
+    /// its item heads.
+    fn start_any(&mut self, c: usize, job: Job, now: f64) {
+        match self.segment[job.item as usize] {
+            0 => self.start(c, job, now),
+            segment => self.start_segment(c, job, now, segment),
+        }
+    }
+
+    /// Starts the segment headed by `job`'s item on free chiplet `c`. Its
+    /// event completes the segment's exit at the instant the items'
+    /// durations, added one at a time, reach.
+    #[inline(never)]
+    fn start_segment(&mut self, c: usize, job: Job, now: f64, segment: u8) {
+        self.seg_start[c] = now;
+        self.seg_head[c] = job.item;
+        let mut item = job.item as usize;
+        let mut end = now;
+        loop {
+            let dur = self.durations[item];
+            let at = end;
+            end = at + dur;
+            self.busy_time[c] += dur;
+            // An item that does not advance the clock leaves the chiplet
+            // free at the instant it started: item by item, another job
+            // can start there, and events can order between it and its
+            // neighbours.
+            self.tie |= end <= at || end.is_nan();
+            match self.next[item] {
+                NONE => break,
+                next => item = next as usize,
+            }
+        }
+        let exit = Job {
+            item: item as u32,
+            ..job
+        };
+        self.schedule(c, end, exit, segment);
+    }
+
+    /// Books chiplet `c` until `end` and puts the completion of `job`,
+    /// which ran a segment with the given bits, on the calendar.
+    fn schedule(&mut self, c: usize, end: f64, job: Job, segment: u8) {
+        self.busy_until[c] = end;
         self.seq += 1;
-        let event = Scheduled::new(now + dur, self.seq, job);
+        let event = Scheduled::new(end, self.seq, job, segment);
         if std::mem::take(&mut self.top_done) {
             self.calendar.replace_top(event);
         } else {
@@ -1213,39 +1632,91 @@ impl<'a> Engine<'a> {
 
     fn process_completion(&mut self) {
         let event = *self.calendar.peek().expect("completion event due");
-        let (time, job) = (event.time(), event.job());
+        let (time, job, segment) = (event.time(), event.job(), event.segment());
+        if segment & MULTI != 0 && !self.exit_keeps_its_turn(&event) {
+            self.tie = true;
+            return;
+        }
         self.top_done = true;
         let item = job.item as usize;
         let f = job.local;
         debug_assert_eq!(self.done[item], f, "an item completes its frames in order");
         self.done[item] = f + 1;
-        let succs = self.dependents_at[item] as usize..self.dependents_at[item + 1] as usize;
-        if succs.is_empty() {
+        let (first, last) = (self.dependents_at[item], self.dependents_at[item + 1]);
+        if first == last {
             self.complete_sink(item, f as usize, time);
         }
-        for di in succs {
-            let succ = self.dependents[di] as usize;
-            let deps = self.deps_at[succ] as usize..self.deps_at[succ + 1] as usize;
-            if !self.deps[deps].iter().all(|&d| self.done[d as usize] > f) {
-                continue;
+        if segment & THEN == 0 {
+            for di in first..last {
+                self.release_dependent(di as usize, job, time);
             }
-            if self.waiting[succ] > 0 {
-                // Its lowest ready job is queued already. A release onto a
-                // free chiplet starts the queue head, so offer one here too.
-                self.waiting[succ] += 1;
-                self.dispatch(self.chiplet_of[succ] as usize, time);
-            } else {
-                let next = Job {
-                    item: succ as u32,
-                    ..job
-                };
-                self.release(next, time);
+        } else {
+            let launch_at = first + self.launch[item];
+            for di in first..launch_at {
+                self.release_dependent(di as usize, job, time);
+            }
+            // The rest of the frame's program, which item by item would
+            // start at this point in the release order.
+            let c = self.chiplet_of[item] as usize;
+            self.tie |= self.busy_until[c] > time;
+            let next = Job {
+                item: self.then[item],
+                ..job
+            };
+            self.start_any(c, next, time);
+            for di in launch_at..last {
+                self.release_dependent(di as usize, job, time);
             }
         }
         self.dispatch(self.chiplet_of[item] as usize, time);
         if std::mem::take(&mut self.top_done) {
             self.calendar.pop();
         }
+    }
+
+    /// Offers the `di`-th dependent edge's item its frame of `job`, which
+    /// just completed, if that was its last dependency.
+    #[inline]
+    fn release_dependent(&mut self, di: usize, job: Job, time: f64) {
+        let f = job.local;
+        let succ = self.dependents[di] as usize;
+        let deps = self.deps_at[succ] as usize..self.deps_at[succ + 1] as usize;
+        if !self.deps[deps].iter().all(|&d| self.done[d as usize] > f) {
+            return;
+        }
+        if self.waiting[succ] > 0 {
+            // Its lowest ready job is queued already. A release onto a
+            // free chiplet starts the queue head, so offer one here too.
+            self.waiting[succ] += 1;
+            self.dispatch(self.chiplet_of[succ] as usize, time);
+        } else {
+            let next = Job {
+                item: succ as u32,
+                ..job
+            };
+            self.release(next, time);
+        }
+    }
+
+    /// Whether `exit`, the completion of a segment of two or more items
+    /// and the calendar's earliest event, is processed where its last
+    /// item's completion would be item by item. That holds unless
+    /// another completion is pending at the same instant: the segment's
+    /// event took its sequence number when its first item started, and
+    /// an event started since, before its last item, now sorts after
+    /// it. The one such tie that keeps the order is a twin: a segment of
+    /// the same shape in the same stream. `exit`'s segment started
+    /// first, its event sorting first, so item by item it starts every
+    /// item first too: each of its items ends no later than the twin's,
+    /// and at an equal instant first by sequence number. So its last
+    /// item completes first, as its event does.
+    fn exit_keeps_its_turn(&self, exit: &Scheduled) -> bool {
+        let v = &self.calendar.v;
+        let Some(other) = v.len().checked_sub(2).map(|i| &v[i]) else {
+            return true;
+        };
+        other.key >> 64 != exit.key >> 64
+            || self.shape[exit.job().item as usize] == self.shape[other.job().item as usize]
     }
 
     /// A sink item completed stream frame `f`: the frame is done once
@@ -1742,13 +2213,15 @@ mod tests {
     /// One stream of `items` through one engine pass: its report, flushed
     /// frames and peak in-flight frames.
     fn run_items(items: &[SimItem], times: &[f64]) -> (SimReport, usize, usize) {
+        let programs = Programs::new(items);
         let admitted = Admitted {
             items,
+            programs: &programs,
             times,
             warmup: SimConfig::default_warmup(times.len()),
             cutoff: None,
         };
-        let out = Engine::new(&[admitted]).run().pop().expect("one stream");
+        let out = run_pass(&[admitted]).0.pop().expect("one stream");
         (out.report, out.flushed, out.peak_in_flight)
     }
 
@@ -1842,7 +2315,8 @@ mod tests {
 
     /// The calendar key orders events exactly like `(time.total_cmp,
     /// seq)`, and both halves of an event decode back to what went in:
-    /// the time bit for bit, and every field of the job.
+    /// the time bit for bit, every field of the job, and the segment
+    /// bits.
     #[test]
     fn calendar_key_orders_like_total_cmp_then_seq() {
         assert_eq!(std::mem::size_of::<Scheduled>(), 32);
@@ -1881,15 +2355,15 @@ mod tests {
             .flat_map(|&t| [(t, 0), (t, 1), (t, u64::MAX)])
             .collect();
         for &(ta, sa) in &events {
-            let a = Scheduled::new(ta, sa, job);
+            let a = Scheduled::new(ta, sa, job, PROGRAM | MULTI | THEN);
             assert_eq!(a.time().to_bits(), ta.to_bits(), "time {ta:e} decodes");
             let back = a.job();
             assert_eq!(
-                (back.frame, back.item, back.local),
-                (job.frame, job.item, job.local)
+                (back.frame, back.item, back.local, a.segment()),
+                (job.frame, job.item, job.local, PROGRAM | MULTI | THEN)
             );
             for &(tb, sb) in &events {
-                let b = Scheduled::new(tb, sb, job);
+                let b = Scheduled::new(tb, sb, job, 0);
                 assert_eq!(
                     a.key.cmp(&b.key),
                     ta.total_cmp(&tb).then(sa.cmp(&sb)),
@@ -1937,7 +2411,7 @@ mod tests {
                         item: 0,
                         local: 0,
                     };
-                    Scheduled::new(time, seq, job)
+                    Scheduled::new(time, seq, job, 0)
                 };
                 // 0 pushes, 1 replaces the earliest, 2 pops.
                 let r = rng.gen_range(0..4usize);
@@ -2278,5 +2752,347 @@ mod tests {
         };
         let stream = SimPhase::new(&s, periodic(4, 0.5, 0.0), readiness);
         let _ = simulate_tenants(&[stream], &pkg, &model, Dtype::Fp16);
+    }
+
+    /// One stream's report, flushed frames and peak in-flight frames,
+    /// rendered so equal strings mean equal bits.
+    fn outcome_bits(out: &[StreamOutcome]) -> Vec<String> {
+        out.iter()
+            .map(|o| format!("{:?} {} {}", o.report, o.flushed, o.peak_in_flight))
+            .collect()
+    }
+
+    /// Runs `streams` in one pass as `run_pass` does and item by item,
+    /// asserts the two agree bit for bit, and says whether the pass fell
+    /// back to the item-by-item run.
+    fn assert_fusion_is_exact(streams: &[(&[SimItem], &[f64])]) -> bool {
+        let programs: Vec<Programs> = streams.iter().map(|s| Programs::new(s.0)).collect();
+        let members: Vec<Admitted<'_>> = streams
+            .iter()
+            .zip(&programs)
+            .map(|(&(items, times), programs)| Admitted {
+                items,
+                programs,
+                times,
+                warmup: SimConfig::default_warmup(times.len()),
+                cutoff: None,
+            })
+            .collect();
+        let (fused, fell_back) = run_pass(&members);
+        let unfused = Engine::new(&members, false)
+            .run()
+            .expect("no tie item by item");
+        assert_eq!(outcome_bits(&fused), outcome_bits(&unfused));
+        fell_back
+    }
+
+    /// A random stream of closed programs on chiplets `base..base + 3`,
+    /// some sharing a chiplet, interleaved in item order with downstream
+    /// items that read any earlier item. Half the streams copy one
+    /// program onto every program, as each camera's backbone is, so twin
+    /// segments run in lockstep. Downstream items run on the shared chiplets 0
+    /// and 1, or now and then on a program chiplet, which another stream
+    /// may hold a closed program on. Durations are dyadic, zero now and
+    /// then, and arrival gaps are multiples of a quarter second, so ties
+    /// are common.
+    fn closed_program_stream(seed: u64, base: u32) -> (Vec<SimItem>, Vec<f64>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let quarters = |rng: &mut StdRng, lo: u64, hi: u64| rng.gen_range(lo..hi) as f64 * 0.25;
+        // Durations on a quarter-second grid tie often; on a 1/32 s grid,
+        // less often.
+        let grain = [0.25, 1.0 / 32.0][rng.gen_range(0..2usize)];
+        // Each program: per item, its dependencies (program-local) and
+        // its duration.
+        // One item in eight does not advance the clock.
+        let secs = |rng: &mut StdRng| match rng.gen_range(0..8usize) {
+            0 => 0.0,
+            _ => rng.gen_range(1..64u64) as f64 * grain / 8.0,
+        };
+        let program = |rng: &mut StdRng| -> Vec<(Vec<usize>, f64)> {
+            (0..rng.gen_range(1..7usize))
+                .map(|j| {
+                    // Now and then a later root, as when one chiplet
+                    // runs two cameras' backbones.
+                    let deps = match (j, rng.gen_range(0..6usize)) {
+                        (0, _) | (_, 0) => vec![],
+                        _ => (0..rng.gen_range(1..3usize))
+                            .map(|_| rng.gen_range(0..j))
+                            .collect(),
+                    };
+                    (deps, secs(rng))
+                })
+                .collect()
+        };
+        let first = program(&mut rng);
+        let copies = rng.gen_range(0..2usize) == 0;
+        let programs: Vec<Vec<(Vec<usize>, f64)>> = (0..rng.gen_range(1..4usize))
+            .map(|p| match (p, copies) {
+                (0, _) | (_, true) => first.clone(),
+                _ => program(&mut rng),
+            })
+            .collect();
+        // Programs `p` and `p + spread` share a chiplet.
+        let spread = rng.gen_range(1..4usize) as u32;
+        // Global index of each program's items placed so far.
+        let mut on: Vec<Vec<usize>> = vec![Vec::new(); programs.len()];
+        let mut items: Vec<SimItem> = Vec::new();
+        let mut downstream = rng.gen_range(0..6usize);
+        while on.iter().zip(&programs).any(|(o, p)| o.len() < p.len()) || downstream > 0 {
+            let p = rng.gen_range(0..programs.len() + 1);
+            let (chiplet, deps, secs) = if p < programs.len() && on[p].len() < programs[p].len() {
+                let (deps, secs) = &programs[p][on[p].len()];
+                let deps = deps.iter().map(|&d| on[p][d]).collect();
+                on[p].push(items.len());
+                (base + p as u32 % spread, deps, *secs)
+            } else if p == programs.len() && downstream > 0 && !items.is_empty() {
+                downstream -= 1;
+                let n = items.len();
+                let deps = (0..rng.gen_range(1..3usize))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                let chiplet = match rng.gen_range(0..8usize) {
+                    0 => rng.gen_range(2..11usize),
+                    _ => rng.gen_range(0..2usize),
+                };
+                (chiplet as u32, deps, secs(&mut rng))
+            } else {
+                continue;
+            };
+            items.push(SimItem {
+                chiplet: ChipletId(chiplet),
+                duration: Seconds::new(secs),
+                deps,
+            });
+        }
+        let mut t = quarters(&mut rng, 0, 8) - 1.0;
+        let times = (0..rng.gen_range(1..16usize))
+            .map(|_| {
+                t += quarters(&mut rng, 0, 12);
+                t
+            })
+            .collect();
+        (items, times)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// One to three streams of random closed programs, sharing the
+        /// downstream chiplets and, when two streams draw the same base,
+        /// their program chiplets too, report the same bits run segment
+        /// by segment (falling back on a tie) as item by item.
+        #[test]
+        fn segment_runs_match_item_by_item_runs(
+            draws in proptest::collection::vec((0u64..u64::MAX, 0u64..3), 1..4),
+        ) {
+            let streams: Vec<(Vec<SimItem>, Vec<f64>)> = draws
+                .iter()
+                .map(|&(seed, base)| closed_program_stream(seed, 2 + 3 * base as u32))
+                .collect();
+            let refs: Vec<(&[SimItem], &[f64])> =
+                streams.iter().map(|(i, t)| (&i[..], &t[..])).collect();
+            assert_fusion_is_exact(&refs);
+        }
+    }
+
+    /// The program finder: one chiplet's chain of three feeding another
+    /// chiplet from its middle item is two segments, and a chiplet
+    /// whose second item reads another chiplet is not closed.
+    #[test]
+    fn programs_split_at_off_chiplet_dependents() {
+        let item = |chiplet: u32, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(1.0),
+            deps,
+        };
+        let items = vec![
+            item(0, vec![]),
+            item(0, vec![0]),
+            item(1, vec![1]),
+            item(0, vec![1, 1]),
+            item(1, vec![2, 3]),
+        ];
+        let p = Programs::new(&items);
+        assert_eq!(p.chiplets, vec![ChipletId(0)]);
+        assert_eq!(p.next, vec![1, NONE, NONE, NONE, NONE]);
+        assert_eq!(p.head, vec![0, 0, 2, 3, 4]);
+        assert_eq!(p.then, vec![NONE, 3, NONE, NONE, NONE]);
+        // Item by item, item 1's completion releases item 2 on chiplet 1
+        // before item 3 takes chiplet 0.
+        assert_eq!(p.launch[1], 1);
+        assert_eq!(p.shape[1], 1);
+        assert_eq!(p.shape[3], NONE);
+    }
+
+    /// An arrival at an inner boundary of a running segment: one chiplet,
+    /// a two-item chain of 1 s each, frames every second. Item by item,
+    /// the chiplet is free at t = 1 when frame 1 arrives, so frame 1's
+    /// root starts before frame 0's second item and both frames take
+    /// 3 s. Run as one segment, frame 0 would take 2 s, so the pass falls
+    /// back and reproduces the item-by-item run.
+    #[test]
+    fn arrival_at_an_inner_boundary_falls_back() {
+        let items = vec![
+            SimItem {
+                chiplet: ChipletId(0),
+                duration: Seconds::new(1.0),
+                deps: vec![],
+            },
+            SimItem {
+                chiplet: ChipletId(0),
+                duration: Seconds::new(1.0),
+                deps: vec![0],
+            },
+        ];
+        let programs = Programs::new(&items);
+        assert_eq!(programs.chiplets, vec![ChipletId(0)]);
+        let times = [0.0, 1.0];
+        assert!(assert_fusion_is_exact(&[(&items, &times)]));
+        let (rep, _, _) = run_items(&items, &times);
+        assert_eq!(rep.max_latency.as_secs(), 3.0);
+        assert_eq!(rep.mean_latency.as_secs(), 3.0);
+        // Half a second later, frame 1 arrives inside frame 0's segment
+        // and waits for it: no tie, no fallback.
+        assert!(!assert_fusion_is_exact(&[(&items, &[0.0, 1.5])]));
+    }
+
+    /// Lockstep twins: two chiplets run the same two-segment program
+    /// from the same arrival, so every segment ends at the same instant
+    /// as its twin's, and a downstream item joins them. The tie keeps
+    /// the item-by-item order, so the pass does not fall back.
+    #[test]
+    fn lockstep_twins_keep_the_fast_path() {
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        let items = vec![
+            item(0, 0.5, vec![]),
+            item(1, 0.5, vec![]),
+            item(0, 0.25, vec![0]),
+            item(1, 0.25, vec![1]),
+            item(2, 0.25, vec![2, 3]),
+            item(0, 0.75, vec![2]),
+            item(1, 0.75, vec![3]),
+            item(2, 0.5, vec![4, 5, 6]),
+        ];
+        let programs = Programs::new(&items);
+        assert_eq!(programs.chiplets, vec![ChipletId(0), ChipletId(1)]);
+        assert_eq!(programs.shape[2], programs.shape[3]);
+        // Frames every 1.75 s: each program takes 1.5 s, and no arrival
+        // meets a segment's inner boundary.
+        let times: Vec<f64> = (0..12).map(|f| f as f64 * 1.75).collect();
+        assert!(!assert_fusion_is_exact(&[(&items, &times)]));
+    }
+
+    /// Two programs that start together and end together but not in
+    /// lockstep: chiplet 2 runs 0.75 s then 0.25 s, chiplet 3 runs
+    /// 0.25 s then 0.75 s. Item by item, chiplet 3's last item started
+    /// first, so it completes first at t = 1 and its dependent takes the
+    /// shared chiplet 0 first. The two segment events sort the other way,
+    /// so the pass falls back.
+    #[test]
+    fn same_instant_exits_out_of_lockstep_fall_back() {
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        let items = vec![
+            item(2, 0.75, vec![]),
+            item(3, 0.25, vec![]),
+            item(2, 0.25, vec![0]),
+            item(3, 0.75, vec![1]),
+            item(0, 0.5, vec![2]),
+            item(0, 0.25, vec![3]),
+            item(1, 0.5, vec![5]),
+        ];
+        assert!(assert_fusion_is_exact(&[(&items, &[0.0])]));
+        let (rep, _, _) = run_items(&items, &[0.0]);
+        assert_eq!(rep.max_latency.as_secs(), 1.75);
+    }
+
+    /// An exit's completion starts the next segment at the point of its
+    /// release order where the item-by-item run starts the next item:
+    /// before or after a dependent on another chiplet that ends at the
+    /// same instant. The two completions then race for chiplet 1, and
+    /// the frame's latency shows which won.
+    #[test]
+    fn next_segment_starts_in_release_order() {
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        // Items 0 and 1 are chiplet 2's first segment. Its exit's
+        // dependents are the next segment (item `on`, feeding a sink on
+        // chiplet 1) and item `off` on chiplet 0, whose chain runs on
+        // through chiplets 1 and 0.
+        for on_first in [false, true] {
+            let (on, off) = if on_first { (2, 3) } else { (3, 2) };
+            let mut items = vec![item(2, 0.5, vec![]); 7];
+            items[1] = item(2, 0.5, vec![0]);
+            items[on] = item(2, 0.5, vec![1]);
+            items[off] = item(0, 0.5, vec![1]);
+            items[4] = item(1, 0.5, vec![on]);
+            items[5] = item(1, 0.25, vec![off]);
+            items[6] = item(0, 0.5, vec![5]);
+            let programs = Programs::new(&items);
+            assert_eq!(programs.chiplets, vec![ChipletId(2)]);
+            assert_eq!(programs.then[1], on as u32);
+            assert_eq!(programs.launch[1], u32::from(!on_first));
+            assert!(!assert_fusion_is_exact(&[(&items, &[0.0])]));
+            let (rep, _, _) = run_items(&items, &[0.0]);
+            let want = if on_first { 2.75 } else { 2.25 };
+            assert_eq!(rep.max_latency.as_secs(), want, "on first: {on_first}");
+        }
+    }
+
+    /// The fast path holds where the time goes: on every builtin family
+    /// matched on the 6×6 package, every FE chiplet, and no other, hosts
+    /// a closed program, and runs of sweep length and of 720 frames end without
+    /// a fallback. A silent fallback would keep every output and lose
+    /// the speed.
+    #[test]
+    fn builtin_families_fuse_every_fe_chiplet_without_fallback() {
+        use npu_scenario::{match_scenario, Scenario, SWEEP_FRAMES};
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        for scenario in Scenario::builtin() {
+            let schedule = match_scenario(&scenario, &pkg, &model).schedule;
+            let items = flatten_items(&schedule, &pkg, &model, Dtype::Fp16);
+            let programs = Programs::new(&items);
+            // The chiplets the FE shards run on (a stage's region may
+            // hold more).
+            let mut fe: Vec<ChipletId> = schedule
+                .stages
+                .iter()
+                .filter(|s| s.kind == StageKind::FeatureExtraction)
+                .flat_map(|s| &s.models)
+                .flat_map(|m| &m.layers)
+                .flat_map(|l| l.shards.iter().map(|shard| shard.chiplet))
+                .collect();
+            fe.sort_unstable();
+            fe.dedup();
+            // One chiplet per camera.
+            assert!(!fe.is_empty(), "{}", scenario.name);
+            assert_eq!(programs.chiplets, fe, "{}", scenario.name);
+            for frames in [SWEEP_FRAMES, 720] {
+                let cfg = scenario.sim_config(frames);
+                let times = cfg.arrivals.times(cfg.frames);
+                let admitted = Admitted {
+                    items: &items,
+                    programs: &programs,
+                    times: &times,
+                    warmup: cfg.warmup,
+                    cutoff: None,
+                };
+                let (_, fell_back) = run_pass(&[admitted]);
+                assert!(!fell_back, "{} at {frames} frames", scenario.name);
+            }
+        }
     }
 }

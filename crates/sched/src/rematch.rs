@@ -232,12 +232,10 @@ fn chiplet_programs(s: &Schedule) -> BTreeMap<ChipletId, Vec<(ShardLabel<'_>, &L
     }
     for program in programs.values_mut() {
         // Same-label entries (several slices of one layer on one
-        // chiplet) tie-break on the sliced layer's debug rendering: a
-        // deterministic, content-complete total order.
-        program.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| format!("{:?}", a.1).cmp(&format!("{:?}", b.1)))
-        });
+        // chiplet) tie-break on the sliced layer's contents: name,
+        // operator, output shape. The order is total and agrees with
+        // `Eq`, so equal multisets sort to equal vectors.
+        program.sort_unstable();
     }
     programs
 }
