@@ -165,8 +165,7 @@ pub fn simulate_with_stats(
         warmup: Some(cfg.warmup),
         ..SimPhase::new(schedule, times, ready)
     };
-    let flat = flatten_distinct(std::slice::from_ref(&phase), pkg, model, cfg.dtype);
-    let (rep, peak_in_flight) = run_streams(std::slice::from_ref(&phase), &flat)
+    let (rep, peak_in_flight) = run_streams(std::slice::from_ref(&phase), pkg, model, cfg.dtype)
         .pop()
         .expect("one report per stream");
     let stats = EngineStats {
@@ -419,10 +418,9 @@ pub fn simulate_phases(
     model: &dyn CostModel,
     dtype: Dtype,
 ) -> Vec<PhaseReport> {
-    let flat = flatten_distinct(phases, pkg, model, dtype);
     phases
         .iter()
-        .flat_map(|phase| run_streams(std::slice::from_ref(phase), &flat))
+        .flat_map(|phase| run_streams(std::slice::from_ref(phase), pkg, model, dtype))
         .map(|(rep, _)| rep)
         .collect()
 }
@@ -455,221 +453,33 @@ pub fn simulate_tenants(
     model: &dyn CostModel,
     dtype: Dtype,
 ) -> Vec<PhaseReport> {
-    let flat = flatten_distinct(streams, pkg, model, dtype);
-    run_streams(streams, &flat)
+    run_streams(streams, pkg, model, dtype)
         .into_iter()
         .map(|(rep, _)| rep)
         .collect()
 }
 
-/// Flattened items of each distinct schedule and their closed programs,
-/// keyed by the schedule's address.
-type FlatItems = BTreeMap<*const Schedule, (Vec<SimItem>, Programs)>;
+/// An absent item in the closed-program tables (see [`Engine`]).
+const NONE: u32 = u32::MAX;
 
-/// Flattens each distinct schedule once, and finds its closed programs
-/// once: flattening walks every layer shard through the cost model, and
-/// drives re-enter the same compiled schedule for many phases. Keying on
-/// the reference's address is sound because every stream borrows its
-/// schedule for the whole call, so two equal pointers are the same live
-/// `Schedule`.
-fn flatten_distinct(
+/// Flattens each stream's schedule, validates the streams, drops each
+/// one's frames arriving before its admission gate, and runs the
+/// survivors through one engine pass per [`chiplet_groups`] group.
+/// Returns each stream's report and peak frames in flight, in input
+/// order.
+fn run_streams(
     streams: &[SimPhase<'_>],
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
-) -> FlatItems {
-    let mut flat = FlatItems::new();
-    for s in streams {
-        flat.entry(s.schedule as *const Schedule)
-            .or_insert_with(|| {
-                let items = flatten_items(s.schedule, pkg, model, dtype);
-                let programs = Programs::new(&items);
-                (items, programs)
-            });
-    }
-    flat
-}
-
-/// An absent item in the [`Programs`] tables.
-const NONE: u32 = u32::MAX;
-
-/// The closed per-chiplet programs of one flattened schedule, in
-/// schedule-local item indices.
-///
-/// A chiplet hosts a *closed program* when every item on it depends only
-/// on items of the same chiplet — each camera's FE+BiFPN backbone on its
-/// own chiplet, for example, or two cameras' backbones on one. Its
-/// lowest item is then a root (no dependencies), the program's *entry*;
-/// more roots may follow. A frame's items on such a chiplet run back to
-/// back in ascending index order (see [`Engine`]), and that order is cut
-/// into *segments*: each ends at an item with a dependent on another
-/// chiplet, or with no dependent at all. A segment's inner items feed
-/// only their own chiplet, so the engine runs each segment as one job.
-///
-/// Items off closed programs keep the identity entries: no `next`, no
-/// `then`, their own `head`. A schedule with no closed program has
-/// empty tables.
-#[derive(Debug, Default)]
-struct Programs {
-    /// Chiplets hosting a closed program with a segment of two or more
-    /// items, ascending: the ones worth running segment by segment.
-    chiplets: Vec<ChipletId>,
-    /// The next item of each item's segment; `NONE` at a segment exit.
-    next: Vec<u32>,
-    /// The first item of each item's segment.
-    head: Vec<u32>,
-    /// For a segment exit that is not its program's last: the next
-    /// segment's head, which the exit's completion starts; `NONE`
-    /// otherwise.
-    then: Vec<u32>,
-    /// For an exit with a `then`: how many of its distinct dependents on
-    /// other chiplets, in ascending order, an item-by-item run releases
-    /// before it starts the next item on the chiplet.
-    launch: Vec<u32>,
-    /// For the exit of a segment of two or more items: an id such that
-    /// exits with equal ids run the same sub-durations bit for bit
-    /// (twins, see [`Engine`]); `NONE` otherwise.
-    shape: Vec<u32>,
-}
-
-impl Programs {
-    /// Finds the closed programs of `items` (dependencies point to lower
-    /// indices) in O(items + dependencies), apart from sorting the
-    /// distinct chiplets and the multi-item segments by shape.
-    fn new(items: &[SimItem]) -> Programs {
-        let n = items.len();
-        let mut ids: Vec<ChipletId> = items.iter().map(|it| it.chiplet).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let chiplet: Vec<usize> = items
-            .iter()
-            .map(|it| ids.binary_search(&it.chiplet).expect("a listed chiplet"))
-            .collect();
-        let mut closed = vec![true; ids.len()];
-        let mut feeds_off = vec![false; n];
-        let mut feeds_any = vec![false; n];
-        for (i, it) in items.iter().enumerate() {
-            let c = chiplet[i];
-            for &d in &it.deps {
-                feeds_any[d] = true;
-                if chiplet[d] != c {
-                    feeds_off[d] = true;
-                    closed[c] = false;
-                }
-            }
-        }
-        if !closed.contains(&true) {
-            return Programs::default();
-        }
-        let exits = |i: usize| feeds_off[i] || !feeds_any[i];
-
-        // Chain each closed chiplet's items in index order.
-        let mut next = vec![NONE; n];
-        let mut head: Vec<u32> = (0..n as u32).collect();
-        let mut then = vec![NONE; n];
-        let mut prev = vec![NONE; ids.len()];
-        for i in 0..n {
-            let c = chiplet[i];
-            if !closed[c] {
-                continue;
-            }
-            let p = prev[c] as usize;
-            if prev[c] != NONE {
-                if exits(p) {
-                    then[p] = i as u32;
-                } else {
-                    next[p] = i as u32;
-                    head[i] = head[p];
-                }
-            }
-            prev[c] = i as u32;
-        }
-
-        // An exit's completion makes ready each on-chiplet dependent
-        // whose highest dependency it is; unfused, the first of them
-        // (ascending) starts the chiplet's next item.
-        let mut ready_by = vec![NONE; n];
-        for (z, it) in items.iter().enumerate() {
-            if let Some(&p) = it.deps.iter().max().filter(|_| closed[chiplet[z]]) {
-                if then[p] != NONE && ready_by[p] == NONE {
-                    ready_by[p] = z as u32;
-                }
-            }
-        }
-        let mut launch = vec![0u32; n];
-        // The last dependent counted for each item: a dependency listed
-        // twice is one edge.
-        let mut counted = vec![NONE; n];
-        for (i, it) in items.iter().enumerate() {
-            for &d in &it.deps {
-                if then[d] != NONE && chiplet[d] != chiplet[i] && counted[d] != i as u32 {
-                    counted[d] = i as u32;
-                    launch[d] += u32::from((i as u32) < ready_by[d]);
-                }
-            }
-        }
-
-        // Twins: multi-item segments with the same sub-durations, found
-        // by sorting a hash of them and confirming each against the
-        // first of its hash run. A collision is not a twin.
-        let (head_of, next_of) = (&head, &next);
-        let bits = |x: usize| {
-            let mut i = head_of[x];
-            std::iter::from_fn(move || {
-                let item = (i != NONE).then_some(i as usize)?;
-                i = next_of[item];
-                Some(items[item].duration.as_secs().to_bits())
-            })
-        };
-        let mut hashed: Vec<(u64, u32)> = (0..n)
-            .filter(|&x| next[x] == NONE && head[x] != x as u32)
-            .map(|x| {
-                let fnv1a = bits(x).fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                    (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
-                });
-                (fnv1a, x as u32)
-            })
-            .collect();
-        hashed.sort_unstable();
-        let mut shape = vec![NONE; n];
-        for run in hashed.chunk_by(|a, b| a.0 == b.0) {
-            let first = run[0].1;
-            for &(_, x) in run {
-                let twin = bits(x as usize).eq(bits(first as usize));
-                shape[x as usize] = if twin { first } else { x };
-            }
-        }
-
-        // A program of one-item segments runs as it would item by item.
-        let mut multi = vec![false; ids.len()];
-        for (i, &c) in chiplet.iter().enumerate() {
-            multi[c] |= next[i] != NONE;
-        }
-        Programs {
-            chiplets: ids
-                .iter()
-                .zip(&multi)
-                .filter(|(_, &multi)| multi)
-                .map(|(&c, _)| c)
-                .collect(),
-            next,
-            head,
-            then,
-            launch,
-            shape,
-        }
-    }
-}
-
-/// Validates the streams, drops each one's frames arriving before its
-/// admission gate, and runs the survivors through one engine pass per
-/// [`chiplet_groups`] group. Returns each stream's report and peak
-/// frames in flight, in input order.
-fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, usize)> {
+) -> Vec<(PhaseReport, usize)> {
+    let flat: Vec<Vec<SimItem>> = streams
+        .iter()
+        .map(|s| flatten_items(s.schedule, pkg, model, dtype))
+        .collect();
     let mut admitted = Vec::with_capacity(streams.len());
     let mut gates = Vec::with_capacity(streams.len());
-    for s in streams {
-        let (items, programs) = &flat[&(s.schedule as *const Schedule)];
+    for (s, items) in streams.iter().zip(&flat) {
         assert!(!items.is_empty(), "cannot simulate an empty schedule");
         assert!(
             s.times.windows(2).all(|w| w[0] <= w[1]) && s.times.iter().all(|t| t.is_finite()),
@@ -687,7 +497,6 @@ fn run_streams(streams: &[SimPhase<'_>], flat: &FlatItems) -> Vec<(PhaseReport, 
             .unwrap_or_else(|| SimConfig::default_warmup(times.len()));
         admitted.push(Admitted {
             items,
-            programs,
             times,
             warmup,
             cutoff: s.cutoff,
@@ -782,13 +591,11 @@ fn run_pass(streams: &[Admitted<'_>]) -> (Vec<StreamOutcome>, bool) {
     }
 }
 
-/// One validated stream as the engine sees it: its flattened items,
-/// their closed programs and the arrivals that passed its admission
-/// gate.
+/// One validated stream as the engine sees it: its flattened items and
+/// the arrivals that passed its admission gate.
 #[derive(Clone, Copy)]
 struct Admitted<'a> {
     items: &'a [SimItem],
-    programs: &'a Programs,
     times: &'a [f64],
     warmup: usize,
     cutoff: Option<f64>,
@@ -1081,16 +888,25 @@ struct Stream<'a> {
 ///   whose frame it serves); each stream's report carries the busy
 ///   fractions of the chiplets **its** schedule uses, normalized by that
 ///   stream's own observed span.
-/// - **A closed program runs one job per segment.** On a chiplet that
-///   hosts a closed program (see [`Programs`]) and that no other stream
-///   of the pass uses, frame `f`'s items run back to back in ascending
-///   index order: whenever one of them completes, the chiplet's lowest
-///   unfinished frame-`f` item is ready (its dependencies are lower
-///   items of the chiplet, or it is a root of a frame that has
-///   arrived), and it beats the only other jobs the chiplet can hold,
-///   later frames' roots. So the engine starts each segment as one job,
+/// - **A closed program runs one job per segment.** A chiplet that one
+///   stream of the pass uses hosts a *closed program* when every item on
+///   it depends only on items of the same chiplet — each camera's
+///   FE+BiFPN backbone on its own chiplet, for example, or two cameras'
+///   backbones on one. Its lowest item is then a root, the program's
+///   *entry*; more roots may follow. Frame `f`'s items on the chiplet
+///   run back to back in ascending index order: whenever one of them
+///   completes, the chiplet's lowest unfinished frame-`f` item is ready
+///   (its dependencies are lower items of the chiplet, or it is a root
+///   of a frame that has arrived), and it beats the only other jobs the
+///   chiplet can hold, later frames' roots. That order is cut into
+///   *segments*, each ending at an *exit*: an item with a dependent on
+///   another chiplet, or with none. A segment's inner items feed only
+///   their own chiplet, so the engine starts each segment as one job,
 ///   an arrival queues only the program's entry, and the result is the
-///   item-by-item run's bit for bit:
+///   item-by-item run's bit for bit. [`Engine::new`] finds the programs
+///   once per pass, from the pass's own tables; a program whose segments
+///   are all single items runs as it would item by item, and is not
+///   fused:
 ///   - The job's end is `((s + d1) + d2) + …`, the instants the items
 ///     would end at one by one, and `busy_time` adds each `d` in order.
 ///   - An inner item feeds only its own chiplet, so no other event
@@ -1140,16 +956,23 @@ struct Engine<'a> {
     /// item order (edges never leave a stream).
     dependents_at: Vec<u32>,
     dependents: Vec<u32>,
-    // Closed programs (see [`Programs`]), in global item indices, on
-    // the chiplets this pass runs segment by segment; the identity
-    // entries everywhere else.
+    // Closed programs on the chiplets this pass runs segment by segment
+    // (fused); the identity entries everywhere else.
+    /// The next item of each item's segment; `NONE` at an exit.
     next: Vec<u32>,
+    /// For an exit that is not its program's last: the next segment's
+    /// head, which the exit's completion starts; `NONE` otherwise.
     then: Vec<u32>,
     /// The [`PROGRAM`], [`MULTI`] and [`THEN`] bits of the segment each
     /// item heads; 0 for an item that is a job of its own.
     segment: Vec<u8>,
+    /// For an exit with a `then`: how many of its distinct dependents on
+    /// other chiplets, in ascending order, an item-by-item run releases
+    /// before it starts the next item on the chiplet.
     launch: Vec<u32>,
-    /// Offset by stream: twins are recognised within one stream only.
+    /// For the exit of a segment of two or more items: an id such that
+    /// exits with equal ids are twins, segments of one stream that run
+    /// the same sub-durations bit for bit; `NONE` otherwise.
     shape: Vec<u32>,
 
     streams: Vec<Stream<'a>>,
@@ -1192,7 +1015,9 @@ impl<'a> Engine<'a> {
     /// `u32::MAX`.
     ///
     /// `fuse` runs closed programs segment by segment; without it every
-    /// item is a job of its own.
+    /// item is a job of its own. The programs are found here, over every
+    /// stream of the pass, in O(items + dependencies) apart from sorting
+    /// the edges and the multi-item segments by shape.
     fn new(streams: &[Admitted<'a>], fuse: bool) -> Engine<'a> {
         let mut chiplet_ids: Vec<ChipletId> = streams
             .iter()
@@ -1265,7 +1090,8 @@ impl<'a> Engine<'a> {
         }
 
         // A closed program is run segment by segment only on a chiplet
-        // no other stream of the pass uses.
+        // no other stream of the pass uses. A chiplet with an item that
+        // reads another chiplet hosts no closed program.
         let n_chiplets = chiplet_ids.len();
         let mut users = vec![0u32; n_chiplets];
         for s in &states {
@@ -1273,13 +1099,106 @@ impl<'a> Engine<'a> {
                 users[c] += 1;
             }
         }
-        let mut fused = vec![false; n_chiplets];
-        for s in streams.iter().filter(|_| fuse) {
-            for &c in &s.programs.chiplets {
-                let c = dense(c) as usize;
-                fused[c] = users[c] == 1;
+        let mut fused: Vec<bool> = users.iter().map(|&u| fuse && u == 1).collect();
+        let mut feeds_off = vec![false; n_items];
+        for &(d, i) in &edges {
+            let c = chiplet_of[i as usize];
+            if chiplet_of[d as usize] != c {
+                feeds_off[d as usize] = true;
+                fused[c as usize] = false;
             }
         }
+
+        // Chain each fused chiplet's items in index order, cut after
+        // each exit.
+        let mut next = vec![NONE; n_items];
+        let mut then = vec![NONE; n_items];
+        let mut head: Vec<u32> = (0..n_items as u32).collect();
+        let mut prev = vec![NONE; n_chiplets];
+        let mut multi = vec![false; n_chiplets];
+        for i in 0..n_items {
+            let c = chiplet_of[i] as usize;
+            if !fused[c] {
+                continue;
+            }
+            let p = std::mem::replace(&mut prev[c], i as u32);
+            if p == NONE {
+                continue;
+            }
+            let p = p as usize;
+            if feeds_off[p] || !feeds[p] {
+                then[p] = i as u32;
+            } else {
+                next[p] = i as u32;
+                head[i] = head[p];
+                multi[c] = true;
+            }
+        }
+        // A program of one-item segments runs as it would item by item.
+        for (f, &multi) in fused.iter_mut().zip(&multi) {
+            *f &= multi;
+        }
+        let mut segment = vec![0u8; n_items];
+        for x in 0..n_items {
+            if !fused[chiplet_of[x] as usize] {
+                then[x] = NONE;
+            } else if next[x] == NONE {
+                let h = head[x] as usize;
+                segment[h] = PROGRAM
+                    | if h == x { 0 } else { MULTI }
+                    | if then[x] == NONE { 0 } else { THEN };
+            }
+        }
+
+        // An exit's completion makes ready each dependent on its chiplet
+        // whose highest dependency it is; item by item, the first of them
+        // (ascending) starts the chiplet's next item.
+        let mut launch = vec![0; n_items];
+        for run in edges.chunk_by(|a, b| a.0 == b.0) {
+            let d = run[0].0;
+            if then[d as usize] == NONE {
+                continue;
+            }
+            let c = chiplet_of[d as usize];
+            launch[d as usize] = run
+                .iter()
+                .map(|&(_, i)| i as usize)
+                .take_while(|&i| chiplet_of[i] != c || deps[deps_at[i + 1] as usize - 1] != d)
+                .filter(|&i| chiplet_of[i] != c)
+                .count() as u32;
+        }
+
+        // Twins: multi-item segments of one stream with the same
+        // sub-durations, found by sorting a hash of them and confirming
+        // each against the first of its run. A collision is not a twin.
+        let (head, next_of, secs) = (&head, &next, &durations);
+        let bits = |x: usize| {
+            let mut i = head[x];
+            std::iter::from_fn(move || {
+                let item = (i != NONE).then_some(i as usize)?;
+                i = next_of[item];
+                Some(secs[item].to_bits())
+            })
+        };
+        let mut hashed: Vec<(u32, u64, u32)> = (0..n_items)
+            .filter(|&x| next[x] == NONE && head[x] != x as u32)
+            .map(|x| {
+                let fnv1a = bits(x).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                (stream_of[x], fnv1a, x as u32)
+            })
+            .collect();
+        hashed.sort_unstable();
+        let mut shape = vec![NONE; n_items];
+        for run in hashed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let first = run[0].2;
+            for &(_, _, x) in run {
+                let twin = bits(x as usize).eq(bits(first as usize));
+                shape[x as usize] = if twin { first } else { x };
+            }
+        }
+
         // An arrival queues only a program's entry; its later roots start
         // in program order like its other items.
         let mut entered = vec![false; n_chiplets];
@@ -1302,33 +1221,6 @@ impl<'a> Engine<'a> {
         }
         for i in 0..n_items {
             dependents_at[i + 1] += dependents_at[i];
-        }
-
-        let mut next = vec![NONE; n_items];
-        let mut then = vec![NONE; n_items];
-        let mut segment = vec![0u8; n_items];
-        let mut launch = vec![0; n_items];
-        let mut shape = vec![NONE; n_items];
-        let mut offset = 0;
-        for s in streams {
-            let p = s.programs;
-            let global = |i: u32| if i == NONE { NONE } else { i + offset as u32 };
-            for i in 0..s.items.len() {
-                let g = offset + i;
-                if fused[chiplet_of[g] as usize] {
-                    next[g] = global(p.next[i]);
-                    then[g] = global(p.then[i]);
-                    if p.next[i] == NONE {
-                        let h = p.head[i] as usize;
-                        segment[offset + h] = PROGRAM
-                            | if h == i { 0 } else { MULTI }
-                            | if p.then[i] == NONE { 0 } else { THEN };
-                    }
-                    launch[g] = p.launch[i];
-                    shape[g] = global(p.shape[i]);
-                }
-            }
-            offset += s.items.len();
         }
 
         let mut engine = Engine {
@@ -2213,10 +2105,8 @@ mod tests {
     /// One stream of `items` through one engine pass: its report, flushed
     /// frames and peak in-flight frames.
     fn run_items(items: &[SimItem], times: &[f64]) -> (SimReport, usize, usize) {
-        let programs = Programs::new(items);
         let admitted = Admitted {
             items,
-            programs: &programs,
             times,
             warmup: SimConfig::default_warmup(times.len()),
             cutoff: None,
@@ -2766,13 +2656,10 @@ mod tests {
     /// asserts the two agree bit for bit, and says whether the pass fell
     /// back to the item-by-item run.
     fn assert_fusion_is_exact(streams: &[(&[SimItem], &[f64])]) -> bool {
-        let programs: Vec<Programs> = streams.iter().map(|s| Programs::new(s.0)).collect();
         let members: Vec<Admitted<'_>> = streams
             .iter()
-            .zip(&programs)
-            .map(|(&(items, times), programs)| Admitted {
+            .map(|&(items, times)| Admitted {
                 items,
-                programs,
                 times,
                 warmup: SimConfig::default_warmup(times.len()),
                 cutoff: None,
@@ -2876,6 +2763,31 @@ mod tests {
         (items, times)
     }
 
+    /// The closed-program tables `Engine::new` builds for one pass over
+    /// `streams` (with no arrivals), and the chiplets it fuses, ascending.
+    fn plan<'a>(streams: &[&'a [SimItem]]) -> (Engine<'a>, Vec<ChipletId>) {
+        let members: Vec<Admitted<'a>> = streams
+            .iter()
+            .map(|&items| Admitted {
+                items,
+                times: &[],
+                warmup: 0,
+                cutoff: None,
+            })
+            .collect();
+        let engine = Engine::new(&members, true);
+        let mut fused: Vec<ChipletId> = engine
+            .chiplet_of
+            .iter()
+            .zip(&engine.segment)
+            .filter(|(_, &segment)| segment != 0)
+            .map(|(&c, _)| engine.chiplet_ids[c as usize])
+            .collect();
+        fused.sort_unstable();
+        fused.dedup();
+        (engine, fused)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
@@ -2914,10 +2826,10 @@ mod tests {
             item(0, vec![1, 1]),
             item(1, vec![2, 3]),
         ];
-        let p = Programs::new(&items);
-        assert_eq!(p.chiplets, vec![ChipletId(0)]);
+        let (p, fused) = plan(&[&items]);
+        assert_eq!(fused, vec![ChipletId(0)]);
         assert_eq!(p.next, vec![1, NONE, NONE, NONE, NONE]);
-        assert_eq!(p.head, vec![0, 0, 2, 3, 4]);
+        assert_eq!(p.segment, vec![PROGRAM | MULTI | THEN, 0, 0, PROGRAM, 0]);
         assert_eq!(p.then, vec![NONE, 3, NONE, NONE, NONE]);
         // Item by item, item 1's completion releases item 2 on chiplet 1
         // before item 3 takes chiplet 0.
@@ -2946,8 +2858,8 @@ mod tests {
                 deps: vec![0],
             },
         ];
-        let programs = Programs::new(&items);
-        assert_eq!(programs.chiplets, vec![ChipletId(0)]);
+        let (_, fused) = plan(&[&items]);
+        assert_eq!(fused, vec![ChipletId(0)]);
         let times = [0.0, 1.0];
         assert!(assert_fusion_is_exact(&[(&items, &times)]));
         let (rep, _, _) = run_items(&items, &times);
@@ -2979,8 +2891,8 @@ mod tests {
             item(1, 0.75, vec![3]),
             item(2, 0.5, vec![4, 5, 6]),
         ];
-        let programs = Programs::new(&items);
-        assert_eq!(programs.chiplets, vec![ChipletId(0), ChipletId(1)]);
+        let (programs, fused) = plan(&[&items]);
+        assert_eq!(fused, vec![ChipletId(0), ChipletId(1)]);
         assert_eq!(programs.shape[2], programs.shape[3]);
         // Frames every 1.75 s: each program takes 1.5 s, and no arrival
         // meets a segment's inner boundary.
@@ -3040,8 +2952,8 @@ mod tests {
             items[4] = item(1, 0.5, vec![on]);
             items[5] = item(1, 0.25, vec![off]);
             items[6] = item(0, 0.5, vec![5]);
-            let programs = Programs::new(&items);
-            assert_eq!(programs.chiplets, vec![ChipletId(2)]);
+            let (programs, fused) = plan(&[&items]);
+            assert_eq!(fused, vec![ChipletId(2)]);
             assert_eq!(programs.then[1], on as u32);
             assert_eq!(programs.launch[1], u32::from(!on_first));
             assert!(!assert_fusion_is_exact(&[(&items, &[0.0])]));
@@ -3049,6 +2961,33 @@ mod tests {
             let want = if on_first { 2.75 } else { 2.25 };
             assert_eq!(rep.max_latency.as_secs(), want, "on first: {on_first}");
         }
+    }
+
+    /// Which chiplets a pass of two streams fuses: stream A holds closed
+    /// programs on chiplets 2 and 4, stream B on 3 and 4, and both feed
+    /// the shared chiplet 0. Chiplet 4 hosts a closed program of each
+    /// stream, so neither runs segment by segment; 2 and 3 do.
+    #[test]
+    fn a_pass_fuses_only_programs_on_chiplets_of_one_stream() {
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        let stream = |own: u32, secs: f64| {
+            vec![
+                item(own, 0.5, vec![]),
+                item(own, secs, vec![0]),
+                item(4, 0.125, vec![]),
+                item(4, 0.25, vec![2]),
+                item(0, 0.375, vec![1, 3]),
+            ]
+        };
+        let (a, b) = (stream(2, 0.3125), stream(3, 0.5625));
+        assert_eq!(plan(&[&a, &b]).1, vec![ChipletId(2), ChipletId(3)]);
+        let times_a: Vec<f64> = (0..8).map(|f| f as f64 * 1.5).collect();
+        let times_b: Vec<f64> = (0..8).map(|f| f as f64 * 1.5 + 0.0625).collect();
+        assert!(!assert_fusion_is_exact(&[(&a, &times_a), (&b, &times_b)]));
     }
 
     /// The fast path holds where the time goes: on every builtin family
@@ -3064,7 +3003,6 @@ mod tests {
         for scenario in Scenario::builtin() {
             let schedule = match_scenario(&scenario, &pkg, &model).schedule;
             let items = flatten_items(&schedule, &pkg, &model, Dtype::Fp16);
-            let programs = Programs::new(&items);
             // The chiplets the FE shards run on (a stage's region may
             // hold more).
             let mut fe: Vec<ChipletId> = schedule
@@ -3079,13 +3017,12 @@ mod tests {
             fe.dedup();
             // One chiplet per camera.
             assert!(!fe.is_empty(), "{}", scenario.name);
-            assert_eq!(programs.chiplets, fe, "{}", scenario.name);
+            assert_eq!(plan(&[&items]).1, fe, "{}", scenario.name);
             for frames in [SWEEP_FRAMES, 720] {
                 let cfg = scenario.sim_config(frames);
                 let times = cfg.arrivals.times(cfg.frames);
                 let admitted = Admitted {
                     items: &items,
-                    programs: &programs,
                     times: &times,
                     warmup: cfg.warmup,
                     cutoff: None,
