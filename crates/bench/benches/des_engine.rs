@@ -7,7 +7,7 @@
 //! worst case: a saturated schedule replicated across a 96-chiplet
 //! package, whose chiplets finish in lockstep so every new completion
 //! lands far behind the earliest pending one, and four tenants on
-//! disjoint column bands in one `simulate_tenants` call, which the
+//! disjoint column bands in one `simulate` call, which the
 //! engine runs as four passes of one stream each. Medians seed
 //! `BENCH_des_engine.json`; append one entry per PR that touches the
 //! engine hot path so regressions stay visible PR-over-PR.
@@ -19,7 +19,7 @@ use npu_dnn::StageKind;
 use npu_fleet::os256_package;
 use npu_maestro::{FittedMaestro, ReconfigModel};
 use npu_mcm::{ChipletId, McmPackage};
-use npu_pipesim::{simulate, simulate_tenants, Readiness, SimConfig, SimPhase};
+use npu_pipesim::{simulate, Readiness, SimConfig, SimPhase};
 use npu_scenario::{match_scenario, simulate_drive, Drive, Scenario};
 use npu_sched::{LayerPlan, ModelPlan, Schedule, StagePlan};
 use npu_tensor::{Dtype, Seconds};
@@ -109,15 +109,9 @@ fn bench(c: &mut Criterion) {
     // Pure engine throughput: every frame at t = 0, the pipeline always
     // busy — the per-frame event-calendar cost with zero arrival slack.
     let schedule = pipelined_schedule();
+    let cfg = SimConfig::saturated(SATURATED_FRAMES);
     g.bench_function("saturated_100k", |b| {
-        b.iter(|| {
-            black_box(simulate(
-                &schedule,
-                &pkg,
-                &model,
-                &SimConfig::saturated(SATURATED_FRAMES),
-            ))
-        })
+        b.iter(|| black_box(simulate(&[cfg.phase(&schedule)], &pkg, &model, cfg.dtype)))
     });
 
     // The real hot path: the matched highway-cruise schedule (721 items
@@ -131,7 +125,7 @@ fn bench(c: &mut Criterion) {
     let matched = match_scenario(&cruise, &pkg, &model).schedule;
     let cfg = cruise.sim_config(MATCHED_FRAMES);
     g.bench_function("matched_30fps_6x6", |b| {
-        b.iter(|| black_box(simulate(&matched, &pkg, &model, &cfg)))
+        b.iter(|| black_box(simulate(&[cfg.phase(&matched)], &pkg, &model, cfg.dtype)))
     });
 
     // The long-drive case the acceptance bar tracks: three 240 s legs
@@ -152,19 +146,20 @@ fn bench(c: &mut Criterion) {
     // landing behind most of them instead of near the earliest end.
     let mesh = os256_package(12, 8);
     let replicated = replicated_schedule(&mesh);
+    let cfg = SimConfig::saturated(LOCKSTEP_FRAMES);
     g.bench_function("replicated_lockstep_12x8", |b| {
         b.iter(|| {
             black_box(simulate(
-                &replicated,
+                &[cfg.phase(&replicated)],
                 &mesh,
                 &model,
-                &SimConfig::saturated(LOCKSTEP_FRAMES),
+                cfg.dtype,
             ))
         })
     });
 
     // Four tenants on disjoint one-column bands, saturated, in one
-    // `simulate_tenants` call: what fleet admission and preemption
+    // `simulate` call: what fleet admission and preemption
     // epochs pay, at a frame count where the engine dominates.
     let bands: Vec<Schedule> = (0..4).map(band_schedule).collect();
     let times = SimConfig::saturated(TENANT_FRAMES)
@@ -175,7 +170,7 @@ fn bench(c: &mut Criterion) {
         .map(|s| SimPhase::new(s, times.clone(), Readiness::Barrier(0.0)))
         .collect();
     g.bench_function("disjoint_tenants_6x6", |b| {
-        b.iter(|| black_box(simulate_tenants(&tenants, &pkg, &model, Dtype::Fp16)))
+        b.iter(|| black_box(simulate(&tenants, &pkg, &model, Dtype::Fp16)))
     });
     g.finish();
 }

@@ -56,8 +56,9 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("des");
     g.sample_size(10);
+    let cfg = SimConfig::saturated(8);
     g.bench_function("simulate_8_frames", |b| {
-        b.iter(|| simulate(&outcome.schedule, &pkg, &model, &SimConfig::saturated(8)))
+        b.iter(|| simulate(&[cfg.phase(&outcome.schedule)], &pkg, &model, cfg.dtype))
     });
     g.finish();
 

@@ -145,23 +145,38 @@ impl Platform {
 
     /// Validates a schedule in the discrete-event simulator (saturation
     /// mode over `frames` frames).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SimError`](npu_pipesim::SimError) message if the
+    /// schedule is empty.
     pub fn simulate(&self, schedule: &Schedule, frames: usize) -> SimReport {
-        simulate(
-            schedule,
-            &self.package,
-            &self.model,
-            &SimConfig::saturated(frames),
-        )
+        self.run(schedule, &SimConfig::saturated(frames))
     }
 
     /// Simulates frame arrivals from the 8-camera source at `fps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fps` is not finite and positive, or with the
+    /// [`SimError`](npu_pipesim::SimError) message if the schedule is
+    /// empty.
     pub fn simulate_camera_feed(&self, schedule: &Schedule, frames: usize, fps: f64) -> SimReport {
+        self.run(schedule, &SimConfig::camera(frames, fps))
+    }
+
+    /// The steady-state report of `schedule` as one [`SimConfig::phase`]
+    /// stream.
+    fn run(&self, schedule: &Schedule, cfg: &SimConfig) -> SimReport {
         simulate(
-            schedule,
+            &[cfg.phase(schedule)],
             &self.package,
             &self.model,
-            &SimConfig::camera(frames, fps),
+            cfg.dtype,
         )
+        .unwrap_or_else(|e| panic!("{e}"))
+        .remove(0)
+        .report
     }
 }
 

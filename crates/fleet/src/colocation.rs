@@ -8,14 +8,14 @@
 //! its band in isolation — a band is an isometric sub-mesh, so the
 //! matched schedule translates chiplet-for-chiplet onto the full
 //! package — and each tenant is verified by a DES run of its placement
-//! alone ([`npu_pipesim::simulate_tenants`] on one stream). The bands
-//! are disjoint, so no tenant's stream shares a chiplet with another's,
-//! and `simulate_tenants` gives such a stream an engine pass of its own,
-//! the same report, bit for bit, as one shared calendar over all the
-//! streams would: verifying the tenants one at a time is exactly
-//! verifying them together. A tenant's report therefore depends
-//! only on its scenario and its band, and the co-scheduler simulates
-//! each (band, scenario) placement once.
+//! alone ([`npu_pipesim::simulate`] on one stream). The bands are
+//! disjoint, so no tenant's stream shares a chiplet with another's, and
+//! `simulate` gives such a stream an engine pass of its own, the same
+//! report, bit for bit, as one shared calendar over all the streams
+//! would: verifying the tenants one at a time is exactly verifying them
+//! together. A tenant's report therefore depends only on its scenario
+//! and its band, and the co-scheduler simulates each (band, scenario)
+//! placement once.
 //!
 //! Re-partitioning (admission trials, preemption) recompiles the same
 //! few scenarios onto the same few bands over and over, so the
@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use npu_maestro::CostModel;
 use npu_mcm::{ChipletId, McmPackage};
 use npu_noc::Mesh2d;
-use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimConfig, SimPhase};
+use npu_pipesim::{simulate, PhaseReport, Readiness, SimConfig, SimPhase};
 use npu_scenario::PerceptionPipeline;
 use npu_sched::{MatcherConfig, Schedule, ThroughputMatcher};
 use npu_tensor::{Dtype, Seconds};
@@ -407,7 +407,7 @@ impl<'m> CoScheduler<'m> {
     ///
     /// `colo` must come from [`compile`](Self::compile), whose bands are
     /// disjoint: a tenant's stream then shares no chiplet with any
-    /// other, and [`npu_pipesim::simulate_tenants`] gives it bit for bit
+    /// other, and [`npu_pipesim::simulate`] gives it bit for bit
     /// the report it gets alone. So each placement is simulated alone,
     /// once per (band, scenario), and served from a memo afterwards.
     pub fn verify(&mut self, colo: &Colocation) -> Vec<PhaseReport> {
@@ -437,8 +437,9 @@ impl<'m> CoScheduler<'m> {
                     warmup: Some(SimConfig::default_warmup(frames)),
                     cutoff: None,
                 };
-                let mut reports = simulate_tenants(&[stream], pkg, model, Dtype::Fp16);
-                reports.pop().expect("one stream, one report")
+                simulate(&[stream], pkg, model, Dtype::Fp16)
+                    .expect("a matched band under scenario arrivals is a valid stream")
+                    .remove(0)
             })
             .clone()
     }
@@ -975,7 +976,7 @@ mod tests {
             .collect()
     }
 
-    /// All of a colocation's tenants in one `simulate_tenants` call.
+    /// All of a colocation's tenants in one `simulate` call.
     /// The bands are disjoint, so the call runs each tenant in an engine
     /// pass of its own: this is the grouped path, not an independent
     /// one-calendar run. The oracle that grouping equals one shared
@@ -993,12 +994,12 @@ mod tests {
                 cutoff: None,
             })
             .collect();
-        simulate_tenants(&streams, sched.package(), sched.model(), Dtype::Fp16)
+        simulate(&streams, sched.package(), sched.model(), Dtype::Fp16).expect("valid streams")
     }
 
     /// Replays `admit`'s trial loop over `candidates`, verifying each
     /// trial through the memo and by a fresh co-scheduler's
-    /// `simulate_tenants` call over all its tenants, bit for bit. Returns the
+    /// `simulate` call over all its tenants, bit for bit. Returns the
     /// admitted count and the DES rejections.
     fn replay_admission(pkg: &McmPackage, candidates: &[Tenant]) -> (usize, usize) {
         let model = FittedMaestro::new();

@@ -8,12 +8,12 @@
 //!   chiplet mesh into per-tenant column bands (priority-weighted
 //!   D'Hondt apportionment), match each [`Tenant`]'s workload onto its
 //!   band with `npu-sched`'s throughput matcher, and verify each tenant
-//!   by a DES run of its placement alone (`npu_pipesim::simulate_tenants`
-//!   on one stream). The bands are disjoint, and `simulate_tenants` runs
-//!   streams that share no chiplet in engine passes of their own, bit for
-//!   bit as one shared calendar would, so this equals one call over all
-//!   tenants together and each (band, scenario) placement is simulated
-//!   only once.
+//!   by a DES run of its placement alone (`npu_pipesim::simulate` on one
+//!   stream). The bands are disjoint, and `simulate` runs streams that
+//!   share no chiplet in engine passes of their own, bit for bit as one
+//!   shared calendar would, so this equals one call over all tenants
+//!   together and each (band, scenario) placement is simulated only
+//!   once.
 //! * **Admission control** ([`CoScheduler::admit`]) — deterministic,
 //!   two-staged (an analytic screen of each tenant as its band is
 //!   matched, stopping at the first failure, then DES verification of

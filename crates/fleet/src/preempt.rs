@@ -15,8 +15,8 @@
 //! flushes its epoch-1 in-flight frames at the event. Epoch 2 then runs
 //! the new colocation, arriving tenant included.
 //!
-//! The two epochs are two separate [`simulate_tenants`] calls, each
-//! starting on an empty package, as in [`npu_pipesim::simulate_phases`]:
+//! The two epochs are two separate [`simulate`] calls, each starting on
+//! an empty package, as in [`npu_pipesim::simulate_phases`]:
 //! an outgoing epoch-1 backlog never contends with the epoch-2 frames,
 //! so latencies right after the event are optimistic. Running both
 //! epochs in one engine pass is ROADMAP.md's open item 1 (cross-phase
@@ -29,7 +29,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use npu_maestro::ReconfigModel;
-use npu_pipesim::{simulate_tenants, PhaseReport, Readiness, SimPhase};
+use npu_pipesim::{simulate, PhaseReport, Readiness, SimPhase};
 use npu_sched::{rematch_cost_against, RematchOutcome, Schedule};
 use npu_tensor::{Dtype, Seconds};
 
@@ -294,7 +294,8 @@ pub fn preemption_event(
             cutoff: diff_of(&p.tenant.name).is_full_barrier().then_some(at),
         })
         .collect();
-    let epoch1 = simulate_tenants(&epoch1_streams, sched.package(), sched.model(), Dtype::Fp16);
+    let epoch1 = simulate(&epoch1_streams, sched.package(), sched.model(), Dtype::Fp16)
+        .expect("matched bands under scenario arrivals split at a finite instant are valid");
 
     let epoch2_times: Vec<Vec<f64>> = colo2
         .placements
@@ -328,7 +329,8 @@ pub fn preemption_event(
             cutoff: None,
         })
         .collect();
-    let epoch2 = simulate_tenants(&epoch2_streams, sched.package(), sched.model(), Dtype::Fp16);
+    let epoch2 = simulate(&epoch2_streams, sched.package(), sched.model(), Dtype::Fp16)
+        .expect("matched bands under scenario arrivals split at a finite instant are valid");
 
     let tenants = colo2
         .placements

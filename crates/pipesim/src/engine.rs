@@ -1,16 +1,17 @@
 //! The discrete-event engine.
 //!
-//! One core serves every entry point. It runs K arrival streams — each a
-//! [`SimPhase`] with its own compiled schedule, arrival timeline,
-//! readiness model and warmup trim — through **one shared event
-//! calendar**, so streams that share chiplets genuinely contend for them
-//! while streams on disjoint regions behave exactly as if they ran alone:
+//! [`simulate`] is the one entry point. It runs K arrival streams —
+//! each a [`SimPhase`] with its own compiled schedule, arrival timeline,
+//! readiness model, warmup trim and cutoff — as if through **one shared
+//! event calendar**, so streams that share chiplets genuinely contend
+//! for them while streams on disjoint regions behave exactly as if they
+//! ran alone. It checks its streams first and refuses malformed ones
+//! with a [`SimError`]. Two wrappers sit on it:
 //!
-//! - [`simulate`] and [`simulate_with_stats`] run one stream;
-//! - [`simulate_phases`] runs one core pass per phase, so each phase
-//!   starts on an empty package;
-//! - [`simulate_tenants`] runs its streams as if on one calendar: one
-//!   core pass per group of streams linked by shared chiplets.
+//! - [`simulate_phases`], a drive's rule: each phase in its own
+//!   [`simulate`] call, so each phase starts on an empty package;
+//! - [`simulate_with_stats`], one [`SimConfig::phase`] stream reported
+//!   as [`EngineStats`], kept only for the `e2ebench` harness.
 //!
 //! Arrivals from all streams merge into one global sequence ordered by
 //! `(time, stream index)`; a frame's rank in it is its global frame
@@ -37,6 +38,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -116,61 +118,57 @@ impl SimConfig {
         }
         self
     }
+
+    /// The one-stream recipe: `frames` arrivals of `arrivals` served by
+    /// `schedule`, ready at the first arrival (so every frame is served)
+    /// and trimmed by `warmup`. Run it as
+    /// `simulate(&[cfg.phase(schedule)], pkg, model, cfg.dtype)`.
+    pub fn phase<'a>(&self, schedule: &'a Schedule) -> SimPhase<'a> {
+        let times = self.arrivals.times(self.frames);
+        let ready = Readiness::Barrier(times.first().copied().unwrap_or(0.0));
+        SimPhase {
+            warmup: Some(self.warmup),
+            ..SimPhase::new(schedule, times, ready)
+        }
+    }
 }
 
-/// Runs the discrete-event simulation of a schedule.
-///
-/// Every layer shard becomes a job on its chiplet; chiplets serve their
-/// ready queues earliest-frame-first; a job starts when its same-frame
-/// dependencies have completed and its chiplet is free.
-pub fn simulate(
-    schedule: &Schedule,
-    pkg: &McmPackage,
-    model: &dyn CostModel,
-    cfg: &SimConfig,
-) -> SimReport {
-    simulate_with_stats(schedule, pkg, model, cfg).0
-}
-
-/// Engine-internal measurements of one DES pass: how big the run was and
-/// how deep its pipeline got. The engine's memory does not grow with
-/// either: it holds a frame counter and at most one ready-queue entry
-/// per item, however many frames are in flight or waiting. These numbers
-/// let tests (and capacity planning) pin the pipelining depth.
+/// Engine-internal measurements of one stream's run, in the shape the
+/// benchmark harness reads through [`simulate_with_stats`]. Every field
+/// is also a [`PhaseReport`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Frames pushed through the pipeline.
     pub frames: usize,
-    /// Most frames ever simultaneously in flight: started (a first job
-    /// began) but not completed (a last job finished). Frames still
-    /// waiting for their first job do not count.
+    /// Most frames ever simultaneously in flight (see
+    /// [`PhaseReport::peak_in_flight`]).
     pub peak_in_flight: usize,
     /// Frames flushed in flight at the run's cutoff (0 without one).
     pub flushed: usize,
 }
 
-/// [`simulate`], also returning the engine's [`EngineStats`] — the
-/// 1M-frame smoke tests assert the frames in flight stay bounded by the
-/// schedule's natural pipelining depth, never the frame count.
+/// [`simulate`] of the one stream `cfg.phase(schedule)`, split into its
+/// steady-state report and [`EngineStats`]. Nothing in the workspace
+/// calls it: it is kept, with [`EngineStats`], only because the
+/// `e2ebench` harness checks [`simulate`] against it bit for bit. Both
+/// go when that harness reads its layer numbers from a library probe
+/// (ROADMAP.md, item 3's benchmark follow-on).
+///
+/// # Panics
+///
+/// Panics with the [`SimError`] message if the stream is malformed.
 pub fn simulate_with_stats(
     schedule: &Schedule,
     pkg: &McmPackage,
     model: &dyn CostModel,
     cfg: &SimConfig,
 ) -> (SimReport, EngineStats) {
-    let times = cfg.arrivals.times(cfg.frames);
-    // Ready at the first arrival: every frame is served.
-    let ready = Readiness::Barrier(times.first().copied().unwrap_or(0.0));
-    let phase = SimPhase {
-        warmup: Some(cfg.warmup),
-        ..SimPhase::new(schedule, times, ready)
-    };
-    let (rep, peak_in_flight) = run_streams(std::slice::from_ref(&phase), pkg, model, cfg.dtype)
+    let rep = simulate_phases(&[cfg.phase(schedule)], pkg, model, cfg.dtype)
         .pop()
-        .expect("one report per stream");
+        .expect("one report per phase");
     let stats = EngineStats {
         frames: rep.offered,
-        peak_in_flight,
+        peak_in_flight: rep.peak_in_flight,
         flushed: rep.flushed,
     };
     (rep.report, stats)
@@ -308,8 +306,8 @@ pub struct SimPhase<'a> {
     /// The schedule serving this stream (its chiplet region is implied
     /// by the schedule's shard assignments).
     pub schedule: &'a Schedule,
-    /// Absolute arrival timestamps of the stream's frames
-    /// (non-decreasing).
+    /// Absolute arrival timestamps of the stream's frames (finite and
+    /// non-decreasing).
     pub times: Vec<f64>,
     /// When the stream's mapping accepts frames: a package-wide barrier
     /// or a make-before-break per-chiplet schedule.
@@ -357,6 +355,10 @@ pub struct PhaseReport {
     /// clamped to the switch instant. The phase's spin-up charge is
     /// `admitted_from - switch instant`.
     pub admitted_from: f64,
+    /// Most of the stream's frames ever simultaneously in flight:
+    /// started (a first job began) but not completed (a last job
+    /// finished). Frames still waiting for their first job do not count.
+    pub peak_in_flight: usize,
 }
 
 impl PhaseReport {
@@ -374,6 +376,243 @@ impl PhaseReport {
             .saturating_sub(self.dropped)
             .saturating_sub(self.flushed)
     }
+}
+
+/// Why [`simulate`] refused its streams. Each case names the offending
+/// stream by its index in the call.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SimError {
+    /// The stream's schedule holds no work.
+    EmptySchedule {
+        /// Index of the stream in the call.
+        stream: usize,
+    },
+    /// An arrival time was NaN or infinite.
+    NonFiniteArrival {
+        /// Index of the stream in the call.
+        stream: usize,
+        /// Index of the frame in the stream.
+        frame: usize,
+        /// The offending time.
+        value: f64,
+    },
+    /// An arrival time stepped backwards relative to its predecessor.
+    DecreasingArrival {
+        /// Index of the stream in the call.
+        stream: usize,
+        /// Index of the frame in the stream.
+        frame: usize,
+        /// The offending time.
+        value: f64,
+        /// The preceding arrival time it undercuts.
+        previous: f64,
+    },
+    /// The stream's readiness holds a NaN or infinite instant, even on
+    /// a chiplet its schedule never uses.
+    NonFiniteReadiness {
+        /// Index of the stream in the call.
+        stream: usize,
+    },
+    /// The stream's cutoff was NaN or infinite.
+    NonFiniteCutoff {
+        /// Index of the stream in the call.
+        stream: usize,
+        /// The offending cutoff.
+        value: f64,
+    },
+    /// The call admits more frames, over all its streams, than a `u32`
+    /// frame index holds.
+    TooManyFrames {
+        /// Frames admitted over the whole call.
+        frames: usize,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::EmptySchedule { stream } => {
+                write!(f, "stream {stream}: cannot simulate an empty schedule")
+            }
+            SimError::NonFiniteArrival {
+                stream,
+                frame,
+                value,
+            } => write!(
+                f,
+                "stream {stream}, frame {frame}: arrival time {value} is not finite"
+            ),
+            SimError::DecreasingArrival {
+                stream,
+                frame,
+                value,
+                previous,
+            } => write!(
+                f,
+                "stream {stream}, frame {frame}: arrival time {value} steps backwards \
+                 (previous was {previous})"
+            ),
+            SimError::NonFiniteReadiness { stream } => {
+                write!(f, "stream {stream}: readiness holds a non-finite instant")
+            }
+            SimError::NonFiniteCutoff { stream, value } => {
+                write!(f, "stream {stream}: cutoff {value} is not finite")
+            }
+            SimError::TooManyFrames { frames } => write!(
+                f,
+                "{frames} admitted frames overflow the u32 frame index of one call"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+impl SimPhase<'_> {
+    /// Checks the stream's arrivals, readiness and cutoff; `stream` is
+    /// its index in the call.
+    fn validate(&self, stream: usize) -> Result<(), SimError> {
+        let mut previous = f64::NEG_INFINITY;
+        for (frame, &value) in self.times.iter().enumerate() {
+            if !value.is_finite() {
+                return Err(SimError::NonFiniteArrival {
+                    stream,
+                    frame,
+                    value,
+                });
+            }
+            if value < previous {
+                return Err(SimError::DecreasingArrival {
+                    stream,
+                    frame,
+                    value,
+                    previous,
+                });
+            }
+            previous = value;
+        }
+        if !self.readiness.is_finite() {
+            return Err(SimError::NonFiniteReadiness { stream });
+        }
+        match self.cutoff {
+            Some(value) if !value.is_finite() => Err(SimError::NonFiniteCutoff { stream, value }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Runs K arrival streams on one package as if through a shared event
+/// calendar, returning one [`PhaseReport`] per stream, in input order:
+/// steady-state statistics over the frames each stream actually served,
+/// plus its offered, dropped and flushed counts. This is the one
+/// simulation entry point: a single steady-state run is one stream
+/// ([`SimConfig::phase`]), co-scheduled tenants are one stream each.
+///
+/// Every layer shard becomes a job on its chiplet; chiplets serve their
+/// ready queues earliest-frame-first; a job starts when its same-frame
+/// dependencies have completed and its chiplet is free. A stream drops
+/// its frames arriving before its admission gate (see [`Readiness`]) and
+/// flushes those still in flight at its cutoff.
+///
+/// Streams whose schedules touch the same chiplet contend for it in
+/// global `(frame, item)` priority order, with same-instant arrivals
+/// resolved by input order; streams on disjoint regions are
+/// bit-identical to standalone runs. The engine therefore runs one pass
+/// per group of streams linked by shared chiplets (transitively: if A
+/// shares a chiplet with B and B with C, all three run together), and
+/// the result equals one pass over every stream bit for bit. Each
+/// stream's report exposes busy fractions for the chiplets its own
+/// schedule uses — on a shared chiplet that is the chiplet's *total*
+/// utilization over the stream's observed span, since the silicon does
+/// not idle between tenants.
+///
+/// # Examples
+///
+/// ```
+/// use npu_maestro::FittedMaestro;
+/// use npu_mcm::McmPackage;
+/// use npu_pipesim::{simulate, SimConfig, SimError};
+/// use npu_sched::Schedule;
+///
+/// let (pkg, model) = (McmPackage::simba_6x6(), FittedMaestro::new());
+/// let cfg = SimConfig::saturated(8);
+/// let empty = Schedule { stages: vec![] };
+/// // Malformed input is an error naming the stream, not a panic.
+/// let err = simulate(&[cfg.phase(&empty)], &pkg, &model, cfg.dtype).unwrap_err();
+/// assert_eq!(err, SimError::EmptySchedule { stream: 0 });
+/// ```
+///
+/// # Errors
+///
+/// [`SimError`] if a stream's schedule is empty, its arrival times are
+/// not finite and non-decreasing, its readiness or cutoff holds a
+/// non-finite instant, or the call admits more frames than a `u32`
+/// holds.
+pub fn simulate(
+    streams: &[SimPhase<'_>],
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) -> Result<Vec<PhaseReport>, SimError> {
+    let flat: Vec<Vec<SimItem>> = streams
+        .iter()
+        .map(|s| flatten_items(s.schedule, pkg, model, dtype))
+        .collect();
+    let mut admitted = Vec::with_capacity(streams.len());
+    let mut gates = Vec::with_capacity(streams.len());
+    for (k, (s, items)) in streams.iter().zip(&flat).enumerate() {
+        if items.is_empty() {
+            return Err(SimError::EmptySchedule { stream: k });
+        }
+        s.validate(k)?;
+        let gate = admission_gate(items, &s.readiness);
+        // Times are non-decreasing, so the served frames are exactly the
+        // suffix from the first arrival at or after the gate.
+        let times = &s.times[s.times.partition_point(|&t| t < gate)..];
+        // Post-drop trim (the offered count would misalign the
+        // steady-state window after a heavy-drop transition).
+        let warmup = s
+            .warmup
+            .unwrap_or_else(|| SimConfig::default_warmup(times.len()));
+        admitted.push(Admitted {
+            items,
+            times,
+            warmup,
+            cutoff: s.cutoff,
+        });
+        gates.push(gate);
+    }
+    // Frame indices are `u32`, which keeps `Job` small. The bound is
+    // over the whole call, not per pass, so grouping accepts no input
+    // that one pass over every stream would refuse.
+    let frames = admitted.iter().map(|a| a.times.len()).sum::<usize>();
+    if frames >= u32::MAX as usize {
+        return Err(SimError::TooManyFrames { frames });
+    }
+    let groups = match admitted.len() {
+        1 => vec![vec![0]],
+        _ => chiplet_groups(&admitted),
+    };
+    let mut outcomes: Vec<Option<StreamOutcome>> = admitted.iter().map(|_| None).collect();
+    for group in groups {
+        let members: Vec<Admitted<'_>> = group.iter().map(|&k| admitted[k]).collect();
+        for (k, out) in group.into_iter().zip(run_pass(&members).0) {
+            outcomes[k] = Some(out);
+        }
+    }
+    Ok(outcomes
+        .into_iter()
+        .map(|out| out.expect("every stream is in one group"))
+        .zip(streams.iter().zip(&admitted).zip(gates))
+        .map(|(out, ((s, a), gate))| PhaseReport {
+            report: out.report,
+            offered: s.times.len(),
+            dropped: s.times.len() - a.times.len(),
+            flushed: out.flushed,
+            admitted_from: gate,
+            peak_in_flight: out.peak_in_flight,
+        })
+        .collect())
 }
 
 /// Runs a time-varying simulation: phases share one wall clock, and each
@@ -399,19 +638,14 @@ impl PhaseReport {
 /// `offered == served + dropped + flushed` always balances. Per-phase
 /// busy fractions are relative to each phase's own span.
 ///
-/// Each phase runs in its own engine pass, starting on an empty package:
-/// an outgoing phase's draining backlog never contends with the incoming
-/// phase's frames, so segment latencies right after a switch are
-/// optimistic.
-///
-/// A single phase with readiness at or before its first arrival is
-/// exactly [`simulate`] — same event order, bit-identical statistics —
-/// which the cross-validation suite pins.
+/// Each phase runs in its own [`simulate`] call, starting on an empty
+/// package: an outgoing phase's draining backlog never contends with the
+/// incoming phase's frames, so segment latencies right after a switch
+/// are optimistic.
 ///
 /// # Panics
 ///
-/// Panics if a phase's schedule is empty, its times are not finite and
-/// non-decreasing, or its readiness holds a non-finite instant.
+/// Panics with the [`SimError`] message if a phase is malformed.
 pub fn simulate_phases(
     phases: &[SimPhase<'_>],
     pkg: &McmPackage,
@@ -420,123 +654,17 @@ pub fn simulate_phases(
 ) -> Vec<PhaseReport> {
     phases
         .iter()
-        .flat_map(|phase| run_streams(std::slice::from_ref(phase), pkg, model, dtype))
-        .map(|(rep, _)| rep)
-        .collect()
-}
-
-/// Co-simulates K streams on one package as if through a shared event
-/// calendar, returning one tenant-tagged [`PhaseReport`] per stream (in
-/// input order): per-stream steady-state statistics over the frames that
-/// were actually served, plus offered/dropped/flushed counts.
-///
-/// Streams whose schedules touch the same chiplet contend for it in
-/// global `(frame, item)` priority order, with same-instant arrivals
-/// resolved by input order; streams on disjoint regions are
-/// bit-identical to standalone [`simulate_phases`] runs. The engine
-/// therefore runs one pass per group of streams linked by shared
-/// chiplets (transitively: if A shares a chiplet with B and B with C,
-/// all three run together), and the result equals one pass over every
-/// stream bit for bit. Each stream's
-/// report exposes busy fractions for the chiplets its own schedule uses
-/// — on a shared chiplet that is the chiplet's *total* utilization over
-/// the stream's observed span, since the silicon does not idle between
-/// tenants.
-///
-/// # Panics
-///
-/// Panics if a stream's schedule is empty, its times are not finite and
-/// non-decreasing, or its readiness holds a non-finite instant.
-pub fn simulate_tenants(
-    streams: &[SimPhase<'_>],
-    pkg: &McmPackage,
-    model: &dyn CostModel,
-    dtype: Dtype,
-) -> Vec<PhaseReport> {
-    run_streams(streams, pkg, model, dtype)
-        .into_iter()
-        .map(|(rep, _)| rep)
+        .enumerate()
+        .map(|(i, phase)| {
+            simulate(std::slice::from_ref(phase), pkg, model, dtype)
+                .unwrap_or_else(|e| panic!("phase {i}: {e}"))
+                .remove(0)
+        })
         .collect()
 }
 
 /// An absent item in the closed-program tables (see [`Engine`]).
 const NONE: u32 = u32::MAX;
-
-/// Flattens each stream's schedule, validates the streams, drops each
-/// one's frames arriving before its admission gate, and runs the
-/// survivors through one engine pass per [`chiplet_groups`] group.
-/// Returns each stream's report and peak frames in flight, in input
-/// order.
-fn run_streams(
-    streams: &[SimPhase<'_>],
-    pkg: &McmPackage,
-    model: &dyn CostModel,
-    dtype: Dtype,
-) -> Vec<(PhaseReport, usize)> {
-    let flat: Vec<Vec<SimItem>> = streams
-        .iter()
-        .map(|s| flatten_items(s.schedule, pkg, model, dtype))
-        .collect();
-    let mut admitted = Vec::with_capacity(streams.len());
-    let mut gates = Vec::with_capacity(streams.len());
-    for (s, items) in streams.iter().zip(&flat) {
-        assert!(!items.is_empty(), "cannot simulate an empty schedule");
-        assert!(
-            s.times.windows(2).all(|w| w[0] <= w[1]) && s.times.iter().all(|t| t.is_finite()),
-            "phase arrivals must be finite and non-decreasing"
-        );
-        assert!(s.readiness.is_finite(), "phase readiness must be finite");
-        let gate = admission_gate(items, &s.readiness);
-        // Times are non-decreasing, so the served frames are exactly the
-        // suffix from the first arrival at or after the gate.
-        let times = &s.times[s.times.partition_point(|&t| t < gate)..];
-        // Post-drop trim (the offered count would misalign the
-        // steady-state window after a heavy-drop transition).
-        let warmup = s
-            .warmup
-            .unwrap_or_else(|| SimConfig::default_warmup(times.len()));
-        admitted.push(Admitted {
-            items,
-            times,
-            warmup,
-            cutoff: s.cutoff,
-        });
-        gates.push(gate);
-    }
-    // Frame indices are `u32`, which keeps `Job` small. The bound is
-    // over the whole call, not per pass, so grouping accepts no input
-    // that one pass over every stream would refuse.
-    assert!(
-        admitted.iter().map(|a| a.times.len()).sum::<usize>() < u32::MAX as usize,
-        "too many frames for one simulation call"
-    );
-    let groups = match admitted.len() {
-        1 => vec![vec![0]],
-        _ => chiplet_groups(&admitted),
-    };
-    let mut outcomes: Vec<Option<StreamOutcome>> = admitted.iter().map(|_| None).collect();
-    for group in groups {
-        let members: Vec<Admitted<'_>> = group.iter().map(|&k| admitted[k]).collect();
-        for (k, out) in group.into_iter().zip(run_pass(&members).0) {
-            outcomes[k] = Some(out);
-        }
-    }
-    outcomes
-        .into_iter()
-        .map(|out| out.expect("every stream is in one group"))
-        .zip(streams.iter().zip(&admitted).zip(gates))
-        .map(|(out, ((s, a), gate))| {
-            let rep = PhaseReport {
-                report: out.report,
-                offered: s.times.len(),
-                dropped: s.times.len() - a.times.len(),
-                flushed: out.flushed,
-                admitted_from: gate,
-            };
-            (rep, out.peak_in_flight)
-        })
-        .collect()
-}
 
 /// The connected components of the "shares a chiplet" relation over
 /// `streams`, each listing its stream indices ascending; components are
@@ -812,7 +940,7 @@ fn global_frame(streams: &[Stream<'_>], k: usize, f: usize) -> u32 {
         Ordering::Equal => f,
         Ordering::Greater => s.times.partition_point(|&x| x < t),
     };
-    // `run_streams` bounds the total frame count.
+    // `simulate` bounds the total frame count.
     streams.iter().enumerate().map(earlier).sum::<usize>() as u32
 }
 
@@ -1011,7 +1139,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// `run_streams` bounds the streams' total frame count below
+    /// `simulate` bounds the streams' total frame count below
     /// `u32::MAX`.
     ///
     /// `fuse` runs closed programs segment by segment; without it every
@@ -1633,6 +1761,19 @@ mod tests {
     use npu_sched::{LayerPlan, ModelPlan, StagePlan};
     use npu_tensor::Seconds;
 
+    /// The steady-state report of `schedule` under `cfg`, through
+    /// [`simulate`].
+    fn run_cfg(
+        schedule: &Schedule,
+        pkg: &McmPackage,
+        model: &dyn CostModel,
+        cfg: &SimConfig,
+    ) -> SimReport {
+        let mut reports =
+            simulate(&[cfg.phase(schedule)], pkg, model, cfg.dtype).expect("a valid stream");
+        reports.remove(0).report
+    }
+
     /// Small-run warmup clamping: a quarter of the run per end, capped
     /// at 4, so `frames ≤ 4` never trims the window away.
     #[test]
@@ -1675,7 +1816,7 @@ mod tests {
                 region: vec![ChipletId(0)],
             }],
         };
-        let rep = simulate(&schedule, &pkg, &model, &SimConfig::saturated(4));
+        let rep = run_cfg(&schedule, &pkg, &model, &SimConfig::saturated(4));
         // warmup = 1 per end: two frames stay measurable.
         assert_eq!(rep.measured_frames, 2);
         let analytic = npu_sched::evaluate(&schedule, &pkg, &model, Dtype::Fp16).pipe;
@@ -1701,7 +1842,7 @@ mod tests {
                 region: vec![ChipletId(0)],
             }],
         };
-        let rep = simulate(&schedule, &pkg, &model, &SimConfig::saturated(8));
+        let rep = run_cfg(&schedule, &pkg, &model, &SimConfig::saturated(8));
         let analytic = npu_sched::evaluate(&schedule, &pkg, &model, Dtype::Fp16).pipe;
         let rel = (rep.steady_interval.as_secs() / analytic.as_secs() - 1.0).abs();
         assert!(
@@ -1729,7 +1870,7 @@ mod tests {
                 region: vec![ChipletId(0), ChipletId(1)],
             }],
         };
-        let rep = simulate(&schedule, &pkg, &model, &SimConfig::saturated(12));
+        let rep = run_cfg(&schedule, &pkg, &model, &SimConfig::saturated(12));
         let analytic = npu_sched::evaluate(&schedule, &pkg, &model, Dtype::Fp16).pipe;
         let rel = (rep.steady_interval.as_secs() / analytic.as_secs() - 1.0).abs();
         assert!(
@@ -1757,10 +1898,10 @@ mod tests {
             }],
         };
         let cfg = SimConfig::camera(10, 2.0).with_jitter(0.2, 42);
-        let a = simulate(&schedule, &pkg, &model, &cfg);
-        let b = simulate(&schedule, &pkg, &model, &cfg);
+        let a = run_cfg(&schedule, &pkg, &model, &cfg);
+        let b = run_cfg(&schedule, &pkg, &model, &cfg);
         assert_eq!(a, b, "same seed, same result");
-        let other = simulate(
+        let other = run_cfg(
             &schedule,
             &pkg,
             &model,
@@ -1831,7 +1972,7 @@ mod tests {
             burst: 4,
             intra: Seconds::new(0.4),
         };
-        let rep = simulate(
+        let rep = run_cfg(
             &schedule,
             &pkg,
             &model,
@@ -1862,8 +2003,8 @@ mod tests {
             Seconds::new(2.0),
         ]);
         let cfg = SimConfig::with_arrivals(8, trace);
-        let a = simulate(&schedule, &pkg, &model, &cfg);
-        let b = simulate(&schedule, &pkg, &model, &cfg);
+        let a = run_cfg(&schedule, &pkg, &model, &cfg);
+        let b = run_cfg(&schedule, &pkg, &model, &cfg);
         assert_eq!(a, b, "trace replay is deterministic");
         assert!(a.measured_frames > 0);
     }
@@ -2091,15 +2232,55 @@ mod tests {
                 region: vec![ChipletId(0), ChipletId(1)],
             }],
         };
-        let (rep, stats) =
-            simulate_with_stats(&schedule, &pkg, &model, &SimConfig::saturated(2_000));
-        assert_eq!(stats.frames, 2_000);
-        assert!(rep.measured_frames > 0);
+        let cfg = SimConfig::saturated(2_000);
+        let rep = simulate(&[cfg.phase(&schedule)], &pkg, &model, cfg.dtype)
+            .expect("a valid stream")
+            .remove(0);
+        assert_eq!(rep.offered, 2_000);
+        assert!(rep.report.measured_frames > 0);
         assert!(
-            (1..=4).contains(&stats.peak_in_flight),
+            (1..=4).contains(&rep.peak_in_flight),
             "an entry-bottleneck pipeline keeps a couple of frames in flight, got {}",
-            stats.peak_in_flight
+            rep.peak_in_flight
         );
+    }
+
+    /// The benchmark shim is [`simulate`] of [`SimConfig::phase`], bit for
+    /// bit: the report and every [`EngineStats`] field.
+    #[test]
+    fn simulate_with_stats_is_simulate_of_the_config_phase() {
+        let g = fusion_block(&FusionConfig::spatial_default());
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let mut mp = ModelPlan::on_single_chiplet("s", g.clone(), ChipletId(0));
+        let qkv = g.find("s_fuse.qkv").unwrap();
+        *mp.layer_plan_mut(qkv) = LayerPlan::single(g.layer(qkv).clone(), ChipletId(1));
+        let schedule = Schedule {
+            stages: vec![StagePlan {
+                kind: StageKind::SpatialFusion,
+                models: vec![mp],
+                region: vec![ChipletId(0), ChipletId(1)],
+            }],
+        };
+        for cfg in [
+            SimConfig::saturated(40),
+            SimConfig::camera(24, 4.0).with_jitter(0.3, 11),
+        ] {
+            let (report, stats) = simulate_with_stats(&schedule, &pkg, &model, &cfg);
+            let rep = simulate(&[cfg.phase(&schedule)], &pkg, &model, cfg.dtype)
+                .expect("a valid stream")
+                .remove(0);
+            assert_eq!(format!("{report:?}"), format!("{:?}", rep.report));
+            assert_eq!(
+                stats,
+                EngineStats {
+                    frames: rep.offered,
+                    peak_in_flight: rep.peak_in_flight,
+                    flushed: rep.flushed,
+                }
+            );
+            assert!(stats.peak_in_flight > 1, "frames overlap in flight");
+        }
     }
 
     /// One stream of `items` through one engine pass: its report, flushed
@@ -2197,7 +2378,7 @@ mod tests {
             }],
         };
         // One frame per second: far slower than the ~366 ms service time.
-        let rep = simulate(&schedule, &pkg, &model, &SimConfig::camera(8, 1.0));
+        let rep = run_cfg(&schedule, &pkg, &model, &SimConfig::camera(8, 1.0));
         assert!((rep.steady_interval.as_secs() - 1.0).abs() < 1e-9);
         // Utilization is low: the chiplet idles between frames.
         assert!(rep.busy_fraction(ChipletId(0)).unwrap() < 0.5);
@@ -2379,7 +2560,7 @@ mod tests {
         let s1 = single_chiplet_schedule(ChipletId(7));
         let t0 = periodic(16, 0.5, 0.0);
         let t1 = periodic(12, 0.7, 0.1);
-        let co = simulate_tenants(
+        let co = simulate(
             &[
                 SimPhase {
                     schedule: &s0,
@@ -2399,7 +2580,8 @@ mod tests {
             &pkg,
             &model,
             Dtype::Fp16,
-        );
+        )
+        .expect("valid streams");
         let alone0 = simulate_phases(
             &[SimPhase {
                 schedule: &s0,
@@ -2440,7 +2622,7 @@ mod tests {
         // arrival-limited, together they oversubscribe the chiplet.
         let t0 = periodic(16, 0.5, 0.0);
         let t1 = periodic(16, 0.5, 0.0);
-        let co = simulate_tenants(
+        let co = simulate(
             &[
                 SimPhase {
                     schedule: &s,
@@ -2460,7 +2642,8 @@ mod tests {
             &pkg,
             &model,
             Dtype::Fp16,
-        );
+        )
+        .expect("valid streams");
         let alone = simulate_phases(
             &[SimPhase {
                 schedule: &s,
@@ -2495,7 +2678,7 @@ mod tests {
         let model = FittedMaestro::new();
         let s0 = single_chiplet_schedule(ChipletId(0));
         let s1 = single_chiplet_schedule(ChipletId(1));
-        let co = simulate_tenants(
+        let co = simulate(
             &[
                 SimPhase {
                     schedule: &s0,
@@ -2515,7 +2698,8 @@ mod tests {
             &pkg,
             &model,
             Dtype::Fp16,
-        );
+        )
+        .expect("valid streams");
         assert_eq!(co[0].dropped, 0);
         assert_eq!(co[1].dropped, 3, "frames at 0.0, 0.5, 1.0 dropped");
         for rep in &co {
@@ -2532,7 +2716,7 @@ mod tests {
         let s = single_chiplet_schedule(ChipletId(0));
         let s2 = single_chiplet_schedule(ChipletId(2));
         let run = || {
-            simulate_tenants(
+            simulate(
                 &[
                     SimPhase {
                         schedule: &s,
@@ -2553,11 +2737,12 @@ mod tests {
                 &model,
                 Dtype::Fp16,
             )
+            .expect("valid streams")
         };
         assert_eq!(run(), run());
     }
 
-    /// A single stream through `simulate_tenants` is bit-identical to the
+    /// A single stream through `simulate` is bit-identical to the
     /// same stream through `simulate_phases`.
     #[test]
     fn single_stream_matches_phased_engine() {
@@ -2565,7 +2750,7 @@ mod tests {
         let model = FittedMaestro::new();
         let s = single_chiplet_schedule(ChipletId(3));
         let times = periodic(20, 0.45, 0.2);
-        let multi = simulate_tenants(
+        let multi = simulate(
             &[SimPhase {
                 schedule: &s,
                 times: times.clone(),
@@ -2576,7 +2761,8 @@ mod tests {
             &pkg,
             &model,
             Dtype::Fp16,
-        );
+        )
+        .expect("valid streams");
         let phased = simulate_phases(
             &[SimPhase {
                 schedule: &s,
@@ -2624,25 +2810,101 @@ mod tests {
     fn empty_stream_list_is_empty() {
         let pkg = McmPackage::simba_6x6();
         let model = FittedMaestro::new();
-        assert!(simulate_tenants(&[], &pkg, &model, Dtype::Fp16).is_empty());
+        assert_eq!(simulate(&[], &pkg, &model, Dtype::Fp16), Ok(vec![]));
     }
 
-    /// Both entry points validate readiness alike: a NaN ready time
-    /// panics even on a chiplet the stream's schedule never uses, where
-    /// the admission gate alone would skip it.
-    #[test]
-    #[should_panic(expected = "readiness must be finite")]
-    fn non_finite_readiness_on_an_unused_chiplet_panics() {
+    /// A valid stream on chiplet 0 ahead of `bad`, so every error below
+    /// must name stream 1.
+    fn second_stream_error(bad: SimPhase<'_>) -> SimError {
         let pkg = McmPackage::simba_6x6();
         let model = FittedMaestro::new();
         let s = single_chiplet_schedule(ChipletId(0));
+        let good = SimPhase::new(&s, periodic(4, 0.5, 0.0), Readiness::Barrier(0.0));
+        simulate(&[good, bad], &pkg, &model, Dtype::Fp16).expect_err("stream 1 is malformed")
+    }
+
+    #[test]
+    fn empty_schedule_is_an_error() {
+        let empty = Schedule { stages: vec![] };
+        let err = second_stream_error(SimPhase::new(&empty, vec![0.0], Readiness::Barrier(0.0)));
+        assert_eq!(err, SimError::EmptySchedule { stream: 1 });
+    }
+
+    #[test]
+    fn non_finite_arrival_is_an_error() {
+        let s = single_chiplet_schedule(ChipletId(1));
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let times = vec![0.0, 0.5, value];
+            let err = second_stream_error(SimPhase::new(&s, times, Readiness::Barrier(0.0)));
+            assert!(
+                matches!(
+                    err,
+                    SimError::NonFiniteArrival { stream: 1, frame: 2, value: v }
+                        if v.to_bits() == value.to_bits()
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decreasing_arrival_is_an_error() {
+        let s = single_chiplet_schedule(ChipletId(1));
+        let times = vec![0.0, 1.0, 0.5];
+        let err = second_stream_error(SimPhase::new(&s, times, Readiness::Barrier(0.0)));
+        assert_eq!(
+            err,
+            SimError::DecreasingArrival {
+                stream: 1,
+                frame: 2,
+                value: 0.5,
+                previous: 1.0
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "stream 1, frame 2: arrival time 0.5 steps backwards (previous was 1)"
+        );
+    }
+
+    /// Readiness is validated whole: a NaN ready time is an error even
+    /// on a chiplet the stream's schedule never uses, where the
+    /// admission gate alone would skip it.
+    #[test]
+    fn non_finite_readiness_on_an_unused_chiplet_is_an_error() {
+        let s = single_chiplet_schedule(ChipletId(1));
         let readiness = Readiness::PerChiplet {
             at: 0.0,
             ready: vec![(ChipletId(9), f64::NAN)],
         };
-        let stream = SimPhase::new(&s, periodic(4, 0.5, 0.0), readiness);
-        let _ = simulate_tenants(&[stream], &pkg, &model, Dtype::Fp16);
+        let err = second_stream_error(SimPhase::new(&s, periodic(4, 0.5, 0.0), readiness));
+        assert_eq!(err, SimError::NonFiniteReadiness { stream: 1 });
+        let barrier = Readiness::Barrier(f64::INFINITY);
+        let err = second_stream_error(SimPhase::new(&s, periodic(4, 0.5, 0.0), barrier));
+        assert_eq!(err, SimError::NonFiniteReadiness { stream: 1 });
     }
+
+    /// A NaN cutoff is refused. Unchecked, `completion > cutoff` is false
+    /// for every frame, so the run would silently flush nothing.
+    #[test]
+    fn non_finite_cutoff_is_an_error() {
+        let s = single_chiplet_schedule(ChipletId(1));
+        for value in [f64::NAN, f64::INFINITY] {
+            let bad = SimPhase {
+                cutoff: Some(value),
+                ..SimPhase::new(&s, vec![0.0; 4], Readiness::Barrier(0.0))
+            };
+            let err = second_stream_error(bad);
+            assert!(
+                matches!(err, SimError::NonFiniteCutoff { stream: 1, value: v }
+                    if v.to_bits() == value.to_bits()),
+                "{err:?}"
+            );
+        }
+    }
+
+    // `SimError::TooManyFrames` stays untested: reaching it takes more
+    // than `u32::MAX` arrival times, about 34 GB of `f64`s.
 
     /// One stream's report, flushed frames and peak in-flight frames,
     /// rendered so equal strings mean equal bits.

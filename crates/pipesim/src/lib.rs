@@ -11,27 +11,29 @@
 //! `validate`), and `npu-scenario` compiles whole driving scenarios down
 //! to these arrival processes.
 //!
-//! Four simulation surfaces are exposed, all thin calls into one
-//! shared-calendar engine core:
+//! One simulation function, [`simulate`], runs K [`SimPhase`] streams
+//! as if sharing one event calendar, each with its own schedule,
+//! arrivals, spin-up window and cutoff, and returns one report per
+//! stream. A steady-state run is one stream built by
+//! [`SimConfig::phase`]; `npu-fleet`'s co-scheduler runs one stream per
+//! tenant. Streams linked by shared chiplets run in one engine pass;
+//! groups that share none run in passes of their own, bit-identical to
+//! the one-calendar run. Malformed streams (an empty schedule, non-finite
+//! or decreasing arrivals, a non-finite readiness or cutoff) are refused
+//! with a [`SimError`] naming the stream.
 //!
-//! * [`simulate`] — one schedule serving one arrival process (the
-//!   steady-state workbench);
-//! * [`simulate_with_stats`] — [`simulate`], also returning the
-//!   engine's [`EngineStats`] (frames pushed, peak frames in flight,
-//!   frames flushed at a cutoff);
+//! Two wrappers remain:
+//!
 //! * [`simulate_phases`] — a time-varying run in which each
 //!   [`SimPhase`] swaps in its own compiled schedule at a phase
 //!   boundary, charging a mapping spin-up window during which arriving
 //!   frames are dropped (`npu-scenario`'s `Drive` timelines compile to
-//!   this). Each phase still runs in its own engine pass on an empty
+//!   this). Each phase runs in its own [`simulate`] call on an empty
 //!   package, so an outgoing backlog never delays the incoming phase and
 //!   segment latencies right after a switch are optimistic;
-//! * [`simulate_tenants`] — K [`SimPhase`] streams as if sharing one
-//!   event calendar, each with its own schedule, arrivals and spin-up
-//!   window, yielding one tenant-tagged report per stream (`npu-fleet`'s
-//!   co-scheduler compiles to this). Streams linked by shared chiplets
-//!   run in one engine pass; groups that share none run in passes of
-//!   their own, bit-identical to the one-calendar run.
+//! * [`simulate_with_stats`] — one [`SimConfig::phase`] stream reported
+//!   as a [`SimReport`] and [`EngineStats`], kept only for the
+//!   `e2ebench` harness.
 //!
 //! Recorded camera logs load through [`Arrivals::from_csv_str`] /
 //! [`Arrivals::from_jsonl_str`] (string input only — callers do the
@@ -51,7 +53,9 @@
 //! let model = FittedMaestro::new();
 //! let outcome = ThroughputMatcher::new(&model, MatcherConfig::default())
 //!     .match_throughput(&pipeline, &pkg);
-//! let report = simulate(&outcome.schedule, &pkg, &model, &SimConfig::saturated(20));
+//! let cfg = SimConfig::saturated(20);
+//! let streams = [cfg.phase(&outcome.schedule)];
+//! let report = &simulate(&streams, &pkg, &model, cfg.dtype).unwrap()[0].report;
 //! // The DES inter-departure interval reproduces the analytical pipe
 //! // latency within a few percent.
 //! let rel = (report.steady_interval.as_secs() / outcome.report.pipe.as_secs() - 1.0).abs();
@@ -66,8 +70,8 @@ pub mod trace;
 
 pub use arrivals::{ArrivalSegment, Arrivals};
 pub use engine::{
-    simulate, simulate_phases, simulate_tenants, simulate_with_stats, EngineStats, PhaseReport,
-    Readiness, SimConfig, SimPhase,
+    simulate, simulate_phases, simulate_with_stats, EngineStats, PhaseReport, Readiness, SimConfig,
+    SimError, SimPhase,
 };
 pub use quantiles::Quantiles;
 pub use report::{LatencyQuantiles, SimReport};

@@ -7,7 +7,7 @@
 //! balance (`offered == served + dropped + flushed`, with the served
 //! frames counted in the report itself and the drops recounted from the
 //! barrier), and a stream whose chiplets no other stream touches is
-//! bit-identical to its standalone run. `simulate_tenants` runs such a
+//! bit-identical to its standalone run. `simulate` runs such a
 //! stream in an engine pass of its own, so that last property holds by
 //! construction; `tests/engine_refactor_pin.rs` pins the grouping
 //! against an independent reference running every stream on one
@@ -20,7 +20,7 @@ use npu_dnn::models::{fe_bfpn, BifpnConfig, FeConfig};
 use npu_dnn::{Graph, StageKind};
 use npu_maestro::FittedMaestro;
 use npu_mcm::{ChipletId, McmPackage};
-use npu_pipesim::{simulate_phases, simulate_tenants, Readiness, SimPhase};
+use npu_pipesim::{simulate, simulate_phases, Readiness, SimPhase};
 use npu_sched::{LayerPlan, ModelPlan, Schedule, StagePlan};
 use npu_tensor::Dtype;
 
@@ -98,7 +98,7 @@ proptest! {
             })
             .collect();
 
-        let co = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+        let co = simulate(&streams, &pkg, &model, Dtype::Fp16).expect("valid streams");
         prop_assert_eq!(co.len(), streams.len());
         for (rep, (s, &(_, (_, barrier, _, _)))) in co.iter().zip(streams.iter().zip(&draws)) {
             prop_assert_eq!(rep.offered, s.times.len());
@@ -162,7 +162,7 @@ proptest! {
             })
             .collect();
 
-        let co = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+        let co = simulate(&streams, &pkg, &model, Dtype::Fp16).expect("valid streams");
         prop_assert_eq!(co.len(), streams.len());
         for (rep, (s, &(_, _, (barrier, _, _)))) in co.iter().zip(streams.iter().zip(&draws)) {
             prop_assert_eq!(rep.offered, s.times.len());

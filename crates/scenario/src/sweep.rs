@@ -128,7 +128,11 @@ pub fn evaluate_point(
 ) -> ScenarioPoint {
     let outcome = match_scenario(scenario, pkg, model);
     let predicted = scenario.predicted_interval(outcome.report.pipe);
-    let des = simulate(&outcome.schedule, pkg, model, &scenario.sim_config(frames));
+    let cfg = scenario.sim_config(frames);
+    let des = simulate(&[cfg.phase(&outcome.schedule)], pkg, model, cfg.dtype)
+        .expect("a matched schedule under scenario arrivals is a valid stream")
+        .remove(0)
+        .report;
     ScenarioPoint {
         scenario: scenario.name.clone(),
         package: pkg.name().to_string(),

@@ -7,12 +7,11 @@ use npu_mcm::McmPackage;
 fn agreement(schedule: &Schedule, pkg: &McmPackage) -> (f64, Seconds, Seconds) {
     let model = FittedMaestro::new();
     let analytic = evaluate(schedule, pkg, &model, Dtype::Fp16);
-    let des = npu_pipesim::simulate(
-        schedule,
-        pkg,
-        &model,
-        &npu_pipesim::SimConfig::saturated(16),
-    );
+    let cfg = npu_pipesim::SimConfig::saturated(16);
+    let des = npu_pipesim::simulate(&[cfg.phase(schedule)], pkg, &model, cfg.dtype)
+        .expect("a valid stream")
+        .remove(0)
+        .report;
     let rel = (des.steady_interval.as_secs() / analytic.pipe.as_secs() - 1.0).abs();
     (rel, des.steady_interval, analytic.pipe)
 }
@@ -124,12 +123,11 @@ fn des_latency_always_at_least_critical_path() {
     let model = FittedMaestro::new();
     let outcome =
         ThroughputMatcher::new(&model, MatcherConfig::default()).match_throughput(&pipeline, &pkg);
-    let des = npu_pipesim::simulate(
-        &outcome.schedule,
-        &pkg,
-        &model,
-        &npu_pipesim::SimConfig::saturated(16),
-    );
+    let cfg = npu_pipesim::SimConfig::saturated(16);
+    let des = npu_pipesim::simulate(&[cfg.phase(&outcome.schedule)], &pkg, &model, cfg.dtype)
+        .expect("a valid stream")
+        .remove(0)
+        .report;
     // Per-frame latency can never beat the dependency critical path.
     assert!(des.mean_latency.as_secs() >= outcome.report.e2e.as_secs() * 0.8);
 }

@@ -37,12 +37,11 @@ fn single_segment_drive_matches_standalone_scenario_bit_for_bit() {
                 assert_eq!(out.total_dropped, 0, "no transition, no drops");
 
                 let outcome = match_scenario(&scenario, &pkg, &model);
-                let standalone = simulate(
-                    &outcome.schedule,
-                    &pkg,
-                    &model,
-                    &scenario.sim_config(frames),
-                );
+                let cfg = scenario.sim_config(frames);
+                let standalone = simulate(&[cfg.phase(&outcome.schedule)], &pkg, &model, cfg.dtype)
+                    .expect("a valid stream")
+                    .remove(0)
+                    .report;
 
                 let seg = &out.segments[0];
                 for (what, drive_v, solo_v) in [

@@ -14,7 +14,7 @@
 //! per-frame state for any of them.
 //!
 //! The reference also runs K streams on one calendar with shared
-//! chiplets, and a property test pins `simulate_tenants` against it bit
+//! chiplets, and a property test pins `simulate` against it bit
 //! for bit on random DAG streams with same-instant arrivals. Two more
 //! cases pin the engine's per-group passes (streams linked by shared
 //! chiplets run together, the rest apart) against the reference's one
@@ -29,8 +29,7 @@ use npu_dnn::{Graph, Layer, LayerId, OpKind, StageKind};
 use npu_maestro::{Accelerator, CostModel, FittedMaestro, LayerCost};
 use npu_mcm::{ChipletId, McmPackage};
 use npu_pipesim::{
-    simulate, simulate_tenants, simulate_with_stats, LatencyQuantiles, Quantiles, Readiness,
-    SimConfig, SimPhase, SimReport,
+    simulate, LatencyQuantiles, PhaseReport, Quantiles, Readiness, SimConfig, SimPhase, SimReport,
 };
 use npu_scenario::{match_scenario, Scenario, SWEEP_FRAMES};
 use npu_sched::{flatten_items, LayerPlan, ModelPlan, Schedule, SimItem, StagePlan};
@@ -309,6 +308,18 @@ fn assert_matches_reference(what: &str, rep: &SimReport, run: &RefRun, warmup: u
     }
 }
 
+/// `schedule` under `cfg` as one stream through the engine.
+fn run_one(
+    schedule: &Schedule,
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    cfg: &SimConfig,
+) -> PhaseReport {
+    simulate(&[cfg.phase(schedule)], pkg, model, cfg.dtype)
+        .expect("a valid stream")
+        .remove(0)
+}
+
 /// Every built-in scenario family, matched and simulated on the paper's
 /// 6×6 package, produces a bit-identical report from the rebuilt engine
 /// — at one worker and at eight.
@@ -323,7 +334,9 @@ fn all_scenario_families_pin_the_old_engine_bit_for_bit() {
         let times = cfg.arrivals.times(cfg.frames);
         let reference = reference_run(&items, &times);
         for jobs in [1, 8] {
-            let rep = npu_par::with_jobs(jobs, || simulate(&outcome.schedule, &pkg, &model, &cfg));
+            let rep = npu_par::with_jobs(jobs, || {
+                run_one(&outcome.schedule, &pkg, &model, &cfg).report
+            });
             assert_matches_reference(
                 &format!("{} (jobs {jobs})", scenario.name),
                 &rep,
@@ -352,10 +365,10 @@ fn overloaded_families_pin_the_old_engine_bit_for_bit() {
         let cfg = scenario.sim_config(OVERLOADED_FRAMES);
         let items = flatten_items(&outcome.schedule, &pkg, &model, cfg.dtype);
         let reference = reference_run(&items, &cfg.arrivals.times(cfg.frames));
-        let (rep, stats) = simulate_with_stats(&outcome.schedule, &pkg, &model, &cfg);
-        assert_matches_reference(&scenario.name, &rep, &reference, cfg.warmup);
-        assert_eq!(stats.frames, OVERLOADED_FRAMES, "{}", scenario.name);
-        (scenario.name.clone(), stats.peak_in_flight)
+        let rep = run_one(&outcome.schedule, &pkg, &model, &cfg);
+        assert_matches_reference(&scenario.name, &rep.report, &reference, cfg.warmup);
+        assert_eq!(rep.offered, OVERLOADED_FRAMES, "{}", scenario.name);
+        (scenario.name.clone(), rep.peak_in_flight)
     });
     assert!(
         peaks.iter().any(|&(_, peak)| peak >= 100),
@@ -390,13 +403,14 @@ fn million_frame_saturated_run_keeps_the_pool_bounded() {
     };
 
     let frames = 1_000_000;
-    let (rep, stats) = simulate_with_stats(&schedule, &pkg, &model, &SimConfig::saturated(frames));
-    assert_eq!(stats.frames, frames);
+    let phase = run_one(&schedule, &pkg, &model, &SimConfig::saturated(frames));
+    assert_eq!(phase.offered, frames);
     assert!(
-        stats.peak_in_flight < 16,
+        phase.peak_in_flight < 16,
         "pool must stay bounded by pipelining depth, got {} slots",
-        stats.peak_in_flight
+        phase.peak_in_flight
     );
+    let rep = phase.report;
     assert_eq!(rep.measured_frames, frames - 2 * 4);
     assert!(rep.steady_interval.as_secs() > 0.0);
     assert!(rep.tails.p50 <= rep.tails.p999);
@@ -481,7 +495,7 @@ fn same_instant_completion_frees_the_chiplet_before_its_event() {
     assert_eq!(deps, [&[][..], &[], &[1], &[0], &[3]]);
 
     let reference = reference_run(&items, &cfg.arrivals.times(cfg.frames));
-    let rep = simulate(&schedule, &pkg, &model, &cfg);
+    let rep = run_one(&schedule, &pkg, &model, &cfg).report;
     assert_matches_reference("same-instant", &rep, &reference, cfg.warmup);
     assert_eq!(rep.mean_latency.as_secs(), 7.0);
 }
@@ -555,7 +569,7 @@ fn release_onto_a_free_chiplet_starts_its_queued_frame() {
     assert_eq!(deps, [&[][..], &[], &[], &[1], &[3], &[0], &[4]]);
 
     let reference = reference_run(&items, &cfg.arrivals.times(cfg.frames));
-    let rep = simulate(&schedule, &pkg, &model, &cfg);
+    let rep = run_one(&schedule, &pkg, &model, &cfg).report;
     assert_matches_reference("queued-release", &rep, &reference, cfg.warmup);
     assert_eq!(rep.mean_latency.as_secs(), 11.5);
     assert_eq!(rep.max_latency.as_secs(), 14.0);
@@ -689,7 +703,7 @@ fn assert_streams_match_reference(schedules: &[Schedule], draws: &[StreamDraw]) 
             cutoff: None,
         })
         .collect();
-    let reps = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+    let reps = simulate(&streams, &pkg, &model, Dtype::Fp16).expect("valid streams");
     let items: Vec<Vec<SimItem>> = schedules
         .iter()
         .map(|s| flatten_items(s, &pkg, &model, Dtype::Fp16))
