@@ -6,9 +6,11 @@
 //! planned fleet artifact pay per vehicle), plus the event calendar's
 //! worst case: a saturated schedule replicated across a 96-chiplet
 //! package, whose chiplets finish in lockstep so every new completion
-//! lands far behind the earliest pending one, and four tenants on
+//! lands far behind the earliest pending one, four tenants on
 //! disjoint column bands in one `simulate` call, which the
-//! engine runs as four passes of one stream each. Medians seed
+//! engine runs as four passes of one stream each, and two consecutive
+//! drive phases of one family in one `simulate` call, which share every
+//! chiplet and so run as one pass of two streams. Medians seed
 //! `BENCH_des_engine.json`; append one entry per PR that touches the
 //! engine hot path so regressions stay visible PR-over-PR.
 
@@ -171,6 +173,21 @@ fn bench(c: &mut Criterion) {
         .collect();
     g.bench_function("disjoint_tenants_6x6", |b| {
         b.iter(|| black_box(simulate(&tenants, &pkg, &model, Dtype::Fp16)))
+    });
+
+    // Two consecutive drive phases of highway-cruise, with the same
+    // mapping, in one `simulate` call: the incoming phase's frames queue
+    // behind the outgoing phase's backlog on the same FE chiplets, where
+    // each phase runs its own closed programs segment by segment.
+    let cfg = cruise.sim_config(MATCHED_FRAMES);
+    let times = cfg.arrivals.times(cfg.frames);
+    let (outgoing, incoming) = times.split_at(times.len() / 2);
+    let phases = [
+        SimPhase::new(&matched, outgoing.to_vec(), Readiness::Barrier(outgoing[0])),
+        SimPhase::new(&matched, incoming.to_vec(), Readiness::Barrier(incoming[0])),
+    ];
+    g.bench_function("two_phases_one_pass_6x6", |b| {
+        b.iter(|| black_box(simulate(&phases, &pkg, &model, cfg.dtype)))
     });
     g.finish();
 }

@@ -967,6 +967,22 @@ struct Stream<'a> {
     report: ReportBuilder,
 }
 
+/// The latest closed-program segment a chiplet started: what the tie
+/// checks H1 and H3 (see [`Engine`]) compare a job made ready on the
+/// chiplet against.
+#[derive(Clone, Copy)]
+struct Running {
+    /// The instant the segment started.
+    start: f64,
+    /// The instant its exit completes; the segment runs while this is
+    /// later than the clock.
+    end: f64,
+    /// The segment's head item.
+    head: u32,
+    /// The global frame the segment serves.
+    frame: u32,
+}
+
 /// The DES core. It holds no per-frame state: peak memory is
 /// O(items + chiplets), whatever the frame count or backlog.
 ///
@@ -1016,34 +1032,41 @@ struct Stream<'a> {
 ///   whose frame it serves); each stream's report carries the busy
 ///   fractions of the chiplets **its** schedule uses, normalized by that
 ///   stream's own observed span.
-/// - **A closed program runs one job per segment.** A chiplet that one
-///   stream of the pass uses hosts a *closed program* when every item on
-///   it depends only on items of the same chiplet — each camera's
-///   FE+BiFPN backbone on its own chiplet, for example, or two cameras'
-///   backbones on one. Its lowest item is then a root, the program's
-///   *entry*; more roots may follow. Frame `f`'s items on the chiplet
-///   run back to back in ascending index order: whenever one of them
-///   completes, the chiplet's lowest unfinished frame-`f` item is ready
-///   (its dependencies are lower items of the chiplet, or it is a root
-///   of a frame that has arrived), and it beats the only other jobs the
-///   chiplet can hold, later frames' roots. That order is cut into
-///   *segments*, each ending at an *exit*: an item with a dependent on
-///   another chiplet, or with none. A segment's inner items feed only
-///   their own chiplet, so the engine starts each segment as one job,
-///   an arrival queues only the program's entry, and the result is the
-///   item-by-item run's bit for bit. [`Engine::new`] finds the programs
-///   once per pass, from the pass's own tables; a program whose segments
-///   are all single items runs as it would item by item, and is not
-///   fused:
+/// - **A closed program runs one job per segment.** Stream `k`'s items
+///   on chiplet `c` form a *closed program* when each of them depends
+///   only on items of the same chiplet, whatever other streams put on
+///   `c` — each camera's FE+BiFPN backbone on its own chiplet, for
+///   example, or two cameras' backbones on one, or two drive phases'
+///   backbones on the same chiplet. Its lowest item is then a root, the
+///   program's *entry*; more roots may follow. Frame `f`'s items of the
+///   program run back to back in ascending index order: whenever one of
+///   them completes, the program's lowest unfinished frame-`f` item is
+///   ready (its dependencies are lower items of the program, or it is a
+///   root of a frame that has arrived), and it beats the other jobs the
+///   chiplet can hold: later frames' roots of the program, and other
+///   streams' jobs of later global frames. Another stream's job of an
+///   earlier frame would beat it, and is a tie (H3 below): the frame's
+///   first item starts as the chiplet's queue head, so no such job waits
+///   then, and from then on the chiplet runs the frame's items without a
+///   gap, so one can only be made ready while they run. That
+///   order is cut into *segments*, each ending at an *exit*: an item
+///   with a dependent on another chiplet, or with none. A segment's
+///   inner items feed only their own chiplet, so the engine starts each
+///   segment as one job, an arrival queues only the program's entry, and
+///   the result is the item-by-item run's bit for bit. [`Engine::new`]
+///   finds the programs once per pass, per (chiplet, stream) pair, from
+///   the pass's own tables; chains, `then` links, entries and twins stay
+///   inside one stream. A program whose segments are all single items
+///   runs as it would item by item, and is not fused:
 ///   - The job's end is `((s + d1) + d2) + …`, the instants the items
 ///     would end at one by one, and `busy_time` adds each `d` in order.
 ///   - An inner item feeds only its own chiplet, so no other event
-///     reads its state, and no event other than an arrival touches the
-///     chiplet. The exit's completion releases its dependents on other
-///     chiplets in ascending order, and starts the next segment at the
-///     point of that order where the item-by-item run starts the next
-///     item: at the first dependent on the chiplet that the exit makes
-///     ready, else after the others.
+///     reads its state, and only an arrival or another stream's release
+///     touches the chiplet. The exit's completion releases its
+///     dependents on other chiplets in ascending order, and starts the
+///     next segment at the point of that order where the item-by-item
+///     run starts the next item: at the first dependent on the chiplet
+///     that the exit makes ready, else after the others.
 ///   - The run differs only at ties, which the engine detects instead
 ///     of ordering. **H1**: a frame arrives at an inner boundary of the
 ///     chiplet's running segment, or at the end of one that is not the
@@ -1055,13 +1078,25 @@ struct Stream<'a> {
 ///     it. The one exempt tie is a twin: a segment of the same shape in
 ///     the same stream. The twin that started first starts each of its
 ///     items first item by item too, so its last item ends first, as its
-///     event does. A sub-duration that does not advance the clock counts
-///     as a tie too.
+///     event does. **H3**: another stream's job is released onto the
+///     chiplet's running segment, and either its global frame is lower
+///     than the segment's, so item by item it starts at the next inner
+///     boundary, or the release lands on an inner boundary, where item
+///     by item the chiplet is free and the release may come first. A
+///     later frame released strictly inside a segment waits item by item
+///     too, since the segment's next item beats it at every inner
+///     boundary; one that takes the chiplet at the end of a segment that
+///     is not its frame's last is a tie as in H1. Only a chiplet that
+///     hosts a program and another stream's items can meet H3, so
+///     `Engine::new` flags those and the check runs there alone; no
+///     chiplet of a one-stream pass is flagged. A sub-duration that does
+///     not advance the clock counts as a tie too.
 ///   - On the first tie the pass stops and runs again item by item, the
 ///     same engine with no program fused, so the result stays exact.
-///     The builtin families meet no tie on the 6×6 package; random
-///     dyadic programs and arrivals meet them often, and a property test
-///     pins both runs against each other bit for bit.
+///     The builtin families meet no tie on the 6×6 package, alone or as
+///     two consecutive drive phases in one pass; random programs and
+///     arrivals meet them often, and a property test pins both runs
+///     against each other bit for bit.
 ///
 ///   The matched highway-cruise schedule on `simba_6x6` flattens to 721
 ///   items, 640 of them on its 8 FE chiplets, 2 segments each: about
@@ -1129,10 +1164,13 @@ struct Engine<'a> {
     queues: Vec<BinaryHeap<Job>>,
     busy_until: Vec<f64>,
     busy_time: Vec<f64>,
-    /// Start instant and head of each chiplet's latest closed-program
-    /// segment.
-    seg_start: Vec<f64>,
-    seg_head: Vec<u32>,
+    /// Each chiplet's latest closed-program segment.
+    running: Vec<Running>,
+    /// Whether each chiplet hosts a closed program and another stream's
+    /// items: only there can another stream's job be released onto a
+    /// running segment (H3). False on every chiplet of a one-stream
+    /// pass.
+    shared: Vec<bool>,
     /// Set by the first tie the segment-by-segment run cannot order as
     /// the item-by-item run would; the pass then stops.
     tie: bool,
@@ -1178,12 +1216,21 @@ impl<'a> Engine<'a> {
                 chiplet_of.push(c);
                 durations.push(item.duration.as_secs());
                 stream_of.push(k as u32);
-                // A dependency listed twice gates its dependent once.
-                let mut ds: Vec<u32> = item.deps.iter().map(|&d| (offset + d) as u32).collect();
-                ds.sort_unstable();
-                ds.dedup();
-                edges.extend(ds.iter().map(|&d| (d, (offset + i) as u32)));
-                deps.extend(ds);
+                // A dependency listed twice gates its dependent once:
+                // sort and dedup the item's tail of `deps` in place.
+                let at = deps.len();
+                deps.extend(item.deps.iter().map(|&d| (offset + d) as u32));
+                let tail = &mut deps[at..];
+                tail.sort_unstable();
+                let mut kept = 0;
+                for r in 0..tail.len() {
+                    if kept == 0 || tail[r] != tail[kept - 1] {
+                        tail[kept] = tail[r];
+                        kept += 1;
+                    }
+                }
+                deps.truncate(at + kept);
+                edges.extend(deps[at..].iter().map(|&d| (d, (offset + i) as u32)));
                 deps_at.push(deps.len() as u32);
                 if item.deps.is_empty() {
                     roots.push((offset + i) as u32);
@@ -1217,39 +1264,33 @@ impl<'a> Engine<'a> {
             states[stream_of[i] as usize].sinks.push(i as u32);
         }
 
-        // A closed program is run segment by segment only on a chiplet
-        // no other stream of the pass uses. A chiplet with an item that
-        // reads another chiplet hosts no closed program.
+        // Stream k's items on chiplet c are a closed program, run segment
+        // by segment, when each of them reads only c, whatever other
+        // streams put on c: `fused[pair(i)]` for item i of stream k on c.
         let n_chiplets = chiplet_ids.len();
-        let mut users = vec![0u32; n_chiplets];
-        for s in &states {
-            for &c in &s.chiplets {
-                users[c] += 1;
-            }
-        }
-        let mut fused: Vec<bool> = users.iter().map(|&u| fuse && u == 1).collect();
+        let pair = |i: usize| stream_of[i] as usize * n_chiplets + chiplet_of[i] as usize;
+        let mut fused = vec![fuse; streams.len() * n_chiplets];
         let mut feeds_off = vec![false; n_items];
         for &(d, i) in &edges {
-            let c = chiplet_of[i as usize];
-            if chiplet_of[d as usize] != c {
+            if chiplet_of[d as usize] != chiplet_of[i as usize] {
                 feeds_off[d as usize] = true;
-                fused[c as usize] = false;
+                fused[pair(i as usize)] = false;
             }
         }
 
-        // Chain each fused chiplet's items in index order, cut after
-        // each exit.
+        // Chain each program's items in index order, cut after each
+        // exit. Edges never leave a stream, so neither does a chain.
         let mut next = vec![NONE; n_items];
         let mut then = vec![NONE; n_items];
         let mut head: Vec<u32> = (0..n_items as u32).collect();
-        let mut prev = vec![NONE; n_chiplets];
-        let mut multi = vec![false; n_chiplets];
+        let mut prev = vec![NONE; fused.len()];
+        let mut multi = vec![false; fused.len()];
         for i in 0..n_items {
-            let c = chiplet_of[i] as usize;
-            if !fused[c] {
+            let ck = pair(i);
+            if !fused[ck] {
                 continue;
             }
-            let p = std::mem::replace(&mut prev[c], i as u32);
+            let p = std::mem::replace(&mut prev[ck], i as u32);
             if p == NONE {
                 continue;
             }
@@ -1259,16 +1300,32 @@ impl<'a> Engine<'a> {
             } else {
                 next[p] = i as u32;
                 head[i] = head[p];
-                multi[c] = true;
+                multi[ck] = true;
             }
         }
         // A program of one-item segments runs as it would item by item.
+        // That leaves a pair with no items unfused too.
         for (f, &multi) in fused.iter_mut().zip(&multi) {
             *f &= multi;
         }
+        // H3's guard: a chiplet that hosts a program and another
+        // stream's items.
+        let mut users = vec![0u32; n_chiplets];
+        let mut hosts_program = vec![false; n_chiplets];
+        for (s, fused) in states.iter().zip(fused.chunks(n_chiplets)) {
+            for &c in &s.chiplets {
+                users[c] += 1;
+                hosts_program[c] |= fused[c];
+            }
+        }
+        let shared: Vec<bool> = users
+            .iter()
+            .zip(&hosts_program)
+            .map(|(&u, &p)| p && u > 1)
+            .collect();
         let mut segment = vec![0u8; n_items];
         for x in 0..n_items {
-            if !fused[chiplet_of[x] as usize] {
+            if !fused[pair(x)] {
                 then[x] = NONE;
             } else if next[x] == NONE {
                 let h = head[x] as usize;
@@ -1329,18 +1386,17 @@ impl<'a> Engine<'a> {
 
         // An arrival queues only a program's entry; its later roots start
         // in program order like its other items.
-        let mut entered = vec![false; n_chiplets];
+        let mut entered = vec![false; fused.len()];
         for s in &mut states {
             s.roots.retain(|&r| {
-                let c = chiplet_of[r as usize] as usize;
-                !fused[c] || !std::mem::replace(&mut entered[c], true)
+                let ck = pair(r as usize);
+                !fused[ck] || !std::mem::replace(&mut entered[ck], true)
             });
         }
         // A segment's inner edges stay on its chiplet: the segment's
         // job walks them, and no completion releases them.
         edges.retain(|&(d, i)| {
-            let c = chiplet_of[d as usize];
-            !(fused[c as usize] && chiplet_of[i as usize] == c)
+            !(fused[pair(d as usize)] && chiplet_of[i as usize] == chiplet_of[d as usize])
         });
         let dependents: Vec<u32> = edges.iter().map(|&(_, i)| i).collect();
         let mut dependents_at = vec![0u32; n_items + 1];
@@ -1376,8 +1432,17 @@ impl<'a> Engine<'a> {
             // Free at any instant: arrival times may be negative.
             busy_until: vec![f64::NEG_INFINITY; n_chiplets],
             busy_time: vec![0.0; n_chiplets],
-            seg_start: vec![0.0; n_chiplets],
-            seg_head: vec![NONE; n_chiplets],
+            running: vec![
+                Running {
+                    start: 0.0,
+                    // No segment: over at any instant.
+                    end: f64::NEG_INFINITY,
+                    head: NONE,
+                    frame: 0,
+                };
+                n_chiplets
+            ],
+            shared,
             tie: false,
             chiplet_ids,
         };
@@ -1477,8 +1542,9 @@ impl<'a> Engine<'a> {
         for i in 0..self.streams[k].roots.len() {
             let root = self.streams[k].roots[i] as usize;
             let c = self.chiplet_of[root] as usize;
-            // A program's entry heads its first segment.
-            if self.segment[root] != 0 && self.busy_until[c] > now && self.splits_segment(c, now) {
+            // H1: every running job serves an earlier frame, so only an
+            // inner boundary ties.
+            if self.running[c].end > now && self.splits_segment(c, now) {
                 self.tie = true;
             }
             self.dispatch(c, now);
@@ -1486,13 +1552,13 @@ impl<'a> Engine<'a> {
         self.next_arrival = self.peek_arrival();
     }
 
-    /// Whether `now` is an inner boundary of busy chiplet `c`'s running
+    /// Whether `now` is an inner boundary of chiplet `c`'s running
     /// segment: the instant one of its items ends and, item by item, the
-    /// chiplet would be free to start an arriving frame first. Inner
-    /// boundaries of an earlier segment all lie before `now`.
+    /// chiplet would be free to start a job made ready then first.
     fn splits_segment(&self, c: usize, now: f64) -> bool {
-        let mut item = self.seg_head[c];
-        let mut t = self.seg_start[c];
+        let running = &self.running[c];
+        let mut item = running.head;
+        let mut t = running.start;
         while item != NONE && self.next[item as usize] != NONE {
             t += self.durations[item as usize];
             if t >= now {
@@ -1609,27 +1675,39 @@ impl<'a> Engine<'a> {
     /// Starts the segment headed by `job`'s item on free chiplet `c`. Its
     /// event completes the segment's exit at the instant the items'
     /// durations, added one at a time, reach.
+    ///
+    /// The walk keeps the busy sum and the tie flag in locals, adding in
+    /// the same order: stored to `self` on every item, they would be
+    /// reloaded on every item too.
     #[inline(never)]
     fn start_segment(&mut self, c: usize, job: Job, now: f64, segment: u8) {
-        self.seg_start[c] = now;
-        self.seg_head[c] = job.item;
+        let mut busy = self.busy_time[c];
+        let mut tie = false;
         let mut item = job.item as usize;
         let mut end = now;
         loop {
             let dur = self.durations[item];
             let at = end;
             end = at + dur;
-            self.busy_time[c] += dur;
+            busy += dur;
             // An item that does not advance the clock leaves the chiplet
             // free at the instant it started: item by item, another job
             // can start there, and events can order between it and its
             // neighbours.
-            self.tie |= end <= at || end.is_nan();
+            tie |= end <= at || end.is_nan();
             match self.next[item] {
                 NONE => break,
                 next => item = next as usize,
             }
         }
+        self.busy_time[c] = busy;
+        self.tie |= tie;
+        self.running[c] = Running {
+            start: now,
+            end,
+            head: job.item,
+            frame: job.frame,
+        };
         let exit = Job {
             item: item as u32,
             ..job
@@ -1704,11 +1782,20 @@ impl<'a> Engine<'a> {
         if !self.deps[deps].iter().all(|&d| self.done[d as usize] > f) {
             return;
         }
+        // H3: the job, of `job`'s global frame, is released onto another
+        // stream's running segment before the segment's frame, or at an
+        // instant the chiplet is free item by item.
+        let c = self.chiplet_of[succ] as usize;
+        if self.shared[c] {
+            let running = &self.running[c];
+            self.tie |=
+                running.end > time && (job.frame < running.frame || self.splits_segment(c, time));
+        }
         if self.waiting[succ] > 0 {
             // Its lowest ready job is queued already. A release onto a
             // free chiplet starts the queue head, so offer one here too.
             self.waiting[succ] += 1;
-            self.dispatch(self.chiplet_of[succ] as usize, time);
+            self.dispatch(c, time);
         } else {
             let next = Job {
                 item: succ as u32,
@@ -2914,11 +3001,9 @@ mod tests {
             .collect()
     }
 
-    /// Runs `streams` in one pass as `run_pass` does and item by item,
-    /// asserts the two agree bit for bit, and says whether the pass fell
-    /// back to the item-by-item run.
-    fn assert_fusion_is_exact(streams: &[(&[SimItem], &[f64])]) -> bool {
-        let members: Vec<Admitted<'_>> = streams
+    /// `streams` as one pass's members, each with the default trim.
+    fn members<'a>(streams: &[(&'a [SimItem], &'a [f64])]) -> Vec<Admitted<'a>> {
+        streams
             .iter()
             .map(|&(items, times)| Admitted {
                 items,
@@ -2926,7 +3011,14 @@ mod tests {
                 warmup: SimConfig::default_warmup(times.len()),
                 cutoff: None,
             })
-            .collect();
+            .collect()
+    }
+
+    /// Runs `streams` in one pass as `run_pass` does and item by item,
+    /// asserts the two agree bit for bit, and says whether the pass fell
+    /// back to the item-by-item run.
+    fn assert_fusion_is_exact(streams: &[(&[SimItem], &[f64])]) -> bool {
+        let members = members(streams);
         let (fused, fell_back) = run_pass(&members);
         let unfused = Engine::new(&members, false)
             .run()
@@ -2941,23 +3033,29 @@ mod tests {
     /// program onto every program, as each camera's backbone is, so twin
     /// segments run in lockstep. Downstream items run on the shared chiplets 0
     /// and 1, or now and then on a program chiplet, which another stream
-    /// may hold a closed program on. Durations are dyadic, zero now and
-    /// then, and arrival gaps are multiples of a quarter second, so ties
-    /// are common.
+    /// may hold a closed program on. Durations are zero now and then.
+    /// Durations and arrival gaps are dyadic in two thirds of the
+    /// streams, so their sums are exact and ties are common. In the rest
+    /// they are multiples of 0.1 ms, whose sums round, so adding a
+    /// segment's durations in another order than item by item shows.
     fn closed_program_stream(seed: u64, base: u32) -> (Vec<SimItem>, Vec<f64>) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let quarters = |rng: &mut StdRng, lo: u64, hi: u64| rng.gen_range(lo..hi) as f64 * 0.25;
-        // Durations on a quarter-second grid tie often; on a 1/32 s grid,
-        // less often.
-        let grain = [0.25, 1.0 / 32.0][rng.gen_range(0..2usize)];
+        // Duration unit, arrival-gap unit and the gap bound in units:
+        // items on a 1/32 s grid tie often, on a 1/256 s grid less often.
+        let (unit, tick, gaps) = [
+            (1.0 / 32.0, 0.25, 12),
+            (1.0 / 256.0, 0.25, 12),
+            (1e-4, 1e-4, 96u64),
+        ][rng.gen_range(0..3usize)];
         // Each program: per item, its dependencies (program-local) and
-        // its duration.
-        // One item in eight does not advance the clock.
+        // its duration. In half the streams, one item in eight does not
+        // advance the clock.
+        let zeros = rng.gen_range(0..2usize) == 0;
         let secs = |rng: &mut StdRng| match rng.gen_range(0..8usize) {
-            0 => 0.0,
-            _ => rng.gen_range(1..64u64) as f64 * grain / 8.0,
+            0 if zeros => 0.0,
+            _ => rng.gen_range(1..64u64) as f64 * unit,
         };
         let program = |rng: &mut StdRng| -> Vec<(Vec<usize>, f64)> {
             (0..rng.gen_range(1..7usize))
@@ -3002,7 +3100,7 @@ mod tests {
                     .map(|_| rng.gen_range(0..n))
                     .collect();
                 let chiplet = match rng.gen_range(0..8usize) {
-                    0 => rng.gen_range(2..11usize),
+                    0 | 1 => rng.gen_range(2..8usize),
                     _ => rng.gen_range(0..2usize),
                 };
                 (chiplet as u32, deps, secs(&mut rng))
@@ -3015,10 +3113,10 @@ mod tests {
                 deps,
             });
         }
-        let mut t = quarters(&mut rng, 0, 8) - 1.0;
+        let mut t = rng.gen_range(0..8u64) as f64 * 0.25 - 1.0;
         let times = (0..rng.gen_range(1..16usize))
             .map(|_| {
-                t += quarters(&mut rng, 0, 12);
+                t += rng.gen_range(0..gaps) as f64 * tick;
                 t
             })
             .collect();
@@ -3026,8 +3124,9 @@ mod tests {
     }
 
     /// The closed-program tables `Engine::new` builds for one pass over
-    /// `streams` (with no arrivals), and the chiplets it fuses, ascending.
-    fn plan<'a>(streams: &[&'a [SimItem]]) -> (Engine<'a>, Vec<ChipletId>) {
+    /// `streams` (with no arrivals), and the chiplets on which it fuses
+    /// each stream's program, ascending.
+    fn plan<'a>(streams: &[&'a [SimItem]]) -> (Engine<'a>, Vec<Vec<ChipletId>>) {
         let members: Vec<Admitted<'a>> = streams
             .iter()
             .map(|&items| Admitted {
@@ -3038,15 +3137,17 @@ mod tests {
             })
             .collect();
         let engine = Engine::new(&members, true);
-        let mut fused: Vec<ChipletId> = engine
-            .chiplet_of
-            .iter()
-            .zip(&engine.segment)
-            .filter(|(_, &segment)| segment != 0)
-            .map(|(&c, _)| engine.chiplet_ids[c as usize])
-            .collect();
-        fused.sort_unstable();
-        fused.dedup();
+        let mut fused = vec![Vec::new(); streams.len()];
+        for (i, &segment) in engine.segment.iter().enumerate() {
+            if segment != 0 {
+                let c = engine.chiplet_ids[engine.chiplet_of[i] as usize];
+                fused[engine.stream_of[i] as usize].push(c);
+            }
+        }
+        for chiplets in &mut fused {
+            chiplets.sort_unstable();
+            chiplets.dedup();
+        }
         (engine, fused)
     }
 
@@ -3056,15 +3157,30 @@ mod tests {
         /// One to three streams of random closed programs, sharing the
         /// downstream chiplets and, when two streams draw the same base,
         /// their program chiplets too, report the same bits run segment
-        /// by segment (falling back on a tie) as item by item.
+        /// by segment (falling back on a tie) as item by item. The
+        /// streams arrive interleaved, or one after another as a drive's
+        /// phases do: then they all hold programs on the same chiplets,
+        /// and each stream's first frame arrives with or after the
+        /// previous stream's last, while that stream's backlog drains.
         #[test]
         fn segment_runs_match_item_by_item_runs(
             draws in proptest::collection::vec((0u64..u64::MAX, 0u64..3), 1..4),
+            phased in 0u64..2,
         ) {
-            let streams: Vec<(Vec<SimItem>, Vec<f64>)> = draws
-                .iter()
-                .map(|&(seed, base)| closed_program_stream(seed, 2 + 3 * base as u32))
-                .collect();
+            let mut streams: Vec<(Vec<SimItem>, Vec<f64>)> = Vec::new();
+            for &(seed, base) in &draws {
+                let base = if phased == 1 { 0 } else { base as u32 };
+                let (items, mut times) = closed_program_stream(seed, 2 + 3 * base);
+                let previous = streams.last().and_then(|(_, t)| t.last());
+                if let (1, Some(&last)) = (phased, previous) {
+                    // A stream's arrivals start at or after -1 s, so its
+                    // first now arrives at or after `last`.
+                    for t in &mut times {
+                        *t += last + 1.0;
+                    }
+                }
+                streams.push((items, times));
+            }
             let refs: Vec<(&[SimItem], &[f64])> =
                 streams.iter().map(|(i, t)| (&i[..], &t[..])).collect();
             assert_fusion_is_exact(&refs);
@@ -3089,7 +3205,7 @@ mod tests {
             item(1, vec![2, 3]),
         ];
         let (p, fused) = plan(&[&items]);
-        assert_eq!(fused, vec![ChipletId(0)]);
+        assert_eq!(fused, [vec![ChipletId(0)]]);
         assert_eq!(p.next, vec![1, NONE, NONE, NONE, NONE]);
         assert_eq!(p.segment, vec![PROGRAM | MULTI | THEN, 0, 0, PROGRAM, 0]);
         assert_eq!(p.then, vec![NONE, 3, NONE, NONE, NONE]);
@@ -3121,7 +3237,7 @@ mod tests {
             },
         ];
         let (_, fused) = plan(&[&items]);
-        assert_eq!(fused, vec![ChipletId(0)]);
+        assert_eq!(fused, [vec![ChipletId(0)]]);
         let times = [0.0, 1.0];
         assert!(assert_fusion_is_exact(&[(&items, &times)]));
         let (rep, _, _) = run_items(&items, &times);
@@ -3154,7 +3270,7 @@ mod tests {
             item(2, 0.5, vec![4, 5, 6]),
         ];
         let (programs, fused) = plan(&[&items]);
-        assert_eq!(fused, vec![ChipletId(0), ChipletId(1)]);
+        assert_eq!(fused, [vec![ChipletId(0), ChipletId(1)]]);
         assert_eq!(programs.shape[2], programs.shape[3]);
         // Frames every 1.75 s: each program takes 1.5 s, and no arrival
         // meets a segment's inner boundary.
@@ -3215,7 +3331,7 @@ mod tests {
             items[5] = item(1, 0.25, vec![off]);
             items[6] = item(0, 0.5, vec![5]);
             let (programs, fused) = plan(&[&items]);
-            assert_eq!(fused, vec![ChipletId(2)]);
+            assert_eq!(fused, [vec![ChipletId(2)]]);
             assert_eq!(programs.then[1], on as u32);
             assert_eq!(programs.launch[1], u32::from(!on_first));
             assert!(!assert_fusion_is_exact(&[(&items, &[0.0])]));
@@ -3225,12 +3341,16 @@ mod tests {
         }
     }
 
-    /// Which chiplets a pass of two streams fuses: stream A holds closed
+    /// Which programs a pass of two streams fuses: stream A holds closed
     /// programs on chiplets 2 and 4, stream B on 3 and 4, and both feed
-    /// the shared chiplet 0. Chiplet 4 hosts a closed program of each
-    /// stream, so neither runs segment by segment; 2 and 3 do.
+    /// the shared chiplet 0. Each stream's program runs segment by
+    /// segment, chiplet 4's two included. B also puts an item that reads
+    /// chiplet 3 on chiplet 2, which leaves A's program there fused and
+    /// only guards it against B's releases (H3). B's frames trail A's by
+    /// 1/16 s and its item on chiplet 2 lands between A's programs, so
+    /// the pass meets no tie.
     #[test]
-    fn a_pass_fuses_only_programs_on_chiplets_of_one_stream() {
+    fn a_pass_fuses_programs_per_chiplet_and_stream() {
         let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
             chiplet: ChipletId(chiplet),
             duration: Seconds::new(secs),
@@ -3245,11 +3365,125 @@ mod tests {
                 item(0, 0.375, vec![1, 3]),
             ]
         };
-        let (a, b) = (stream(2, 0.3125), stream(3, 0.5625));
-        assert_eq!(plan(&[&a, &b]).1, vec![ChipletId(2), ChipletId(3)]);
+        let a = stream(2, 0.3125);
+        let mut b = stream(3, 0.5625);
+        b.push(item(2, 0.125, vec![1]));
+        let (p, fused) = plan(&[&a, &b]);
+        assert_eq!(
+            fused,
+            [
+                vec![ChipletId(2), ChipletId(4)],
+                vec![ChipletId(3), ChipletId(4)]
+            ]
+        );
+        let shared: Vec<ChipletId> = p
+            .chiplet_ids
+            .iter()
+            .zip(&p.shared)
+            .filter(|(_, &shared)| shared)
+            .map(|(&c, _)| c)
+            .collect();
+        assert_eq!(shared, vec![ChipletId(2), ChipletId(4)]);
         let times_a: Vec<f64> = (0..8).map(|f| f as f64 * 1.5).collect();
         let times_b: Vec<f64> = (0..8).map(|f| f as f64 * 1.5 + 0.0625).collect();
         assert!(!assert_fusion_is_exact(&[(&a, &times_a), (&b, &times_b)]));
+    }
+
+    /// One pass of stream `a`, one frame at `t_a`, and stream `b`, one
+    /// frame at `t_b`; `a` comes first in the pass unless `b_first`.
+    /// Returns, after checking that the pass is exact, whether it fell
+    /// back and the item-by-item latency of `a`'s and `b`'s frame.
+    fn two_frames(
+        a: &[SimItem],
+        t_a: f64,
+        b: &[SimItem],
+        t_b: f64,
+        b_first: bool,
+    ) -> (bool, [f64; 2]) {
+        let (ta, tb) = ([t_a], [t_b]);
+        let mut streams = vec![(a, &ta[..]), (b, &tb[..])];
+        if b_first {
+            streams.reverse();
+        }
+        let fell_back = assert_fusion_is_exact(&streams);
+        let out = Engine::new(&members(&streams), false)
+            .run()
+            .expect("no tie item by item");
+        let latency = |o: &StreamOutcome| o.report.max_latency.as_secs();
+        let (oa, ob) = if b_first {
+            (&out[1], &out[0])
+        } else {
+            (&out[0], &out[1])
+        };
+        (fell_back, [latency(oa), latency(ob)])
+    }
+
+    /// H3's streams: `a` runs a closed program of three 1 s items on
+    /// chiplet 2, its frame at `t_a`; `b` runs a root of `b_secs` on
+    /// chiplet 0 and then a 0.5 s item on chiplet 2, its frame at `t_b`.
+    /// See [`two_frames`] for the rest.
+    fn h3_pass(b_first: bool, t_a: f64, t_b: f64, b_secs: f64) -> (bool, [f64; 2]) {
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        let a = vec![
+            item(2, 1.0, vec![]),
+            item(2, 1.0, vec![0]),
+            item(2, 1.0, vec![1]),
+        ];
+        let b = vec![item(0, b_secs, vec![]), item(2, 0.5, vec![0])];
+        two_frames(&a, t_a, &b, t_b, b_first)
+    }
+
+    /// H3, a lower frame: `b`'s frame arrives with `a`'s but first in
+    /// the pass, and its item on chiplet 2 is released at 1.25 s, inside
+    /// `a`'s running segment. Item by item it starts at 2 s, when `a`'s
+    /// second item ends, ahead of `a`'s third. The pass falls back.
+    #[test]
+    fn a_lower_frame_released_mid_segment_falls_back() {
+        assert_eq!(h3_pass(true, 0.0, 0.0, 1.25), (true, [3.5, 2.5]));
+    }
+
+    /// H3, an inner boundary: `b`'s frame arrives after `a`'s, and its
+    /// item on chiplet 2 is released at 2 s, the instant `a`'s second
+    /// item ends. Its root started before that item, so item by item
+    /// its completion comes first, finds the chiplet free and starts
+    /// ahead of `a`'s third item. The pass falls back.
+    #[test]
+    fn a_release_on_an_inner_boundary_falls_back() {
+        assert_eq!(h3_pass(false, 0.0, 0.5, 1.5), (true, [3.5, 2.0]));
+    }
+
+    /// H1 across streams: `b`'s root on chiplet 2 is not fused, since
+    /// `b`'s other item there reads chiplet 0, and its frame arrives at
+    /// 1 s, the instant `a`'s first item ends. Item by item the chiplet
+    /// is free then, and the arrival, processed before the completion,
+    /// starts `b`'s root ahead of `a`'s second item. The pass falls back.
+    #[test]
+    fn another_streams_root_arriving_on_an_inner_boundary_falls_back() {
+        let item = |chiplet: u32, secs: f64, deps: Vec<usize>| SimItem {
+            chiplet: ChipletId(chiplet),
+            duration: Seconds::new(secs),
+            deps,
+        };
+        let a = vec![item(2, 1.0, vec![]), item(2, 1.0, vec![0])];
+        let b = vec![
+            item(2, 0.5, vec![]),
+            item(0, 0.5, vec![0]),
+            item(2, 0.5, vec![1]),
+        ];
+        assert_eq!(plan(&[&a, &b]).1, [vec![ChipletId(2)], vec![]]);
+        assert_eq!(two_frames(&a, 0.0, &b, 1.0, false), (true, [2.5, 2.0]));
+    }
+
+    /// No H3 tie: released at 1.75 s, strictly inside `a`'s segment, a
+    /// later frame waits for the segment's end item by item too. The
+    /// pass does not fall back.
+    #[test]
+    fn a_higher_frame_released_mid_segment_keeps_the_fast_path() {
+        assert_eq!(h3_pass(false, 0.0, 0.5, 1.25), (false, [3.0, 3.0]));
     }
 
     /// The fast path holds where the time goes: on every builtin family
@@ -3279,7 +3513,7 @@ mod tests {
             fe.dedup();
             // One chiplet per camera.
             assert!(!fe.is_empty(), "{}", scenario.name);
-            assert_eq!(plan(&[&items]).1, fe, "{}", scenario.name);
+            assert_eq!(plan(&[&items]).1, [fe], "{}", scenario.name);
             for frames in [SWEEP_FRAMES, 720] {
                 let cfg = scenario.sim_config(frames);
                 let times = cfg.arrivals.times(cfg.frames);
@@ -3292,6 +3526,34 @@ mod tests {
                 let (_, fell_back) = run_pass(&[admitted]);
                 assert!(!fell_back, "{} at {frames} frames", scenario.name);
             }
+        }
+    }
+
+    /// Two consecutive drive phases of each builtin family, with the
+    /// same mapping, in one pass: the incoming phase's frames arrive
+    /// while the outgoing phase's backlog drains on the same FE
+    /// chiplets. Every FE chiplet runs each phase's program segment by
+    /// segment, and the pass ends without a fallback.
+    #[test]
+    fn consecutive_drive_phases_fuse_every_fe_chiplet_without_fallback() {
+        use npu_scenario::{match_scenario, Scenario};
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        for scenario in Scenario::builtin() {
+            let schedule = match_scenario(&scenario, &pkg, &model).schedule;
+            let items = flatten_items(&schedule, &pkg, &model, Dtype::Fp16);
+            let fe = plan(&[&items]).1.remove(0);
+            assert_eq!(
+                plan(&[&items, &items]).1,
+                [fe.clone(), fe],
+                "{}",
+                scenario.name
+            );
+            let cfg = scenario.sim_config(720);
+            let times = cfg.arrivals.times(cfg.frames);
+            let (outgoing, incoming) = times.split_at(times.len() / 2);
+            let (_, fell_back) = run_pass(&members(&[(&items, outgoing), (&items, incoming)]));
+            assert!(!fell_back, "{}", scenario.name);
         }
     }
 }
